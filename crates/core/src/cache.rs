@@ -3,10 +3,10 @@
 //! [`EngineCaches`] bundles the two cache layers a [`crate::NewsLink`]
 //! engine owns:
 //!
-//! - the `newslink-embed` [`EmbeddingCache`] (group memo + shared
-//!   distance maps), consulted by every per-document and per-query
-//!   embedding, from `index_corpus` worker threads and `search_batch`
-//!   scoped threads alike;
+//! - the `newslink-embed` [`EmbeddingCache`] (the `G*` group memo),
+//!   consulted by every per-document and per-query embedding, from
+//!   `index_corpus` worker threads and `search_batch` scoped threads
+//!   alike;
 //! - a query memo mapping the raw query string to its finished NLP + NE
 //!   artifacts, so a repeated query skips both components entirely.
 //!
@@ -35,7 +35,7 @@ pub(crate) struct QueryArtifacts {
 /// All caches owned by one engine.
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
-    /// Group memo + distance maps for the NE component.
+    /// Group memo for the NE component.
     pub embed: EmbeddingCache,
     /// Whole-query artifact memo for the engine's search entry points.
     pub query: ShardedCache<String, Arc<QueryArtifacts>>,
@@ -58,7 +58,7 @@ impl EngineCaches {
     pub fn stats(&self) -> EngineCacheStats {
         EngineCacheStats {
             groups: self.embed.group_stats(),
-            distances: self.embed.distance_stats(),
+            distances: CacheStats::default(),
             queries: self.query.stats(),
         }
     }
@@ -76,7 +76,8 @@ impl EngineCaches {
 pub struct EngineCacheStats {
     /// The `(model, label set) -> G*` memo.
     pub groups: CacheStats,
-    /// The shared truncated-Dijkstra distance maps.
+    /// Always all-zero: the distance-map tier is gone and the field stays
+    /// only because `perf/` compiles against it.
     pub distances: CacheStats,
     /// The whole-query artifact memo.
     pub queries: CacheStats,
@@ -85,7 +86,7 @@ pub struct EngineCacheStats {
 impl EngineCacheStats {
     /// Sum of all tiers, for one-line reporting.
     pub fn combined(&self) -> CacheStats {
-        self.groups.merged(&self.distances).merged(&self.queries)
+        self.groups.merged(&self.queries)
     }
 }
 
@@ -108,5 +109,22 @@ mod tests {
         assert_eq!(s.combined().misses, 1);
         caches.clear();
         assert_eq!(caches.stats().queries.entries, 0);
+
+        // An indexing run moves the group memo and nothing else: the
+        // inert `distances` field must not come back to life.
+        let world = newslink_kg::synth::generate(&newslink_kg::SynthConfig::small(5));
+        let labels = newslink_kg::LabelIndex::build(&world.graph);
+        let country = world.graph.label(world.countries[0]);
+        let docs = [format!("Officials from {country} signed the accord.")];
+        let config = crate::NewsLinkConfig::default();
+        crate::indexer::index_corpus_with(
+            &world.graph,
+            &labels,
+            &config,
+            Some(&caches.embed),
+            &docs,
+        );
+        assert!(caches.stats().groups.lookups() > 0);
+        assert_eq!(caches.stats().distances, CacheStats::default());
     }
 }

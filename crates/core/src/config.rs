@@ -16,17 +16,19 @@ pub enum EmbeddingModel {
 /// Capacity knobs for the engine's shared caches (see
 /// [`crate::pipeline::NewsLink`] and `newslink_embed::EmbeddingCache`).
 ///
-/// All tiers key on frozen-graph state, so caching never changes results
-/// — only how often the traversal actually runs. Disabling the cache (or
-/// setting a capacity to zero) routes every request through the uncached
-/// code path.
+/// Two tiers, both whole-result memos keyed on frozen-graph state: the
+/// `G*` group memo and the query memo. A miss runs the uncached code and
+/// stores what it returned, so caching never changes results — only how
+/// often the traversal actually runs. Disabling the cache (or setting a
+/// capacity to zero) routes every request through the uncached code path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Master switch; `false` makes every tier a pass-through.
     pub enabled: bool,
     /// Memoized `(model, label set) -> G*` results.
     pub group_capacity: usize,
-    /// Shared truncated-Dijkstra distance maps (tier 2).
+    /// Ignored: it sized the removed distance-map tier and stays only
+    /// because `perf/` compiles against it.
     pub distance_capacity: usize,
     /// Engine-level memo of whole query artifacts (NLP + NE output).
     pub query_capacity: usize,

@@ -39,8 +39,8 @@ fn concurrent_indexing_and_search_under_eviction_pressure() {
     let tiny = CacheConfig {
         enabled: true,
         group_capacity: 4,
-        distance_capacity: 2,
         query_capacity: 2,
+        ..CacheConfig::default()
     };
     let cfg = NewsLinkConfig::default().with_threads(2).with_cache(tiny);
     let engine = NewsLink::new(&world.graph, &labels, cfg.clone());

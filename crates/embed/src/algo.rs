@@ -18,7 +18,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 use newslink_kg::{KnowledgeGraph, LabelIndex, NodeId, Symbol};
 use newslink_util::{FxHashMap, FxHashSet};
@@ -31,8 +30,6 @@ pub struct SearchConfig {
     /// Upper bound on total settled nodes across all frontiers (the paper's
     /// `while Not Timeout` guard, expressed deterministically).
     pub max_settled: usize,
-    /// Optional wall-clock budget (checked coarsely).
-    pub timeout: Option<Duration>,
     /// Cap on `|S(l)|` source nodes per label (highly ambiguous labels).
     pub max_sources_per_label: usize,
     /// Ablation knob: keep only ONE tight predecessor per node, collapsing
@@ -45,7 +42,6 @@ impl Default for SearchConfig {
     fn default() -> Self {
         Self {
             max_settled: 200_000,
-            timeout: None,
             max_sources_per_label: 32,
             single_path: false,
         }
@@ -213,7 +209,6 @@ pub fn find_top_cags(
     }
     let m = searches.len();
 
-    let start = Instant::now();
     let mut settled_total = 0usize;
     let mut candidates: Vec<Candidate> = Vec::new();
     // Depth below which the j-th best candidate must sit (C2 generalized).
@@ -275,14 +270,9 @@ pub fn find_top_cags(
             }
         }
 
-        // Budget guards (the paper's `while Not Timeout`).
+        // Budget guard (the paper's `while Not Timeout`).
         if settled_total >= config.max_settled {
             break;
-        }
-        if let Some(t) = config.timeout {
-            if settled_total.is_multiple_of(256) && start.elapsed() > t {
-                break;
-            }
         }
     }
 

@@ -7,9 +7,9 @@
 //!   sorting;
 //! - [`tree`] — the TreeEmb baseline (Group-Steiner-Tree approximation) the
 //!   paper compares against in Table VII;
-//! - [`cache`] — the two-tier [`cache::EmbeddingCache`] (group memo +
-//!   shared distance maps) that amortizes traversal across recurring
-//!   entity groups without changing any result;
+//! - [`cache`] — the [`cache::EmbeddingCache`] group memo that amortizes
+//!   traversal across recurring entity groups without changing any
+//!   result (a miss runs the same [`algo`] search and stores it);
 //! - [`union`] — document embeddings as unions of per-segment `G*`;
 //! - [`bon`] — the Bag-Of-Node representation feeding the NS component;
 //! - [`explain`] — relationship-path extraction from embedding overlap, the
@@ -30,7 +30,7 @@ pub mod union;
 
 pub use algo::{find_lcag, find_top_cags, EmbedError, SearchConfig};
 pub use bon::{bon_term_counts, bon_terms, node_term, parse_node_term};
-pub use cache::{find_lcag_cached, find_tree_embedding_cached, CachedModel, EmbeddingCache};
+pub use cache::{CachedModel, EmbeddingCache};
 pub use dot::{embedding_to_dot, overlap_to_dot};
 pub use explain::{relationship_paths, RelationshipPath};
 pub use model::{compactness_cmp, CommonAncestorGraph, EmbedEdge};

@@ -1,4 +1,4 @@
-//! Property tests: the two-tier [`EmbeddingCache`] is a pure
+//! Property tests: the [`EmbeddingCache`] group memo is a pure
 //! memoization — cached, warm-cached and uncached group embeddings are
 //! bit-identical on randomized synthetic worlds, successes and errors
 //! alike, for both models.
@@ -52,6 +52,7 @@ proptest! {
         seed in 0u64..64,
         picks in prop::collection::vec(any::<usize>(), 1..5),
         tight_budget in any::<bool>(),
+        single_path in any::<bool>(),
     ) {
         let world = synth::generate(&SynthConfig::small(seed));
         let index = LabelIndex::build(&world.graph);
@@ -62,10 +63,11 @@ proptest! {
             .map(|&p| world.graph.label(pool[p % pool.len()]).to_string())
             .collect();
 
-        // A binding settled budget must fall back to the uncached search
-        // (timing-dependent), still bit-identically.
+        // A binding settled budget truncates the search and `single_path`
+        // narrows the DAG; the memo must reproduce both bit-identically.
         let config = SearchConfig {
             max_settled: if tight_budget { 64 } else { 200_000 },
+            single_path,
             ..SearchConfig::default()
         };
         let cache = EmbeddingCache::new(128, 128);
@@ -83,34 +85,5 @@ proptest! {
             assert_same(&warm, &uncached);
         }
         prop_assert!(cache.group_stats().hits >= 2, "warm pass must hit the memo");
-    }
-
-    #[test]
-    fn distance_maps_are_shared_across_overlapping_groups(
-        seed in 0u64..32,
-        a in any::<usize>(),
-        b in any::<usize>(),
-        c in any::<usize>(),
-    ) {
-        let world = synth::generate(&SynthConfig::small(seed));
-        let index = LabelIndex::build(&world.graph);
-        let pool = entity_pool(&world);
-        prop_assume!(pool.len() >= 3);
-        let name = |i: usize| world.graph.label(pool[i % pool.len()]).to_string();
-        // Two distinct groups sharing one entity.
-        let g1 = vec![name(a), name(b)];
-        let g2 = vec![name(a), name(c)];
-        prop_assume!(g1 != g2);
-
-        let config = SearchConfig::default();
-        let cache = EmbeddingCache::new(128, 128);
-        let r1 = cache.embed_group(&world.graph, &index, &g1, &config, CachedModel::Lcag);
-        let r2 = cache.embed_group(&world.graph, &index, &g2, &config, CachedModel::Lcag);
-        assert_same(&r1, &find_lcag(&world.graph, &index, &g1, &config));
-        assert_same(&r2, &find_lcag(&world.graph, &index, &g2, &config));
-        // Both groups consult per-label distance maps; the shared label's
-        // map is computed at most once.
-        let d = cache.distance_stats();
-        prop_assert!(d.lookups() == 0 || d.misses <= 3, "shared label recomputed: {d:?}");
     }
 }

@@ -1,31 +1,23 @@
-//! Concurrency-safe traversal caching for the hot embedding path.
+//! The concurrent bounded map behind the engine's memo tiers.
 //!
-//! Every document and every query runs truncated shortest-path searches
-//! from its recognized entities (the `G*` search of §V). Real corpora
-//! mention the same entities thousands of times, so the per-source-set
-//! distance maps those searches settle are massively redundant across
-//! documents. [`DistanceCache`] memoizes them behind a [`ShardedCache`] —
-//! sharded `parking_lot::RwLock` maps keyed by the interned node ids of
-//! the source set, bounded by CLOCK eviction
+//! Real corpora mention the same entity groups thousands of times and
+//! users repeat queries, so the NE component memoizes whole results: the
+//! `(model, label sequence) → G*` group memo in `newslink-embed` and the
+//! query-artifact memo in `newslink-core`. Both are a [`ShardedCache`] —
+//! sharded `parking_lot::RwLock` maps bounded by CLOCK eviction
 //! ([`newslink_util::ClockCache`]).
 //!
-//! The graph a cache serves is frozen ([`KnowledgeGraph`] is immutable),
-//! so entries never go stale during document ingestion; [`clear`] exists
-//! for the one real invalidation event, swapping in a new graph build.
-//!
-//! [`clear`]: DistanceCache::clear
+//! The graph those memos serve is frozen ([`crate::KnowledgeGraph`] is
+//! immutable), so entries never go stale during document ingestion;
+//! [`ShardedCache::clear`] exists for the one real invalidation event,
+//! swapping in a new graph build.
 
 use std::borrow::Borrow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use newslink_util::{CacheCounters, CacheStats, ClockCache, FxHashMap, FxHasher};
-
-use crate::graph::{KnowledgeGraph, NodeId};
+use newslink_util::{CacheCounters, CacheStats, ClockCache, FxHasher};
 
 /// A concurrent, capacity-bounded cache: `parking_lot::RwLock` shards over
 /// [`ClockCache`]s, with lock-free hit/miss/eviction counters.
@@ -81,21 +73,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.get_where(key, |_| true)
-    }
-
-    /// Look up `key` but only accept entries satisfying `usable`; a
-    /// present-but-unusable entry counts as a miss (the caller is about to
-    /// recompute it).
-    pub fn get_where<Q>(&self, key: &Q, usable: impl FnOnce(&V) -> bool) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let found = {
-            let shard = self.shard(key).read();
-            shard.get(key).filter(|v| usable(v)).cloned()
-        };
+        let found = self.shard(key).read().get(key).cloned();
         match found {
             Some(v) => {
                 self.counters.hit();
@@ -150,296 +128,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 }
 
-/// A truncated multi-source shortest-path distance map.
-///
-/// Contains exactly the nodes *settled* by a Dijkstra run from the source
-/// set: every node within [`radius`](Self::radius) of the sources carries
-/// its true distance, unless the map is [`capped`](Self::capped).
-#[derive(Debug)]
-pub struct DistanceMap {
-    dist: FxHashMap<NodeId, u32>,
-    radius: u32,
-    exhausted: bool,
-    capped: bool,
-}
-
-impl DistanceMap {
-    /// Distance from the source set to `node`, if settled.
-    #[inline]
-    pub fn get(&self, node: NodeId) -> Option<u32> {
-        self.dist.get(&node).copied()
-    }
-
-    /// Iterate over settled `(node, distance)` pairs (unspecified order).
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-        self.dist.iter().map(|(&n, &d)| (n, d))
-    }
-
-    /// Number of settled nodes.
-    pub fn len(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// True when nothing was settled (only possible for an empty source
-    /// set).
-    pub fn is_empty(&self) -> bool {
-        self.dist.is_empty()
-    }
-
-    /// The map is complete for all nodes within this distance.
-    pub fn radius(&self) -> u32 {
-        self.radius
-    }
-
-    /// The frontier ran out: the whole reachable component is settled.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// The node budget cut the search before `radius` was reached; the map
-    /// is *not* complete and callers must fall back to a direct traversal.
-    pub fn capped(&self) -> bool {
-        self.capped
-    }
-
-    /// True when every node within `radius` is guaranteed present.
-    pub fn covers(&self, radius: u32) -> bool {
-        self.exhausted || (!self.capped && self.radius >= radius)
-    }
-
-    /// Count settled nodes within `radius` (budget accounting).
-    pub fn settled_within(&self, radius: u32) -> usize {
-        self.dist.values().filter(|&&d| d <= radius).count()
-    }
-}
-
-/// Run a truncated multi-source Dijkstra: settle every node within
-/// `radius` of `sources`, stopping early after `max_nodes` settlements.
-pub fn truncated_distances(
-    graph: &KnowledgeGraph,
-    sources: &[NodeId],
-    radius: u32,
-    max_nodes: usize,
-) -> DistanceMap {
-    let mut dist: FxHashMap<NodeId, u32> = FxHashMap::default();
-    let mut settled: FxHashMap<NodeId, u32> = FxHashMap::default();
-    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
-    for &s in sources {
-        if graph.contains(s) {
-            dist.insert(s, 0);
-            heap.push(Reverse((0, s)));
-        }
-    }
-    let mut exhausted = true;
-    let mut capped = false;
-    let mut radius = radius;
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if settled.contains_key(&v) || dist.get(&v) != Some(&d) {
-            continue; // stale lazy-deleted entry
-        }
-        if d > radius {
-            exhausted = false;
-            break;
-        }
-        if settled.len() >= max_nodes {
-            // Budget hit mid-distance: completeness only holds strictly
-            // below the current frontier distance.
-            capped = true;
-            exhausted = false;
-            radius = d.saturating_sub(1);
-            break;
-        }
-        settled.insert(v, d);
-        for e in graph.neighbors(v) {
-            let nd = d + e.weight;
-            if !settled.contains_key(&e.to) && dist.get(&e.to).is_none_or(|&cur| nd < cur) {
-                dist.insert(e.to, nd);
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
-    DistanceMap {
-        dist: settled,
-        radius,
-        exhausted,
-        capped,
-    }
-}
-
-/// A sharded, bounded memo of [`DistanceMap`]s keyed by source set.
-///
-/// Keys are the sorted, deduplicated interned node ids of a source set
-/// (the `S(l)` of one entity label), so every label resolving to the same
-/// nodes shares one entry. An entry computed to a deeper radius than
-/// requested is a hit; a shallower entry is recomputed at the deeper
-/// radius and replaces the old map.
-#[derive(Debug)]
-pub struct DistanceCache {
-    inner: ShardedCache<Box<[NodeId]>, Arc<DistanceMap>>,
-}
-
-impl DistanceCache {
-    /// A cache bounded to `capacity` source sets.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: ShardedCache::new(capacity),
-        }
-    }
-
-    /// The canonical cache key for a source set.
-    pub fn key_for(sources: &[NodeId]) -> Box<[NodeId]> {
-        let mut key: Vec<NodeId> = sources.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        key.into_boxed_slice()
-    }
-
-    /// The distance map for `sources`, complete to at least `radius`
-    /// (unless capped by `max_nodes`). Served from cache when a map of
-    /// sufficient depth exists; otherwise computed and cached.
-    pub fn distances(
-        &self,
-        graph: &KnowledgeGraph,
-        sources: &[NodeId],
-        radius: u32,
-        max_nodes: usize,
-    ) -> Arc<DistanceMap> {
-        let key = Self::key_for(sources);
-        if let Some(m) = self
-            .inner
-            .get_where(&key, |m| m.covers(radius) || (m.capped && m.len() >= max_nodes))
-        {
-            return m;
-        }
-        // Nothing cached, or the cached map is too shallow: (re)compute at
-        // the requested depth and replace.
-        let m = Arc::new(truncated_distances(graph, &key, radius, max_nodes));
-        self.inner.insert(key, m.clone());
-        m
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Number of cached source sets.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Invalidate everything (call when the underlying graph is replaced).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
-    use crate::graph::EntityType;
-    use crate::traverse::dijkstra_distances;
-
-    fn chain(n: usize) -> KnowledgeGraph {
-        let mut b = GraphBuilder::new();
-        let ids: Vec<NodeId> = (0..n)
-            .map(|i| b.add_node(&format!("n{i}"), EntityType::Gpe))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_edge(w[0], w[1], "p", 1);
-        }
-        b.freeze()
-    }
-
-    #[test]
-    fn truncated_matches_full_dijkstra_within_radius() {
-        let g = chain(10);
-        let m = truncated_distances(&g, &[NodeId(0)], 4, usize::MAX);
-        let full = dijkstra_distances(&g, NodeId(0));
-        for (node, d) in m.iter() {
-            assert_eq!(u64::from(d), full[&node]);
-        }
-        for i in 0..=4u32 {
-            assert_eq!(m.get(NodeId(i)), Some(i), "node within radius missing");
-        }
-        assert!(m.get(NodeId(6)).is_none(), "beyond-radius node settled");
-        assert!(m.covers(4));
-        assert!(!m.covers(5));
-        assert!(!m.exhausted());
-    }
-
-    #[test]
-    fn exhaustion_detected_on_small_component() {
-        let g = chain(4);
-        let m = truncated_distances(&g, &[NodeId(0)], 100, usize::MAX);
-        assert!(m.exhausted());
-        assert!(m.covers(u32::MAX));
-        assert_eq!(m.len(), 4);
-    }
-
-    #[test]
-    fn multi_source_takes_minimum() {
-        let g = chain(7);
-        let m = truncated_distances(&g, &[NodeId(0), NodeId(6)], 10, usize::MAX);
-        assert_eq!(m.get(NodeId(3)), Some(3));
-        assert_eq!(m.get(NodeId(5)), Some(1));
-    }
-
-    #[test]
-    fn node_budget_caps_map() {
-        let g = chain(50);
-        let m = truncated_distances(&g, &[NodeId(0)], 100, 5);
-        assert!(m.capped());
-        assert!(!m.covers(100));
-        assert_eq!(m.len(), 5);
-    }
-
-    #[test]
-    fn cache_hits_on_repeat_and_on_deeper_entry() {
-        let g = chain(12);
-        let c = DistanceCache::new(64);
-        let a = c.distances(&g, &[NodeId(0)], 6, usize::MAX);
-        let s1 = c.stats();
-        assert_eq!(s1.misses, 1);
-        assert_eq!(s1.hits, 0);
-        // Same request: hit. Shallower request: also a hit (deep map covers).
-        let b = c.distances(&g, &[NodeId(0)], 6, usize::MAX);
-        let sh = c.distances(&g, &[NodeId(0)], 2, usize::MAX);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(Arc::ptr_eq(&a, &sh));
-        assert_eq!(c.stats().hits, 2);
-        // Deeper request: recompute and replace.
-        let deep = c.distances(&g, &[NodeId(0)], 11, usize::MAX);
-        assert!(deep.covers(11));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn key_normalization_shares_entries() {
-        let g = chain(5);
-        let c = DistanceCache::new(8);
-        c.distances(&g, &[NodeId(2), NodeId(0)], 4, usize::MAX);
-        c.distances(&g, &[NodeId(0), NodeId(2), NodeId(0)], 4, usize::MAX);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().hits, 1);
-    }
-
-    #[test]
-    fn clear_invalidates() {
-        let g = chain(5);
-        let c = DistanceCache::new(8);
-        c.distances(&g, &[NodeId(0)], 4, usize::MAX);
-        c.clear();
-        assert!(c.is_empty());
-        c.distances(&g, &[NodeId(0)], 4, usize::MAX);
-        assert_eq!(c.stats().misses, 2);
-    }
 
     #[test]
     fn sharded_cache_bounds_and_counts() {

@@ -10,8 +10,8 @@
 //!   paper's `S(l)`;
 //! - [`synth`] — a deterministic Wikidata-like world generator (the offline
 //!   stand-in for the paper's Wikidata dump; see DESIGN.md §6.1);
-//! - [`cache`] — the sharded [`cache::DistanceCache`] memoizing truncated
-//!   traversal distance maps for the hot embedding path;
+//! - [`cache`] — [`cache::ShardedCache`], the concurrent bounded map
+//!   behind the embedding group memo and the engine's query memo;
 //! - [`triples`] — plain-text persistence;
 //! - [`describe`] — derived entity descriptions (consumed by the QEPRF
 //!   baseline);
@@ -35,7 +35,7 @@ pub mod traverse;
 pub mod triples;
 
 pub use builder::GraphBuilder;
-pub use cache::{truncated_distances, DistanceCache, DistanceMap, ShardedCache};
+pub use cache::ShardedCache;
 pub use graph::{Edge, EntityType, KnowledgeGraph, NodeId};
 pub use interner::{StringInterner, Symbol};
 pub use fst_index::{FstIndexError, FstLabelIndex, NodeMeta};

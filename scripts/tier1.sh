@@ -7,6 +7,12 @@ cargo build --release --workspace
 # Examples and bench targets (harness = false) are not exercised by
 # `cargo test`; compile them so drift is caught here.
 cargo build --release --workspace --examples --benches
+# The benchmark (perf/) is a package of its own that compiles against
+# crate signatures (perf/README.md § "Signatures the benchmark pins");
+# build and unit-test it here so a broken pin fails locally, not in the
+# driver.
+cargo build --release --offline --manifest-path perf/Cargo.toml
+cargo test --release --offline --manifest-path perf/Cargo.toml
 # Lint gate: the workspace (and its vendored shims) must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 # Unsafe containment: the single audited `unsafe` module is
