@@ -44,6 +44,8 @@ pub struct NewsLinkIndex {
     pub(crate) id_stride: u32,
     /// Segment merges performed over this index's lifetime.
     pub(crate) compactions: u64,
+    /// Opaque mutation stamp; see [`NewsLinkIndex::generation`].
+    pub(crate) generation: u64,
     /// Aggregated entity matching statistics (Table V's numerator /
     /// denominator).
     pub match_stats: MatchStats,
@@ -65,6 +67,7 @@ impl NewsLinkIndex {
             next_id: 0,
             id_stride: 1,
             compactions: 0,
+            generation: fresh_generation(),
             match_stats: MatchStats::default(),
             embedded_docs: 0,
             timer: ComponentTimer::new(),
@@ -104,6 +107,47 @@ impl NewsLinkIndex {
         let offset = (shard + of - self.next_id % of) % of;
         self.next_id += offset;
     }
+
+    /// An opaque stamp of the index's searchable content. It changes on
+    /// every mutation — a document installed (insert, WAL replay) or
+    /// tombstoned — and is never carried by two states: values come from
+    /// one process-wide counter, so no other index instance in the
+    /// process ever holds the same stamp, and the counter starts at a
+    /// per-process random nonce, so a restarted process does not repeat
+    /// its predecessor's. Equal generations therefore mean identical
+    /// live documents, which is what lets a router reuse a cached
+    /// collection-statistics overlay. Compaction keeps the stamp: it
+    /// rewrites segments but not the live set or any score.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Record a mutation of the live document set.
+    pub(crate) fn bump_generation(&mut self) {
+        self.generation = fresh_generation();
+    }
+}
+
+/// A generation no index has carried before (see
+/// [`NewsLinkIndex::generation`]). The nonce is shifted below 2^62 so a
+/// stamp always fits the `i64` integers of the JSON wire.
+pub(crate) fn fresh_generation() -> u64 {
+    use std::hash::BuildHasher;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::OnceLock;
+
+    static NEXT: OnceLock<AtomicU64> = OnceLock::new();
+    NEXT.get_or_init(|| {
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        // `RandomState` is seeded from the OS; hashing the clock and pid
+        // through it yields a nonce a restart cannot reproduce.
+        let nonce = std::collections::hash_map::RandomState::new()
+            .hash_one((now, std::process::id()));
+        AtomicU64::new(nonce >> 2)
+    })
+    .fetch_add(1, Ordering::Relaxed)
 }
 
 /// Per-document artifacts produced by the embedding stage.
@@ -309,6 +353,7 @@ fn index_corpus_stripe<S: AsRef<str> + Sync>(
         next_id,
         id_stride: shard_count,
         compactions: 0,
+        generation: fresh_generation(),
         match_stats,
         embedded_docs,
         timer,
@@ -607,6 +652,28 @@ mod tests {
         let mut idx2 = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
         idx2.set_id_stripe(0, 3);
         assert_eq!(idx2.reserve_id().0, 3);
+    }
+
+    #[test]
+    fn generation_changes_on_every_mutation_and_never_repeats() {
+        let (g, li) = world();
+        let engine = crate::pipeline::NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let mut idx = engine.index_corpus(DOCS);
+        let twin = engine.index_corpus(DOCS);
+        let mut seen = vec![idx.generation(), twin.generation()];
+        engine.insert_document(&mut idx, "Taliban attacked Khyber.");
+        seen.push(idx.generation());
+        assert!(engine.delete_document(&mut idx, DocId(0)));
+        seen.push(idx.generation());
+        let last = idx.generation();
+        assert!(!engine.delete_document(&mut idx, DocId(0)), "already deleted");
+        assert_eq!(idx.generation(), last, "a no-op delete is no mutation");
+        idx.compact();
+        assert_eq!(idx.generation(), last, "compaction keeps the live set");
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 4, "every state and instance has its own stamp");
+        assert!(seen.iter().all(|&g| g < 1 << 63), "stamps fit an i64");
     }
 
     #[test]

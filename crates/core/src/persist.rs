@@ -697,6 +697,7 @@ fn assemble_index(
         next_id: header.next_id,
         id_stride: 1,
         compactions: header.compactions,
+        generation: crate::indexer::fresh_generation(),
         match_stats: MatchStats {
             identified: header.identified,
             matched: header.matched,

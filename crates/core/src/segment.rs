@@ -455,6 +455,7 @@ impl NewsLinkIndex {
             return false;
         }
         self.tombstones.insert(doc.0);
+        self.bump_generation();
         true
     }
 
@@ -487,6 +488,7 @@ impl NewsLinkIndex {
             "segments must stay sorted by ascending id ranges"
         );
         self.segments.push(segment);
+        self.bump_generation();
     }
 
     /// Merge segments until at most `max_segments` (floor 1) remain,

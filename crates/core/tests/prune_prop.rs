@@ -66,15 +66,18 @@ fn query_strategy() -> impl Strategy<Value = String> {
 /// when a segment holds tied docs followed by a higher scorer: at merge
 /// the high scorer fills the heap first and the same-segment tie is
 /// rejected, but in doc-id order the tie lands first and the high
-/// scorer later evicts a *previous* segment's tie. The pruned path must
-/// mirror the oracle's per-segment-heaps-then-merge structure.
+/// scorer later evicts a tie. A heap that evicted the *earliest* of
+/// several tied minima (a previous segment's tie) would keep different
+/// members under the two orders; `TopK` evicts the latest, so both keep
+/// the lowest ids. The pruned path still mirrors the oracle's
+/// per-segment-heaps-then-merge structure, and this pins the survivor.
 #[test]
 fn tied_docs_across_segments_match_oracle() {
     let (g, li) = world();
     // Segments (segment_docs = 3): [P, A, Z] and [B, C, Q] with
     // score(P) > score(Q) > score(A) = score(B) = score(C) > 0 = score(Z)
-    // for the query below. At k = 3 the oracle keeps {P, Q, A}; a heap
-    // shared across segments would keep {P, Q, B}.
+    // for the query below. At k = 3 the oracle keeps {P, Q, A}: the
+    // tie group's lowest id.
     let docs: Vec<String> = [
         "Pakistan Pakistan Pakistan talks talks talks.", // P
         "Pakistan aid talks.",                           // A
@@ -99,6 +102,7 @@ fn tied_docs_across_segments_match_oracle() {
         oracle.results[1].score > oracle.results[2].score,
         "Q must score strictly above the tie group"
     );
+    assert_eq!(oracle.results[2].doc, DocId(1), "the tie group keeps its lowest id");
 
     for k in [1usize, 2, 3, 4, 6, 100] {
         let pruned = search(&g, &li, &pruned_cfg, &idx, "Pakistan talks", k);

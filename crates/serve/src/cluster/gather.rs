@@ -8,32 +8,40 @@
 //!    frequencies are integer sums over shards, so the totals the
 //!    shards score under equal the monolithic values; normalization
 //!    divisors are maxima over shard maxima, and `max` over a set is
-//!    feed-order independent.
+//!    feed-order independent. A cached overlay ranks only after every
+//!    group confirmed, by generation, that it still describes that
+//!    group's index (see [`super::proto`]).
 //! 2. **Exact selection** — each shard returns its k best under the
 //!    total order (score desc, global id asc); the union of shard
 //!    lists therefore contains the global k best.
 //! 3. **Canonical merge order** — the gathered union is sorted by
 //!    ascending global id before being pushed through one
-//!    `newslink_util::TopK`, which resolves score ties toward earlier
-//!    pushes — i.e. lower ids, exactly like the in-process
+//!    `newslink_util::TopK`, which keeps the earliest pushes of a tie
+//!    group — i.e. the lowest ids, exactly like the in-process
 //!    per-segment-then-merge structure.
+//!
+//! A search whose overlay the router has cached makes one scatter
+//! (phase 3); any other makes three and refills the cache.
 //!
 //! Failures degrade instead of failing: a group whose every replica is
 //! unreachable is dropped from later phases and the response comes back
 //! `503` with `"degraded": true` plus whatever the healthy groups
 //! found.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use newslink_core::{
-    DocId, Explanation, IndexStats, NewsLink, ParallelStats, PruneStats, SearchRequest, SearchResponse,
-    SearchResult,
+    DocId, Explanation, IndexStats, NewsLink, ParallelStats, PruneStats, QueryAnalysis,
+    SearchRequest, SearchResponse, SearchResult,
 };
-use newslink_util::TopK;
+use newslink_util::{ClockCache, TopK};
+use parking_lot::RwLock;
 use serde::{Deserialize, Number, Serialize, Value};
 
 use super::proto::{
-    f64_bits, f64_from_bits, OverlayWire, ShardSearchRequest, ShardSearchResponse, StatsRequest,
+    f64_bits, f64_from_bits, OverlayWire, ShardSearchReply, ShardSearchRequest, StatsRequest,
     StatsResponse, Top1Request, Top1Response,
 };
 use super::Cluster;
@@ -254,6 +262,65 @@ fn write_deadline(ctx: &ClusterContext<'_, '_>) -> Option<Instant> {
         .map(|ms| ctx.accepted + Duration::from_millis(ms))
 }
 
+/// Routed-search overlays kept per (query text, β bits). A constant, not
+/// a knob: an entry is two short term lists plus one integer per group.
+const OVERLAY_CAPACITY: usize = 1024;
+
+/// What phases 1–2 produce for one (query, β): both sides' cluster-wide
+/// statistics and normalization divisors, and per group the generation
+/// it answered both phases at.
+#[derive(Debug)]
+struct Overlay {
+    bow: OverlayWire,
+    bon: OverlayWire,
+    /// `None` for a group that failed a phase or answered the two
+    /// phases at different generations.
+    generations: Vec<Option<u64>>,
+}
+
+impl Overlay {
+    /// Every group answered both phases at one unchanged generation.
+    fn cacheable(&self) -> bool {
+        self.generations.iter().all(Option::is_some)
+    }
+}
+
+/// The router's [`Overlay`] cache, keyed by (query text, β bits), with
+/// its `/metrics` counters.
+#[derive(Debug)]
+pub(crate) struct OverlayCache {
+    entries: RwLock<ClockCache<(String, i64), Arc<Overlay>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stale: AtomicU64,
+}
+
+impl OverlayCache {
+    pub(crate) fn new() -> Self {
+        Self {
+            entries: RwLock::new(ClockCache::new(OVERLAY_CAPACITY)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stale: AtomicU64::new(0),
+        }
+    }
+
+    /// The `/metrics` `overlay` section: searches answered in one
+    /// scatter (`hits`), searches that ran all three phases because no
+    /// usable entry existed (`misses`), and cached overlays a shard
+    /// refuted by generation (`stale` — each such search then ran all
+    /// three phases too).
+    pub(crate) fn metrics_value(&self) -> Value {
+        let num = |n: u64| Value::Number(Number::from_i128(n as i128));
+        Value::Object(vec![
+            ("hits".into(), num(self.hits.load(Ordering::Relaxed))),
+            ("misses".into(), num(self.misses.load(Ordering::Relaxed))),
+            ("stale".into(), num(self.stale.load(Ordering::Relaxed))),
+            ("entries".into(), num(self.entries.read().len() as u64)),
+        ])
+    }
+}
+
 /// What the gather produced, before it becomes a response body.
 struct GatherOutcome {
     results: Vec<SearchResult>,
@@ -263,31 +330,39 @@ struct GatherOutcome {
     groups_down: usize,
 }
 
-/// Scatter the same body to every still-alive group concurrently (one
-/// thread per group — the calls are blocking I/O), parse each `200`
-/// answer, and mark groups that failed any step as dead.
-fn scatter<T: Deserialize>(
+/// Send `path` to every still-alive group concurrently — the first
+/// group's call on this thread, every other group's on a scoped thread
+/// (the calls are blocking I/O) — parse each `200` answer, and mark
+/// groups that failed any step as dead. `body_for` gives each group's
+/// request body.
+fn scatter<'b, T: Deserialize>(
     cluster: &Cluster,
     alive: &mut [bool],
     path: &str,
-    body: &str,
+    body_for: impl Fn(usize) -> &'b str + Sync,
     deadline: Option<Instant>,
 ) -> Vec<Option<T>> {
-    let n = cluster.groups().len();
-    let mut raw: Vec<Option<String>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<(usize, _)> = (0..n)
-            .filter(|&i| alive[i])
-            .map(|i| {
-                let handle =
-                    scope.spawn(move || cluster.call_group(i, "POST", path, body, deadline).ok());
-                (i, handle)
-            })
-            .collect();
-        for (i, handle) in handles {
-            raw[i] = handle.join().ok().flatten().map(|(_, body)| body);
-        }
-    });
+    let call = |i: usize| {
+        cluster
+            .call_group(i, "POST", path, body_for(i), deadline)
+            .ok()
+            .map(|(_, body)| body)
+    };
+    let call = &call;
+    let mut raw: Vec<Option<String>> = vec![None; alive.len()];
+    let live: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+    if let Some((&first, rest)) = live.split_first() {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .iter()
+                .map(|&i| (i, scope.spawn(move || call(i))))
+                .collect();
+            raw[first] = call(first);
+            for (i, handle) in handles {
+                raw[i] = handle.join().ok().flatten();
+            }
+        });
+    }
     raw.into_iter()
         .enumerate()
         .map(|(i, body)| {
@@ -300,9 +375,10 @@ fn scatter<T: Deserialize>(
         .collect()
 }
 
-/// Execute one search request across the cluster: analyze locally,
-/// scatter the three protocol phases, merge. Returns the response body
-/// and its status (`503` when degraded or timed out, else `200`).
+/// Execute one search request across the cluster: analyze locally, then
+/// either one scatter under a cached overlay or all three protocol
+/// phases, and merge. Returns the response body and its status (`503`
+/// when degraded or timed out, else `200`).
 fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Value, u16) {
     let config = ctx.engine.config();
     let deadline = request
@@ -314,7 +390,6 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
     let beta_bits = f64_bits(beta);
     let n = ctx.cluster.groups().len();
     let mut alive = vec![true; n];
-    let mut prune = PruneStats::default();
 
     // Deadline gate between analysis and the scatter, mirroring the
     // in-process gate between NLP/NE and NS.
@@ -322,13 +397,81 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
         let outcome = GatherOutcome {
             results: Vec::new(),
             explanations: Vec::new(),
-            prune,
+            prune: PruneStats::default(),
             timed_out: true,
             groups_down: 0,
         };
         return respond(ctx, analysis, outcome, gather_start);
     }
 
+    // The overlay cache is one of the engine's caches: with caching off
+    // (engine-wide or for this request) every search runs all three
+    // phases — the oracle the one-scatter path must equal.
+    let overlays = &ctx.cluster.overlays;
+    let key =
+        (config.cache.enabled && request.use_cache).then(|| (request.query.clone(), beta_bits));
+    if let Some(key) = &key {
+        let cached = overlays.entries.read().get(key).cloned();
+        match cached {
+            Some(overlay) => {
+                let parts =
+                    search_phase(request, ctx, &mut alive, &overlay, beta_bits, true, deadline);
+                if parts
+                    .iter()
+                    .any(|p| matches!(p, Some(ShardSearchReply::Stale)))
+                {
+                    // Some group's index moved on: discard every part
+                    // and recompute the overlay from scratch.
+                    overlays.stale.fetch_add(1, Ordering::Relaxed);
+                    overlays.entries.write().remove(key);
+                } else if alive.iter().all(|&a| a) {
+                    overlays.hits.fetch_add(1, Ordering::Relaxed);
+                    // The top-1 passes did not run: `prune` counts the
+                    // phase-3 scans only.
+                    let prune = PruneStats::default();
+                    return merge(request, ctx, analysis, parts, prune, &alive, gather_start);
+                } else {
+                    // A group is down: answer without it, exactly as a
+                    // search that found it down in phase 1 would.
+                    overlays.misses.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            None => {
+                overlays.misses.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    let (overlay, prune) = overlay_phases(&analysis, ctx, &mut alive, beta_bits, deadline);
+    if alive.iter().all(|a| !a) {
+        let outcome = GatherOutcome {
+            results: Vec::new(),
+            explanations: Vec::new(),
+            prune,
+            timed_out: false,
+            groups_down: n,
+        };
+        return respond(ctx, analysis, outcome, gather_start);
+    }
+    let overlay = Arc::new(overlay);
+    if let Some(key) = key.filter(|_| overlay.cacheable()) {
+        overlays.entries.write().insert(key, Arc::clone(&overlay));
+    }
+    let parts =
+        search_phase(request, ctx, &mut alive, &overlay, beta_bits, false, deadline);
+    merge(request, ctx, analysis, parts, prune, &alive, gather_start)
+}
+
+/// Phases 1–2: sum the shards' statistics into the cluster-wide overlay
+/// and, with normalization on, fold the shard maxima into its divisors.
+/// Returns the overlay and the top-1 passes' pruning work.
+fn overlay_phases(
+    analysis: &QueryAnalysis,
+    ctx: &ClusterContext<'_, '_>,
+    alive: &mut [bool],
+    beta_bits: i64,
+    deadline: Option<Instant>,
+) -> (Overlay, PruneStats) {
     // Phase 1: shard-local statistics, summed into the global overlay.
     let stats_request = StatsRequest {
         bow_terms: analysis.terms.clone(),
@@ -341,7 +484,9 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
     // empty body would 400 at the shard and count as a failed call.
     let body = serde_json::to_string(&stats_request).unwrap_or_default();
     let stats: Vec<Option<StatsResponse>> =
-        scatter(ctx.cluster, &mut alive, "/internal/stats", &body, deadline);
+        scatter(ctx.cluster, alive, "/internal/stats", |_| body.as_str(), deadline);
+    let mut generations: Vec<Option<u64>> =
+        stats.iter().map(|s| s.as_ref().map(|s| s.generation)).collect();
 
     let mut bow = OverlayWire {
         terms: analysis.terms.clone(),
@@ -369,20 +514,10 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
         }
     }
 
-    if alive.iter().all(|a| !a) {
-        let outcome = GatherOutcome {
-            results: Vec::new(),
-            explanations: Vec::new(),
-            prune,
-            timed_out: false,
-            groups_down: n,
-        };
-        return respond(ctx, analysis, outcome, gather_start);
-    }
-
     // Phase 2: normalization divisors — each side's global maximum raw
     // score is the max over shard maxima.
-    if config.normalize_scores {
+    let mut prune = PruneStats::default();
+    if ctx.engine.config().normalize_scores {
         let top1_request = Top1Request {
             beta_bits,
             bow: bow.clone(),
@@ -390,7 +525,12 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
         };
         let body = serde_json::to_string(&top1_request).unwrap_or_default();
         let tops: Vec<Option<Top1Response>> =
-            scatter(ctx.cluster, &mut alive, "/internal/top1", &body, deadline);
+            scatter(ctx.cluster, alive, "/internal/top1", |_| body.as_str(), deadline);
+        for (generation, top) in generations.iter_mut().zip(&tops) {
+            if top.as_ref().map(|t| t.generation) != *generation {
+                *generation = None;
+            }
+        }
         let (mut bow_max, mut bon_max) = (0.0f64, 0.0f64);
         for t in tops.into_iter().flatten() {
             bow_max = bow_max.max(f64_from_bits(t.bow_max_bits));
@@ -404,31 +544,66 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
             bon.norm_bits = f64_bits(bon_max);
         }
     }
+    (Overlay { bow, bon, generations }, prune)
+}
 
-    // Phase 3: the pruned blended top-k under the full overlay.
+/// Phase 3: the pruned blended top-k under `overlay`. With `checked`,
+/// each group's request carries the generation the overlay was computed
+/// against, and a group whose index has moved on answers
+/// [`ShardSearchReply::Stale`].
+fn search_phase(
+    request: &SearchRequest,
+    ctx: &ClusterContext<'_, '_>,
+    alive: &mut [bool],
+    overlay: &Overlay,
+    beta_bits: i64,
+    checked: bool,
+    deadline: Option<Instant>,
+) -> Vec<Option<ShardSearchReply>> {
     let remaining_ms =
         deadline.map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64);
-    let search_request = ShardSearchRequest {
+    let mut search_request = ShardSearchRequest {
         query: request.query.clone(),
         k: request.k,
         beta_bits,
         floor_bits: f64_bits(f64::NEG_INFINITY),
         budget_ms: remaining_ms,
         explain: request.explain,
-        bow,
-        bon,
+        bow: overlay.bow.clone(),
+        bon: overlay.bon.clone(),
+        generation: None,
     };
-    let body = serde_json::to_string(&search_request).unwrap_or_default();
-    let parts: Vec<Option<ShardSearchResponse>> =
-        scatter(ctx.cluster, &mut alive, "/internal/search", &body, deadline);
+    let bodies: Vec<String> = overlay
+        .generations
+        .iter()
+        .map(|&generation| {
+            search_request.generation = generation.filter(|_| checked);
+            serde_json::to_string(&search_request).unwrap_or_default()
+        })
+        .collect();
+    scatter(ctx.cluster, alive, "/internal/search", |i| bodies[i].as_str(), deadline)
+}
 
-    // Merge: sort the union by ascending global id, then push through
-    // one TopK — ties resolve toward lower ids, exactly like the
-    // in-process per-segment-then-merge structure.
+/// Merge the groups' phase-3 parts into one response: sort the union by
+/// ascending global id, then push it through one TopK — a tie group
+/// straddling rank k keeps its lowest ids, exactly like the in-process
+/// per-segment-then-merge structure.
+fn merge(
+    request: &SearchRequest,
+    ctx: &ClusterContext<'_, '_>,
+    analysis: QueryAnalysis,
+    parts: Vec<Option<ShardSearchReply>>,
+    mut prune: PruneStats,
+    alive: &[bool],
+    gather_start: Instant,
+) -> (Value, u16) {
     let mut union: Vec<(f64, (DocId, f64, f64))> = Vec::new();
     let mut shard_explanations: Vec<Explanation> = Vec::new();
     let mut timed_out = false;
     for part in parts.into_iter().flatten() {
+        let ShardSearchReply::Ranked(part) = part else {
+            continue;
+        };
         prune.add(&part.prune);
         timed_out |= part.timed_out;
         shard_explanations.extend(part.explanations);
@@ -477,7 +652,7 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
 /// plus the router's `degraded` / `groups_down` fields.
 fn respond(
     ctx: &ClusterContext<'_, '_>,
-    analysis: newslink_core::QueryAnalysis,
+    analysis: QueryAnalysis,
     outcome: GatherOutcome,
     gather_start: Instant,
 ) -> (Value, u16) {

@@ -8,7 +8,10 @@
 //! through the same global-stats overlay + top-k merge the in-process
 //! multi-segment search uses, so blended scores are bit-identical to a
 //! single process searching the union (see [`proto`] for the wire
-//! contract and `DESIGN.md` §6i for the proof sketch). Writes hash to
+//! contract and `DESIGN.md` §6i for the proof sketch). The overlay a
+//! search needs is cached per (query, β) and re-validated by every
+//! shard's index generation, so a repeat costs one internal call per
+//! group instead of three. Writes hash to
 //! their owning group and go to its primary only — the replica set is
 //! read scale-out, not write redundancy.
 //!
@@ -160,6 +163,8 @@ pub struct Cluster {
     hedges_won: AtomicU64,
     /// Per-call counter seeding each call's jitter stream.
     call_seq: AtomicU64,
+    /// Routed-search overlays by (query text, β bits).
+    overlays: gather::OverlayCache,
 }
 
 impl Cluster {
@@ -190,6 +195,7 @@ impl Cluster {
             hedges_launched: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
             call_seq: AtomicU64::new(0),
+            overlays: gather::OverlayCache::new(),
         }
     }
 
@@ -542,8 +548,9 @@ impl Cluster {
 
     /// The `/metrics` cluster section: per-group gather latency,
     /// failovers and per-replica health/breaker/traffic counters, the
-    /// cluster-wide degraded-response and probe-round totals, and the
-    /// resilience section (hedges, retry-budget flow).
+    /// cluster-wide degraded-response and probe-round totals, the
+    /// resilience section (hedges, retry-budget flow) and the overlay
+    /// cache section (`hits`, `misses`, `stale`, `entries`).
     pub fn metrics_value(&self) -> Value {
         let num = |n: u64| Value::Number(Number::from_i128(n as i128));
         let groups = self
@@ -606,6 +613,7 @@ impl Cluster {
             ),
             ("probe_rounds".into(), num(self.probe_rounds.load(Ordering::Relaxed))),
             ("resilience".into(), resilience),
+            ("overlay".into(), self.overlays.metrics_value()),
         ])
     }
 }
@@ -757,6 +765,10 @@ mod tests {
             "retries_denied",
         ] {
             assert!(res.get(key).is_some(), "missing resilience.{key}");
+        }
+        let overlay = v.get("overlay").unwrap();
+        for key in ["hits", "misses", "stale", "entries"] {
+            assert_eq!(overlay.get(key).and_then(|n| n.as_i64()), Some(0), "overlay.{key}");
         }
     }
 }

@@ -15,6 +15,29 @@
 //!    overlay (stats + df + normalization divisors), plus optional
 //!    explanations.
 //!
+//! **One phase in the steady state, three on a miss.** Phases 1–2
+//! depend only on the query text, β and the shards' live documents. Every
+//! reply carries the answering index's **generation** — an opaque stamp
+//! that changes on every insert, delete or WAL replay and is never
+//! carried by two index states, not even across restarts (see
+//! `NewsLinkIndex::generation`). The router caches the overlay phases
+//! 1–2 produced, keyed by (query text, β bits), together with each
+//! group's generation, but only when every group answered both phases at
+//! one unchanged generation. A repeat search sends phase 3 alone,
+//! carrying each group's expected generation; the shard compares it
+//! under the same read lock it scores under and, on a mismatch, answers
+//! `{"stale": true}` instead of ranking. A stale reply from any group
+//! discards every group's part and reruns all three phases, which
+//! refills the entry.
+//!
+//! Exactness: a part is used only if its shard's generation equals the
+//! one stamped when the overlay was computed, so that shard's live
+//! documents — and hence its statistics, document frequencies and
+//! side maxima — are exactly those the overlay summed. Since every group
+//! must pass the check for any part to be used, the overlay a hit ranks
+//! under is the one a fresh three-phase run would compute at that
+//! moment; a stale overlay never ranks anything.
+//!
 //! Floats never cross the wire as decimal text: a score is shipped as
 //! its IEEE-754 bit pattern (`f64::to_bits`, carried in an `i64` — the
 //! vendored JSON number model round-trips `i64` exactly), so the router
@@ -22,7 +45,7 @@
 //! decimal cousin.
 
 use newslink_core::{Explanation, ExplainOptions, PruneStats};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Encode a double for the wire: its bit pattern, as `i64`.
 pub fn f64_bits(x: f64) -> i64 {
@@ -64,6 +87,8 @@ pub struct StatsResponse {
     pub bow: SideStatsWire,
     /// The BON side.
     pub bon: SideStatsWire,
+    /// The generation of the index the statistics were read from.
+    pub generation: u64,
 }
 
 /// One side's cluster-wide overlay, as the router computed it.
@@ -105,6 +130,8 @@ pub struct Top1Response {
     pub bon_max_bits: i64,
     /// Pruned-evaluator work counters for the top-1 passes.
     pub prune: PruneStats,
+    /// The generation of the index the maxima were computed on.
+    pub generation: u64,
 }
 
 /// Phase 3 request: the shard-side half of the scatter-gather search.
@@ -128,6 +155,11 @@ pub struct ShardSearchRequest {
     pub bow: OverlayWire,
     /// The BON overlay, normalization divisor included.
     pub bon: OverlayWire,
+    /// The generation the overlay was computed against, when it came
+    /// from the router's cache: the shard answers [`ShardSearchReply::Stale`]
+    /// instead of ranking if its index has moved on. `None` = the
+    /// overlay is fresh from phases 1–2; rank unconditionally.
+    pub generation: Option<u64>,
 }
 
 /// One ranked hit, scores as bit patterns.
@@ -155,6 +187,34 @@ pub struct ShardSearchResponse {
     pub prune: PruneStats,
     /// The shard's deadline expired mid-pipeline.
     pub timed_out: bool,
+    /// The generation of the index that ranked.
+    pub generation: u64,
+}
+
+/// What a shard answers to phase 3: a ranking, or `{"stale": true}`
+/// when the request's expected generation is not the index's current
+/// one. Both are `200`s — a stale reply is an answer, not a failure, so
+/// it never touches breakers, failover, the retry budget or hedging.
+#[derive(Debug)]
+pub enum ShardSearchReply {
+    /// The shard ranked under the request's overlay.
+    Ranked(ShardSearchResponse),
+    /// The cached overlay no longer describes this shard.
+    Stale,
+}
+
+impl ShardSearchReply {
+    /// The body of a stale reply.
+    pub const STALE_BODY: &'static str = r#"{"stale":true}"#;
+}
+
+impl Deserialize for ShardSearchReply {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        if v.get("stale") == Some(&Value::Bool(true)) {
+            return Ok(Self::Stale);
+        }
+        ShardSearchResponse::deserialize_value(v).map(Self::Ranked)
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +262,7 @@ mod tests {
                 df: vec![2],
                 norm_bits: f64_bits(1.0),
             },
+            generation: Some(1 << 61),
         };
         let text = serde_json::to_string(&req).unwrap();
         let back: ShardSearchRequest = serde_json::from_str(&text).unwrap();
@@ -214,6 +275,7 @@ mod tests {
         assert_eq!(back.bow.terms, req.bow.terms);
         assert_eq!(back.bow.df, req.bow.df);
         assert_eq!(back.bon.norm_bits, f64_bits(1.0));
+        assert_eq!(back.generation, Some(1 << 61));
 
         let resp = ShardSearchResponse {
             hits: vec![HitWire {
@@ -229,12 +291,23 @@ mod tests {
                 blocks_skipped: 2,
             },
             timed_out: false,
+            generation: 7,
         };
         let text = serde_json::to_string(&resp).unwrap();
-        let back: ShardSearchResponse = serde_json::from_str(&text).unwrap();
+        let Ok(ShardSearchReply::Ranked(back)) = serde_json::from_str(&text) else {
+            panic!("a ranked reply parses as ranked: {text}");
+        };
         assert_eq!(back.hits.len(), 1);
         assert_eq!(f64_from_bits(back.hits[0].score_bits), 0.75);
         assert_eq!(back.prune, resp.prune);
         assert!(!back.timed_out);
+        assert_eq!(back.generation, 7);
+    }
+
+    #[test]
+    fn stale_reply_parses_as_stale() {
+        let reply: ShardSearchReply = serde_json::from_str(ShardSearchReply::STALE_BODY).unwrap();
+        assert!(matches!(reply, ShardSearchReply::Stale));
+        assert!(serde_json::from_str::<ShardSearchReply>(r#"{"stale":false}"#).is_err());
     }
 }

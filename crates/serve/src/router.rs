@@ -30,8 +30,8 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cluster::proto::{
-    f64_bits, f64_from_bits, HitWire, OverlayWire, ShardSearchRequest, ShardSearchResponse,
-    SideStatsWire, StatsRequest, StatsResponse, Top1Request, Top1Response,
+    f64_bits, f64_from_bits, HitWire, OverlayWire, ShardSearchReply, ShardSearchRequest,
+    ShardSearchResponse, SideStatsWire, StatsRequest, StatsResponse, Top1Request, Top1Response,
 };
 use crate::durable::DurableState;
 use crate::metrics::{Route, ServerMetrics};
@@ -430,10 +430,11 @@ fn overlay_from_wire(wire: &OverlayWire) -> Result<SideOverlay<'_>, RequestError
     })
 }
 
-/// `POST /internal/stats` (phase 1): this shard's live collection
-/// statistics and per-term document frequencies, both sides. The
-/// router sums these across shards — exact integer sums, so the totals
-/// equal the monolithic values.
+/// `POST /internal/stats` (phase 1, run only when the router has no
+/// cached overlay): this shard's live collection statistics and
+/// per-term document frequencies, both sides, plus the index
+/// `generation` they were read at. The router sums these across shards
+/// — exact integer sums, so the totals equal the monolithic values.
 fn handle_internal_stats(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     let r: StatsRequest = match parse_internal(&req.body) {
         Ok(r) => r,
@@ -451,6 +452,7 @@ fn handle_internal_stats(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Rou
     let response = StatsResponse {
         bow: side(Side::Bow, &r.bow_terms),
         bon: side(Side::Bon, &r.bon_terms),
+        generation: index.generation(),
     };
     routed(
         Route::Internal,
@@ -459,11 +461,13 @@ fn handle_internal_stats(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Rou
     )
 }
 
-/// `POST /internal/top1` (phase 2): this shard's maximum raw score per
-/// side under the router's summed overlay. Only sides the blend
-/// actually uses are scanned (BOW at β < 1, BON at β > 0) — the same
-/// gating the in-process normalizer applies, so an inactive side
-/// reports 0.0 and the router's fold leaves its divisor at 1.0.
+/// `POST /internal/top1` (phase 2, run only when the router has no
+/// cached overlay): this shard's maximum raw score per side under the
+/// router's summed overlay, plus the index `generation` it scanned.
+/// Only sides the blend actually uses are scanned (BOW at β < 1, BON at
+/// β > 0) — the same gating the in-process normalizer applies, so an
+/// inactive side reports 0.0 and the router's fold leaves its divisor
+/// at 1.0.
 fn handle_internal_top1(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     let r: Top1Request = match parse_internal(&req.body) {
         Ok(r) => r,
@@ -493,6 +497,7 @@ fn handle_internal_top1(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Rout
         bow_max_bits: f64_bits(bow_max),
         bon_max_bits: f64_bits(bon_max),
         prune,
+        generation: index.generation(),
     };
     routed(
         Route::Internal,
@@ -501,11 +506,16 @@ fn handle_internal_top1(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Rout
     )
 }
 
-/// `POST /internal/search` (phase 3): the shard-side half of the
+/// `POST /internal/search` (phase 3, the only call of a search whose
+/// overlay the router had cached): the shard-side half of the
 /// scatter-gather search — the pruned blended top-k under the router's
-/// cluster-wide overlays, plus explanations when requested. Always
-/// `200`: a deadline expiry is reported in-band (`timed_out`), because
-/// the router folds partial shard answers into one response.
+/// cluster-wide overlays, plus explanations when requested, stamped
+/// with the index `generation` that ranked. A request carrying an
+/// expected `generation` is checked under the same read lock the scan
+/// runs under; if the index has moved on, the answer is
+/// `{"stale": true}` and nothing is ranked. Always `200`: staleness and
+/// a deadline expiry (`timed_out`) are both reported in-band, because
+/// the router folds shard answers into one response.
 fn handle_internal_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     let r: ShardSearchRequest = match parse_internal(&req.body) {
         Ok(r) => r,
@@ -525,6 +535,11 @@ fn handle_internal_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Ro
             response.serialize_value().to_compact_string(),
         )
     };
+    let index = ctx.index.read();
+    let generation = index.generation();
+    if r.generation.is_some_and(|expected| expected != generation) {
+        return routed(Route::Internal, 200, ShardSearchReply::STALE_BODY.to_string());
+    }
     // The budget is anchored at this shard's own request arrival: the
     // router already subtracted its elapsed share before scattering.
     let deadline = r
@@ -536,10 +551,10 @@ fn handle_internal_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Ro
             explanations: Vec::new(),
             prune: newslink_core::PruneStats::default(),
             timed_out: true,
+            generation,
         });
     }
     let beta = f64_from_bits(r.beta_bits);
-    let index = ctx.index.read();
     let threads = ctx.engine.config().effective_search_threads(index.segment_count());
     let (ranked, prune, parallel) = index.blended_topk_overlay(
         beta,
@@ -590,6 +605,7 @@ fn handle_internal_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Ro
         explanations,
         prune,
         timed_out,
+        generation,
     })
 }
 

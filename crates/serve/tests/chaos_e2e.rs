@@ -311,6 +311,11 @@ fn short_writes_fail_over_bit_identical() {
     ]];
     let cfg = ResilienceConfig {
         retry_budget: 1.0,
+        // Keep the prober from marking the sick replica down before the
+        // first request: otherwise that request goes straight to the
+        // sibling, no failover happens and whether one is observed
+        // depends on a race with the prober's first sweep.
+        probe_failures: u32::MAX,
         ..ResilienceConfig::default()
     };
     with_chaos_cluster(plans, cfg, None, |ctx| {

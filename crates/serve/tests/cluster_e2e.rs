@@ -11,7 +11,10 @@
 //! - kill the *whole* group and searches degrade honestly: `503`,
 //!   `"degraded": true`, partial results from the surviving group;
 //! - restart the primary on its old address and data dir: the cluster
-//!   heals and every acknowledged write is still there (WAL replay).
+//!   heals and every acknowledged write is still there (WAL replay);
+//! - restart it once more with no write in between: the new process's
+//!   index generation refutes the overlay the router cached before the
+//!   restart, so a pre-restart overlay never ranks anything.
 //!
 //! Ignored by default because it needs `target/release/newslink`;
 //! `scripts/tier1.sh` builds release first and runs it with
@@ -368,6 +371,42 @@ fn router_survives_primary_kill_and_loses_no_acked_write() {
     assert_eq!(status, 200);
     assert_eq!(m["index"]["docs"], 8u64, "6 striped + 2 acked inserts: {m:?}");
     assert!(m["durability"]["wal_records_replayed"].as_i64().expect("replay") >= 2);
+
+    // Restart the primary once more on the same data directory, with no
+    // write in between: the replay rebuilds the same documents, but the
+    // new process stamps a new generation, so the overlay the router
+    // cached before the restart must be refuted, never ranked under.
+    let overlay = |counter: &str| {
+        let (_, m) = get(router_addr, "/v1/metrics");
+        m["cluster"]["overlay"][counter].as_i64().expect("overlay counter")
+    };
+    let (status, before_restart) = search(router_addr, "Survivor document number", 20);
+    assert_eq!(status, 200, "{before_restart:?}");
+    let hits = overlay("hits");
+    let (_, again) = search(router_addr, "Survivor document number", 20);
+    assert_eq!(again.get("results"), before_restart.get("results"));
+    assert_eq!(overlay("hits"), hits + 1, "the overlay is cached before the restart");
+    let stale = overlay("stale");
+    p0.kill().expect("kill -9 p0 again");
+    p0.wait().expect("reap p0");
+    let (mut p0, _) = spawn_shard(
+        &world,
+        &corpus,
+        &dir.join("p0"),
+        0,
+        2,
+        &p0_addr.to_string(),
+    );
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while get(router_addr, "/v1/healthz").1["status"] != "ok" {
+        assert!(Instant::now() < give_up, "router never saw p0 again");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let (status, v) = search(router_addr, "Survivor document number", 20);
+    assert_eq!(status, 200, "search after the restart: {v:?}");
+    assert_eq!(v["degraded"], false);
+    assert_eq!(v.get("results"), before_restart.get("results"), "same documents, same answer");
+    assert_eq!(overlay("stale"), stale + 1, "the pre-restart overlay was refuted");
 
     for child in [&mut p0, &mut p1, &mut s1, &mut router] {
         child.kill().expect("cleanup kill");

@@ -235,6 +235,26 @@ impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
         }
     }
 
+    /// Drop `key`'s entry, returning its value if it was cached.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let i = self.index.remove(key)?;
+        let slot = self.slots.swap_remove(i);
+        // The last slot moved into the hole: repoint its index entry.
+        if let Some(moved) = self.slots.get(i) {
+            if let Some(pos) = self.index.get_mut::<K>(&moved.key) {
+                *pos = i;
+            }
+        }
+        if self.hand >= self.slots.len() {
+            self.hand = 0;
+        }
+        Some(slot.value)
+    }
+
     /// Drop every entry (counters are preserved).
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -314,6 +334,25 @@ mod tests {
         assert!(c.is_empty());
         c.insert(2, 2);
         assert_eq!(c.get(&2), Some(&2));
+    }
+
+    #[test]
+    fn remove_drops_one_entry_and_keeps_the_rest_reachable() {
+        let mut c = ClockCache::new(3);
+        c.insert(1, 10);
+        c.insert(2, 20);
+        c.insert(3, 30);
+        assert_eq!(c.remove(&1), Some(10));
+        assert_eq!(c.remove(&1), None);
+        assert_eq!(c.len(), 2);
+        // The slot that moved into the hole is still found by its key.
+        assert_eq!(c.get(&3), Some(&30));
+        assert_eq!(c.get(&2), Some(&20));
+        c.insert(4, 40);
+        c.insert(5, 50);
+        assert_eq!(c.len(), 3, "capacity still bounds the cache");
+        assert_eq!(c.remove(&5), Some(50));
+        assert!(!c.contains(&5));
     }
 
     #[test]

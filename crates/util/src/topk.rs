@@ -34,19 +34,24 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: lower score = "greater" so BinaryHeap pops the minimum.
-        // Ties broken by insertion sequence (later = greater) to keep the
-        // earliest item when scores are equal, yielding deterministic output.
+        // Ties broken by insertion sequence (later = greater), so the
+        // latest of several equal-scored minima is the one evicted and
+        // the earliest survive, yielding deterministic output.
         other
             .score
             .total_cmp(&self.score)
-            .then_with(|| other.tie.cmp(&self.tie))
+            .then_with(|| self.tie.cmp(&other.tie))
     }
 }
 
 /// A bounded collector that retains the `k` highest-scoring items.
 ///
-/// Ties are broken toward earlier insertions, so results are deterministic
-/// for a fixed push order.
+/// Retains exactly the `k` best items under (score descending, insertion
+/// order ascending): ties are broken toward earlier insertions, both when
+/// a tied newcomer meets a full heap and when a better item evicts one of
+/// several tied minima. Callers that push in ascending document-id order
+/// therefore keep the lowest ids of a tie group that straddles rank `k`,
+/// however the documents were partitioned.
 #[derive(Debug, Clone)]
 pub struct TopK<T> {
     k: usize,
@@ -160,6 +165,31 @@ mod tests {
         let out = tk.into_sorted();
         assert_eq!(out[0].1, "first");
         assert_eq!(out[1].1, "second");
+    }
+
+    #[test]
+    fn eviction_from_a_tie_group_straddling_k_drops_the_latest() {
+        // Three entries tie at the cut of k = 3; a better item arriving
+        // afterwards must evict the *latest* of them, so the survivors
+        // are the earliest pushes — the same set a single sorted pass
+        // would keep.
+        let mut tk = TopK::new(3);
+        tk.push(1.0, "a");
+        tk.push(1.0, "b");
+        tk.push(1.0, "c");
+        tk.push(2.0, "d");
+        let out = tk.into_sorted();
+        assert_eq!(out.iter().map(|(_, s)| *s).collect::<Vec<_>>(), ["d", "a", "b"]);
+
+        // Same scores, pushed around a better item that arrives first:
+        // the result is the same function of (score, push order).
+        let mut tk = TopK::new(3);
+        tk.push(2.0, "d");
+        tk.push(1.0, "a");
+        tk.push(1.0, "b");
+        tk.push(1.0, "c");
+        let out = tk.into_sorted();
+        assert_eq!(out.iter().map(|(_, s)| *s).collect::<Vec<_>>(), ["d", "a", "b"]);
     }
 
     #[test]

@@ -25,6 +25,26 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The same agreement when scores come from a handful of values, so
+    /// tie groups routinely straddle rank k: the earliest-pushed members
+    /// of the group must be the survivors.
+    #[test]
+    fn topk_keeps_earliest_ties_at_the_cut(
+        scores in prop::collection::vec(0u8..4, 0..60),
+        k in 0usize..12,
+    ) {
+        let mut tk = TopK::new(k);
+        for (i, &s) in scores.iter().enumerate() {
+            tk.push(f64::from(s), i);
+        }
+        let got = tk.into_sorted();
+        let mut want: Vec<(f64, usize)> =
+            scores.iter().enumerate().map(|(i, &s)| (f64::from(s), i)).collect();
+        want.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        want.truncate(k);
+        prop_assert_eq!(got, want);
+    }
+
     /// Varints round-trip any u64 and any sequence.
     #[test]
     fn varint_round_trips(values in prop::collection::vec(any::<u64>(), 0..64)) {
