@@ -82,19 +82,16 @@ fn bench_blended_ranking(c: &mut Criterion) {
     let labels_idx = LabelIndex::build(&world.graph);
     let corpus = generate_corpus(&world, &CorpusConfig::new(3, 400, CorpusFlavor::CnnLike));
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let exhaustive_cfg = NewsLinkConfig::default();
-    let ta_cfg = NewsLinkConfig::default().with_threshold_algorithm(true);
-    let index = newslink_core::index_corpus(&world.graph, &labels_idx, &exhaustive_cfg, &texts);
+    let pruned_cfg = NewsLinkConfig::default();
+    let exhaustive_cfg = NewsLinkConfig::default().with_prune_topk(false);
+    let index = newslink_core::index_corpus(&world.graph, &labels_idx, &pruned_cfg, &texts);
     let query = corpus.docs[0].title.clone();
     let mut group = c.benchmark_group("blended_rank");
-    group.bench_function("exhaustive", |b| {
-        b.iter(|| {
-            newslink_core::search(&world.graph, &labels_idx, &exhaustive_cfg, &index, &query, 10)
-        })
-    });
-    group.bench_function("threshold_algorithm", |b| {
-        b.iter(|| newslink_core::search(&world.graph, &labels_idx, &ta_cfg, &index, &query, 10))
-    });
+    for (name, cfg) in [("pruned", &pruned_cfg), ("exhaustive", &exhaustive_cfg)] {
+        group.bench_function(name, |b| {
+            b.iter(|| newslink_core::search(&world.graph, &labels_idx, cfg, &index, &query, 10))
+        });
+    }
     group.finish();
 }
 

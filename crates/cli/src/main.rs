@@ -33,7 +33,7 @@ use newslink_kg::{
     ingest_tsv, normalize_label, synth, triples, write_graph_tsv, FstLabelIndex, GraphStats,
     IngestConfig, LabelIndex, ResolverBackend, SynthConfig,
 };
-use newslink_serve::{parse_shards, Cluster, FlagError, ResilienceConfig, ServeConfig, Server};
+use newslink_serve::{parse_shards, Cluster, ResilienceConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -93,7 +93,6 @@ commands:
                   [--resolver hash|fst]
   serve           --world kg.tsv --corpus corpus.txt [--index index.nlnk] [--addr 127.0.0.1:8080]
                   [--workers N] [--queue-depth N] [--timeout-ms N] [--beta B] [--segment-docs N]
-                  [--search-threads N]   intra-query NS-stage workers (0 = auto, default: auto)
                   [--data-dir DIR]   durable mode: WAL + snapshots under DIR, POST /v1/admin/snapshot to checkpoint
                   [--storage heap|mmap]   snapshot backend: copy into RAM, or memory-map (default heap)
                   [--resolver hash|fst]   label-resolution backend (default hash; fst = automaton)
@@ -471,8 +470,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         args,
         &[
             "world", "corpus", "index", "addr", "workers", "queue-depth", "timeout-ms", "beta",
-            "segment-docs", "search-threads", "data-dir", "storage", "resolver", "mode", "shards",
-            "shard-index", "shard-count", "probe-interval-ms", "probe-failures", "hedge-after-ms",
+            "segment-docs", "data-dir", "storage", "resolver", "mode", "shards", "shard-index",
+            "shard-count", "probe-interval-ms", "probe-failures", "hedge-after-ms",
             "breaker-window", "retry-budget",
         ],
     )?;
@@ -532,11 +531,11 @@ fn serve_router(args: &Args) -> Result<(), String> {
     let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
     // The router runs the query-analysis half of the pipeline locally
     // (NLP + NE + embedding), so it needs the same world the shards use.
-    let mut router_config = NewsLinkConfig::default().with_beta(beta).with_auto_threads();
-    if let Some(n) = parse_search_threads(args)? {
-        router_config = router_config.with_search_threads(n);
-    }
-    let engine = NewsLink::new(&graph, &labels, router_config);
+    let engine = NewsLink::new(
+        &graph,
+        &labels,
+        NewsLinkConfig::default().with_beta(beta).with_auto_threads(),
+    );
     let spec = args.require("shards")?;
     let groups = parse_shards(spec).map_err(|e| format!("bad --shards: {e}"))?;
     let replicas: usize = groups.iter().map(Vec::len).sum();
@@ -581,32 +580,6 @@ fn parse_resilience(args: &Args) -> Result<ResilienceConfig, String> {
     Ok(cfg)
 }
 
-/// Parse `--search-threads` (intra-query NS-stage workers, 0 = auto),
-/// with the same typed one-line errors as the resilience flags. `None`
-/// when the flag is absent — the engine then follows its `threads`
-/// setting.
-fn parse_search_threads(args: &Args) -> Result<Option<usize>, String> {
-    let Some(value) = args.get("search-threads") else {
-        return Ok(None);
-    };
-    let n: u64 = value.parse().map_err(|_| {
-        FlagError::BadNumber {
-            flag: "--search-threads",
-            value: value.to_string(),
-        }
-        .to_string()
-    })?;
-    if n > 1024 {
-        return Err(FlagError::OutOfRange {
-            flag: "--search-threads",
-            value: value.to_string(),
-            expected: "a worker count in 0..=1024 (0 = auto)",
-        }
-        .to_string());
-    }
-    Ok(Some(n as usize))
-}
-
 fn serve_standalone(args: &Args) -> Result<(), String> {
     if args.get("shards").is_some() {
         return Err("--shards requires --mode router".to_string());
@@ -626,15 +599,12 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
     let segment_docs: usize = args.get_parsed("segment-docs", 0)?;
     let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
     // `threads = 0` = auto: batch endpoints and the segment builder size
-    // their pools to the machine at call time. `--search-threads`
-    // overrides the intra-query NS fan-out only.
-    let mut config = NewsLinkConfig::default()
+    // their pools to the machine at call time. A single query's NS scan
+    // is sequential.
+    let config = NewsLinkConfig::default()
         .with_beta(beta)
         .with_auto_threads()
         .with_segment_docs(segment_docs);
-    if let Some(n) = parse_search_threads(args)? {
-        config = config.with_search_threads(n);
-    }
     let engine = NewsLink::new(&graph, &labels, config);
 
     // With --data-dir, the directory's snapshot + WAL are the authority:
@@ -763,27 +733,8 @@ mod tests {
     }
 
     #[test]
-    fn search_threads_flag_accepts_auto_and_counts() {
-        assert_eq!(parse_search_threads(&args(&[])).unwrap(), None);
-        let a = args(&["--search-threads", "0"]);
-        assert_eq!(parse_search_threads(&a).unwrap(), Some(0));
-        let a = args(&["--search-threads", "16"]);
-        assert_eq!(parse_search_threads(&a).unwrap(), Some(16));
-        let a = args(&["--search-threads", "1024"]);
-        assert_eq!(parse_search_threads(&a).unwrap(), Some(1024));
-    }
-
-    #[test]
-    fn search_threads_flag_rejects_junk_with_typed_messages() {
-        let a = args(&["--search-threads", "many"]);
-        assert_eq!(
-            parse_search_threads(&a).unwrap_err(),
-            "--search-threads: `many` is not a number"
-        );
-        let a = args(&["--search-threads", "4096"]);
-        assert_eq!(
-            parse_search_threads(&a).unwrap_err(),
-            "--search-threads: `4096` out of range (expected a worker count in 0..=1024 (0 = auto))"
-        );
+    fn serve_rejects_a_removed_flag_by_name() {
+        let a = args(&["serve", "--search-threads", "4"]);
+        assert_eq!(serve_cmd(&a).unwrap_err(), "unknown flag --search-threads for serve");
     }
 }

@@ -160,12 +160,20 @@ pub struct SearchResponse {
     /// is a partial report of the work actually done.
     pub timed_out: bool,
     /// Pruned-evaluator work counters for the scoring stage (all zero
-    /// when the request ran on the exhaustive or Threshold-Algorithm
-    /// path).
+    /// when the request ran on the exhaustive oracle path).
     pub prune: newslink_text::PruneStats,
-    /// Intra-query segment fan-out counters for the scoring stage (all
-    /// zero when the NS stage ran sequentially).
-    pub parallel: newslink_text::ParallelStats,
+    /// Always `{"workers": 0}`: the NS scan is sequential.
+    pub parallel: ParallelShell,
+}
+
+/// The serialized `parallel` object of a [`SearchResponse`]. It carries
+/// no information and stays only because the benchmark reads
+/// `parallel.workers` (perf/README.md § "Signatures the benchmark pins").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+pub struct ParallelShell {
+    /// Always 0.
+    pub workers: u64,
 }
 
 /// The outcome of executing a batch of requests.

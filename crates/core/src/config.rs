@@ -66,7 +66,8 @@ pub struct NewsLinkConfig {
     pub model: EmbeddingModel,
     /// NE search knobs.
     pub search: SearchConfig,
-    /// Worker threads for corpus embedding and batch search.
+    /// Worker threads for corpus embedding and batch search. A single
+    /// query's NS scan is always sequential.
     ///
     /// `1` = serial. `0` = auto: each call site resolves the pool size
     /// through [`Self::effective_threads`], which asks
@@ -77,28 +78,12 @@ pub struct NewsLinkConfig {
     /// as a literal pool size. Set via [`Self::with_auto_threads`];
     /// [`Self::with_threads`] floors explicit counts at 1.
     pub threads: usize,
-    /// Intra-query worker threads for the NS stage's segment fan-out
-    /// (the pruned blended scan and its top-1 normalization passes).
-    ///
-    /// `None` (the default) inherits [`threads`](Self::threads), so a
-    /// server built `with_auto_threads` fans single queries out across
-    /// the machine while the library default stays serial. `Some(0)` =
-    /// auto (machine parallelism, clamped to the segment count at query
-    /// time); `Some(n)` pins the worker count. Results are bit-identical
-    /// at any setting — parallel segments prune against a shared atomic
-    /// floor instead of their left neighbors, which only changes *work*,
-    /// never scores or tie order (see `crate::segment`).
-    pub search_threads: Option<usize>,
     /// Shared traversal/embedding cache sizing.
     pub cache: CacheConfig,
     /// Normalize BOW/BON score maps by their maxima before blending so β
     /// weights two comparable [0, 1] signals. (The paper blends Lucene
     /// scores; normalization pins the β semantics across index scales.)
     pub normalize_scores: bool,
-    /// Rank with Fagin's Threshold Algorithm over the two ranked lists
-    /// (the top-k algorithm the paper cites in §VI) instead of exhaustive
-    /// union rescoring. Results are identical; TA terminates early.
-    pub use_threshold_algorithm: bool,
     /// Documents per immutable index segment at build time. `0` (the
     /// default) seals the whole corpus into one segment — the
     /// pre-segmentation behaviour. Smaller segments build in parallel
@@ -128,10 +113,8 @@ impl Default for NewsLinkConfig {
             model: EmbeddingModel::Lcag,
             search: SearchConfig::default(),
             threads: 1,
-            search_threads: None,
             cache: CacheConfig::default(),
             normalize_scores: true,
-            use_threshold_algorithm: false,
             segment_docs: 0,
             prune_topk: true,
             max_segments: 8,
@@ -182,37 +165,6 @@ impl NewsLinkConfig {
         self
     }
 
-    /// Set intra-query NS-stage workers (`0` = auto). Use
-    /// [`Self::inherit_search_threads`] to return to following
-    /// [`threads`](Self::threads).
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = Some(threads);
-        self
-    }
-
-    /// Make the NS stage inherit [`threads`](Self::threads) again (the
-    /// default).
-    pub fn inherit_search_threads(mut self) -> Self {
-        self.search_threads = None;
-        self
-    }
-
-    /// Resolve the intra-query NS-stage worker count for `work` segments:
-    /// [`search_threads`](Self::search_threads) when set (with `0` = auto
-    /// machine parallelism), else [`effective_threads`](Self::effective_threads).
-    /// Never exceeds the segment count or drops below one.
-    pub fn effective_search_threads(&self, work: usize) -> usize {
-        match self.search_threads {
-            None => self.effective_threads(work),
-            Some(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(work)
-                .max(1),
-            Some(n) => n.min(work).max(1),
-        }
-    }
-
     /// Resolve `threads` for a workload of `work` items: 0 means "use the
     /// machine's available parallelism", and the answer never exceeds the
     /// work or drops below one. The machine is consulted on every call,
@@ -227,12 +179,6 @@ impl NewsLinkConfig {
             self.threads
         };
         requested.min(work).max(1)
-    }
-
-    /// Enable Threshold-Algorithm ranking.
-    pub fn with_threshold_algorithm(mut self, on: bool) -> Self {
-        self.use_threshold_algorithm = on;
-        self
     }
 
     /// Set the build-time segment size (`0` = one segment for the whole
@@ -288,28 +234,6 @@ mod tests {
     fn beta_is_clamped() {
         assert_eq!(NewsLinkConfig::default().with_beta(2.0).beta, 1.0);
         assert_eq!(NewsLinkConfig::default().with_beta(-0.5).beta, 0.0);
-    }
-
-    #[test]
-    fn search_threads_inherit_override_and_auto() {
-        // Default: inherit `threads`.
-        let c = NewsLinkConfig::default();
-        assert_eq!(c.search_threads, None);
-        assert_eq!(c.effective_search_threads(8), c.effective_threads(8));
-        let c = NewsLinkConfig::default().with_threads(4);
-        assert_eq!(c.effective_search_threads(8), 4);
-        // Pinned: clamped to [1, work].
-        let c = NewsLinkConfig::default().with_search_threads(3);
-        assert_eq!(c.effective_search_threads(8), 3);
-        assert_eq!(c.effective_search_threads(2), 2);
-        assert_eq!(c.effective_search_threads(0), 1);
-        // Auto: machine parallelism, clamped to work.
-        let c = NewsLinkConfig::default().with_search_threads(0);
-        assert!(c.effective_search_threads(1000) >= 1);
-        assert_eq!(c.effective_search_threads(1), 1);
-        // Back to inheriting.
-        let c = c.inherit_search_threads();
-        assert_eq!(c.search_threads, None);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::segment::IndexSegment;
 
 /// The frozen search-side state for one corpus: an ordered set of
 /// immutable segments plus a tombstone set ([`crate::segment`] holds the
-/// segment-management and fan-out scoring machinery).
+/// segment-management and per-segment scoring machinery).
 #[derive(Debug)]
 pub struct NewsLinkIndex {
     /// Immutable shards sorted by disjoint ascending global-id ranges.

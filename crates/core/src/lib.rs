@@ -8,7 +8,7 @@
 //! - [`indexer`] — corpus embedding + parallel segment building;
 //! - [`segment`] — immutable index segments, tombstones, compaction and
 //!   the global-stats scoring overlay;
-//! - [`searcher`] — Equation 3 blended scoring, per-segment fan-out,
+//! - [`searcher`] — Equation 3 blended scoring, per-segment scoring,
 //!   top-k merge, explanations;
 //! - [`directory`] / [`reader`] — the storage seam: named-blob
 //!   directories (file-system or in-memory) and heap/mmap snapshot
@@ -31,12 +31,12 @@ pub mod score_explain;
 pub mod searcher;
 pub mod segment;
 pub mod store;
-pub mod ta;
 pub mod wal;
 
 pub use alerts::{AlertMatch, AlertRegistry};
 pub use api::{
-    BatchResponse, ExplainOptions, Explanation, QueryCacheInfo, SearchRequest, SearchResponse,
+    BatchResponse, ExplainOptions, Explanation, ParallelShell, QueryCacheInfo, SearchRequest,
+    SearchResponse,
 };
 pub use cache::EngineCacheStats;
 pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
@@ -55,9 +55,8 @@ pub use persist::{
 };
 pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend, StoreOptions};
 pub use store::DurableStore;
-pub use ta::{threshold_algorithm, TaOutcome};
 pub use wal::{Wal, WalRecord};
 
 /// Document ids are minted by the index; re-exported so downstream
 /// crates (serve, cli) can name them without depending on the text crate.
-pub use newslink_text::{CollectionStats, DocId, ParallelStats, PruneStats};
+pub use newslink_text::{CollectionStats, DocId, PruneStats};

@@ -7,7 +7,7 @@
 //! segment: [`add_document`](LiveNewsLink::add_document) buffers analyzed
 //! documents there, [`commit`](LiveNewsLink::commit) seals the buffer
 //! into an immutable [`IndexSegment`] and compacts small segments back
-//! under the configured ceiling. Search simply runs the shared fan-out
+//! under the configured ceiling. Search simply runs the shared segmented
 //! query path, so live results are bit-identical to a frozen index over
 //! the same live documents.
 
@@ -177,7 +177,7 @@ impl<'g> LiveNewsLink<'g> {
     }
 
     /// Blended top-k search over committed documents — the exact frozen
-    /// query path (Equation 3, fan-out, normalization) over the live
+    /// query path (Equation 3, per-segment scoring, normalization) over the live
     /// index.
     pub fn search(&self, query_text: &str, k: usize) -> (Vec<LiveHit>, DocEmbedding) {
         let outcome = run_query(

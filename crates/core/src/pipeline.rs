@@ -26,7 +26,9 @@ use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
 use newslink_util::ComponentTimer;
 
-use crate::api::{BatchResponse, Explanation, QueryCacheInfo, SearchRequest, SearchResponse};
+use crate::api::{
+    BatchResponse, Explanation, ParallelShell, QueryCacheInfo, SearchRequest, SearchResponse,
+};
 use crate::cache::{EngineCacheStats, EngineCaches};
 use crate::config::NewsLinkConfig;
 use crate::indexer::{embed_one_with, index_corpus_with, NewsLinkIndex};
@@ -323,7 +325,7 @@ impl<'g> NewsLink<'g> {
             explanations,
             timed_out,
             prune: outcome.prune,
-            parallel: outcome.parallel,
+            parallel: ParallelShell::default(),
         }
     }
 

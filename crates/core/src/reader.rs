@@ -19,10 +19,9 @@
 //!
 //! Both backends produce **bit-identical** indexes: the v4 decoder is
 //! the same code over the same bytes; only the residence of those bytes
-//! differs. The segment/prune property suites assert this, and the
-//! parallel suite re-asserts it under the intra-query segment fan-out —
-//! concurrent workers decoding posting blocks straight out of a shared
-//! file mapping rank exactly like a single thread over heap buffers.
+//! differs. The segment/prune property suites assert this: the pruned
+//! scan decoding posting blocks straight out of a file mapping ranks
+//! exactly like one over heap buffers.
 
 use std::fmt;
 

@@ -200,7 +200,7 @@ pub fn explain_score(
                 .score_side_parts(side, match side {
                     Side::Bow => bow_scorer,
                     Side::Bon => bon_scorer,
-                }, terms, 1)
+                }, terms)
                 .iter()
                 .flat_map(|m| m.values().copied())
                 .fold(0.0, f64::max)

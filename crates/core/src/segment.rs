@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 
 use newslink_embed::{bon_term_counts, codec as embed_codec, DocEmbedding};
 use newslink_text::{
-    blended_scan, maxscore_search_with, query_tf, score_segment, side_scan, Bm25, CollectionStats,
-    DocId, IndexBuilder, InvertedIndex, ParallelStats, PruneStats, SharedFloor, SideSpec, TermId,
+    blended_scan, maxscore_search_with, query_tf, score_segment, Bm25, CollectionStats, DocId,
+    IndexBuilder, InvertedIndex, PruneStats, SideSpec, TermId,
 };
 use newslink_util::{Bytes, FxHashMap, FxHashSet, TopK};
 
@@ -619,37 +619,34 @@ impl NewsLinkIndex {
         }
     }
 
-    /// Fan out one side's scoring across segments under the global-stats
-    /// overlay. Returns one global-id-keyed score map per segment, in
-    /// segment order; `threads > 1` scores segments in parallel (results
-    /// are identical — each map is computed independently). Query state
-    /// (overlay stats, term frequencies, live document frequencies) is
-    /// resolved once through [`SideWork`] and shared by every segment.
+    /// Score one side across segments under the global-stats overlay.
+    /// Returns one global-id-keyed score map per segment, in segment
+    /// order. Query state (overlay stats, term frequencies, live document
+    /// frequencies) is resolved once through [`SideWork`] and shared by
+    /// every segment.
     pub(crate) fn score_side_parts(
         &self,
         side: Side,
         scorer: Bm25,
         query_terms: &[String],
-        threads: usize,
     ) -> Vec<FxHashMap<DocId, f64>> {
         let Some(w) = self.side_work(side, scorer, query_terms, true) else {
             return Vec::new();
         };
-        let score_one = |seg: &IndexSegment| -> FxHashMap<DocId, f64> {
-            let live = self.liveness(seg);
-            let local = score_segment(w.scorer, seg.side(side), w.stats, &w.qtf, &w.global_df, |d| {
-                live.is_live(d)
-            });
-            local
-                .into_iter()
-                .map(|(d, s)| (DocId(seg.global_of(d)), s))
-                .collect()
-        };
-        if threads <= 1 || self.segments.len() < 2 {
-            self.segments.iter().map(score_one).collect()
-        } else {
-            crate::searcher::parallel_map(&self.segments, threads, score_one)
-        }
+        self.segments
+            .iter()
+            .map(|seg| {
+                let live = self.liveness(seg);
+                let local =
+                    score_segment(w.scorer, seg.side(side), w.stats, &w.qtf, &w.global_df, |d| {
+                        live.is_live(d)
+                    });
+                local
+                    .into_iter()
+                    .map(|(d, s)| (DocId(seg.global_of(d)), s))
+                    .collect()
+            })
+            .collect()
     }
 
     /// BM25 top-k over the BOW side only — the "plain Lucene" view of the
@@ -743,79 +740,31 @@ impl NewsLinkIndex {
     /// pass over all segments (β pinned so the raw value passes through
     /// the blend bit-exactly). Returns 0.0 when nothing matches — the
     /// same fold-over-nothing result as the exhaustive normalizer.
-    ///
-    /// With `threads > 1` each segment runs its own top-1 heap on a
-    /// worker, pruning against a [`SharedFloor`] raised to the best score
-    /// any segment has seen; the per-segment maxima fold with `max`,
-    /// which is feed-order independent, so the result is bit-identical
-    /// to the sequential pass (the floor only discards documents
-    /// *strictly* below an already-witnessed score).
-    fn side_top1(
-        &self,
-        w: &SideWork<'_>,
-        threads: usize,
-        prune: &mut PruneStats,
-        parallel: &mut ParallelStats,
-    ) -> f64 {
+    fn side_top1(&self, w: &SideWork<'_>, prune: &mut PruneStats) -> f64 {
         let beta = match w.side {
             Side::Bow => 0.0,
             Side::Bon => 1.0,
         };
-        let workers = threads.min(self.segments.len());
-        if workers <= 1 || self.segments.len() < 2 {
-            let mut top1: TopK<(DocId, f64, f64)> = TopK::new(1);
-            for seg in &self.segments {
-                let spec = self.side_spec(seg, w);
-                let (bow, bon) = match w.side {
-                    Side::Bow => (Some(&spec), None),
-                    Side::Bon => (None, Some(&spec)),
-                };
-                let live = self.liveness(seg);
-                blended_scan(
-                    bow,
-                    bon,
-                    beta,
-                    &f64::NEG_INFINITY,
-                    |d| live.is_live(d),
-                    |d| d,
-                    &mut top1,
-                    prune,
-                );
-            }
-            return top1.into_sorted().first().map(|(s, _)| *s).unwrap_or(0.0);
-        }
-        let shared = SharedFloor::new();
-        let parts = crate::searcher::parallel_map(&self.segments, workers, |seg| {
+        let mut top1: TopK<(DocId, f64, f64)> = TopK::new(1);
+        for seg in &self.segments {
             let spec = self.side_spec(seg, w);
             let (bow, bon) = match w.side {
                 Side::Bow => (Some(&spec), None),
                 Side::Bon => (None, Some(&spec)),
             };
-            let mut top1: TopK<(DocId, f64, f64)> = TopK::new(1);
-            let mut seg_prune = PruneStats::default();
             let live = self.liveness(seg);
             blended_scan(
                 bow,
                 bon,
                 beta,
-                &shared,
+                f64::NEG_INFINITY,
                 |d| live.is_live(d),
                 |d| d,
                 &mut top1,
-                &mut seg_prune,
+                prune,
             );
-            let max = top1.into_sorted().first().map(|(s, _)| *s);
-            (max, seg_prune)
-        });
-        parallel.add(&shared.harvest(workers, self.segments.len()));
-        let mut best = 0.0f64;
-        for (max, seg_prune) in parts {
-            prune.add(&seg_prune);
-            if let Some(m) = max {
-                best = best.max(m);
-            }
         }
-        best
+        top1.into_sorted().first().map(|(s, _)| *s).unwrap_or(0.0)
     }
 
     /// Block-max pruned blended top-k over all live segments: Equation 3
@@ -841,12 +790,7 @@ impl NewsLinkIndex {
     /// max-normalization exactly (a max over a set is feed-order
     /// independent, so sharing the top-1 heap across segments is safe
     /// there). Returns `(score, (doc, bow, bon))` tuples sorted by
-    /// descending score plus the pruning and fan-out work counters.
-    ///
-    /// With `threads > 1` and multiple segments, segments are scanned
-    /// concurrently on scoped workers pruning against a [`SharedFloor`]
-    /// instead of left-to-right against the merged heap; see
-    /// [`Self::blended_merge`] for why the results stay bit-identical.
+    /// descending score plus the pruning work counters.
     #[allow(clippy::type_complexity)]
     pub(crate) fn blended_topk(
         &self,
@@ -855,53 +799,32 @@ impl NewsLinkIndex {
         bon_terms: &[String],
         normalize: bool,
         k: usize,
-        threads: usize,
-    ) -> (Vec<(f64, (DocId, f64, f64))>, PruneStats, ParallelStats) {
+    ) -> (Vec<(f64, (DocId, f64, f64))>, PruneStats) {
         let mut prune = PruneStats::default();
-        let mut parallel = ParallelStats::default();
         if k == 0 {
-            return (Vec::new(), prune, parallel);
+            return (Vec::new(), prune);
         }
         let bon_bm25 = Bm25 { k1: 1.2, b: 0.0 };
         let mut bow = self.side_work(Side::Bow, Bm25::default(), bow_terms, beta < 1.0);
         let mut bon = self.side_work(Side::Bon, bon_bm25, bon_terms, beta > 0.0);
         if normalize {
             for w in [&mut bow, &mut bon].into_iter().flatten() {
-                let max = self.side_top1(w, threads, &mut prune, &mut parallel);
+                let max = self.side_top1(w, &mut prune);
                 if max > 0.0 {
                     w.norm = max;
                 }
             }
         }
-        let ranked = self.blended_merge(
-            beta,
-            bow.as_ref(),
-            bon.as_ref(),
-            k,
-            f64::NEG_INFINITY,
-            threads,
-            &mut prune,
-            &mut parallel,
-        );
-        (ranked, prune, parallel)
+        let ranked =
+            self.blended_merge(beta, bow.as_ref(), bon.as_ref(), k, f64::NEG_INFINITY, &mut prune);
+        (ranked, prune)
     }
 
     /// The shared engine under [`Self::blended_topk`] and
-    /// [`Self::blended_topk_overlay`]: scan every segment with a fresh
-    /// `TopK(k)` and merge the survivors in ascending segment order.
-    ///
-    /// Sequentially (`threads ≤ 1` or a single segment) each segment
-    /// prunes against the merged heap's k-th score after its left
-    /// neighbors, exactly as before. In parallel each worker prunes
-    /// against a [`SharedFloor`] — an atomic holding the best *full local
-    /// heap's* k-th score any segment has published so far, seeded with
-    /// the caller's external `floor`. Both floors are lower bounds on the
-    /// final merged k-th score, and [`blended_scan`]'s skip condition
-    /// discards only documents *strictly* below its floor, so the same
-    /// survivor set reaches the same fresh-heap-then-merge structure in
-    /// the same segment order: scores and tie order are bit-identical
-    /// regardless of worker interleaving (see DESIGN.md §6l).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// [`Self::blended_topk_overlay`]: scan the segments left to right,
+    /// each with a fresh `TopK(k)`, pruning against the merged heap's
+    /// k-th score after its left neighbors (or the caller's `floor`, if
+    /// higher), and merge the survivors in ascending segment order.
     fn blended_merge(
         &self,
         beta: f64,
@@ -909,58 +832,25 @@ impl NewsLinkIndex {
         bon: Option<&SideWork<'_>>,
         k: usize,
         floor: f64,
-        threads: usize,
         prune: &mut PruneStats,
-        parallel: &mut ParallelStats,
     ) -> Vec<(f64, (DocId, f64, f64))> {
-        let workers = threads.min(self.segments.len());
-        if workers <= 1 || self.segments.len() < 2 {
-            let mut merged: TopK<(DocId, f64, f64)> = TopK::new(k);
-            for seg in &self.segments {
-                let bow_spec = bow.map(|w| self.side_spec(seg, w));
-                let bon_spec = bon.map(|w| self.side_spec(seg, w));
-                let mut seg_topk: TopK<(DocId, f64, f64)> = TopK::new(k);
-                let live = self.liveness(seg);
-                blended_scan(
-                    bow_spec.as_ref(),
-                    bon_spec.as_ref(),
-                    beta,
-                    &merged.threshold().unwrap_or(f64::NEG_INFINITY).max(floor),
-                    |d| live.is_live(d),
-                    |d| DocId(seg.global_of(d)),
-                    &mut seg_topk,
-                    prune,
-                );
-                for (score, item) in seg_topk.into_sorted() {
-                    merged.push(score, item);
-                }
-            }
-            return merged.into_sorted();
-        }
-        let shared = SharedFloor::seeded(floor);
-        let parts = crate::searcher::parallel_map(&self.segments, workers, |seg| {
+        let mut merged: TopK<(DocId, f64, f64)> = TopK::new(k);
+        for seg in &self.segments {
             let bow_spec = bow.map(|w| self.side_spec(seg, w));
             let bon_spec = bon.map(|w| self.side_spec(seg, w));
             let mut seg_topk: TopK<(DocId, f64, f64)> = TopK::new(k);
-            let mut seg_prune = PruneStats::default();
             let live = self.liveness(seg);
             blended_scan(
                 bow_spec.as_ref(),
                 bon_spec.as_ref(),
                 beta,
-                &shared,
+                merged.threshold().unwrap_or(f64::NEG_INFINITY).max(floor),
                 |d| live.is_live(d),
                 |d| DocId(seg.global_of(d)),
                 &mut seg_topk,
-                &mut seg_prune,
+                prune,
             );
-            (seg_topk.into_sorted(), seg_prune)
-        });
-        parallel.add(&shared.harvest(workers, self.segments.len()));
-        let mut merged: TopK<(DocId, f64, f64)> = TopK::new(k);
-        for (part, seg_prune) in parts {
-            prune.add(&seg_prune);
-            for (score, item) in part {
+            for (score, item) in seg_topk.into_sorted() {
                 merged.push(score, item);
             }
         }
@@ -1023,13 +913,11 @@ impl NewsLinkIndex {
         &self,
         side: Side,
         overlay: &SideOverlay<'_>,
-        threads: usize,
         prune: &mut PruneStats,
-        parallel: &mut ParallelStats,
     ) -> f64 {
         let overlay = SideOverlay { norm: 1.0, ..*overlay };
         match self.side_work_from(side, &overlay, true) {
-            Some(w) => self.side_top1(&w, threads, prune, parallel),
+            Some(w) => self.side_top1(&w, prune),
             None => 0.0,
         }
     }
@@ -1038,10 +926,10 @@ impl NewsLinkIndex {
     /// the shard-side half of a scatter-gather search. Identical to
     /// [`Self::blended_topk`] except that collection statistics, document
     /// frequencies and normalization divisors come from the router's
-    /// cluster-wide totals, and `floor` seeds the merged-heap threshold —
-    /// or, with `threads > 1`, the [`SharedFloor`] — (scores at or below
-    /// it can never survive the router's final merge, so pruning against
-    /// it is exact; pass `NEG_INFINITY` when no floor is known).
+    /// cluster-wide totals, and `floor` seeds the merged-heap threshold
+    /// (scores at or below it can never survive the router's final merge,
+    /// so pruning against it is exact; pass `NEG_INFINITY` when no floor
+    /// is known).
     ///
     /// Because each shard pushes its per-segment survivors through the
     /// same fresh-heap-then-merge structure as the in-process path, the
@@ -1057,57 +945,15 @@ impl NewsLinkIndex {
         bon: &SideOverlay<'_>,
         k: usize,
         floor: f64,
-        threads: usize,
-    ) -> (Vec<(f64, (DocId, f64, f64))>, PruneStats, ParallelStats) {
+    ) -> (Vec<(f64, (DocId, f64, f64))>, PruneStats) {
         let mut prune = PruneStats::default();
-        let mut parallel = ParallelStats::default();
         if k == 0 {
-            return (Vec::new(), prune, parallel);
+            return (Vec::new(), prune);
         }
         let bow_w = self.side_work_from(Side::Bow, bow, beta < 1.0);
         let bon_w = self.side_work_from(Side::Bon, bon, beta > 0.0);
-        let ranked = self.blended_merge(
-            beta,
-            bow_w.as_ref(),
-            bon_w.as_ref(),
-            k,
-            floor,
-            threads,
-            &mut prune,
-            &mut parallel,
-        );
-        (ranked, prune, parallel)
-    }
-
-    /// Exhaustive cursor-driven raw scores of one side, one vector per
-    /// segment in segment order, each ascending by (global) doc id with
-    /// per-document sums bit-identical to
-    /// [`NewsLinkIndex::score_side_parts`]'s map entries. Feeds the
-    /// Threshold Algorithm's ranked lists without building hash maps.
-    pub(crate) fn side_scan_parts(
-        &self,
-        side: Side,
-        scorer: Bm25,
-        query_terms: &[String],
-        threads: usize,
-    ) -> Vec<Vec<(DocId, f64)>> {
-        let Some(w) = self.side_work(side, scorer, query_terms, true) else {
-            return Vec::new();
-        };
-        let scan_one = |seg: &IndexSegment| -> Vec<(DocId, f64)> {
-            let spec = self.side_spec(seg, &w);
-            let mut out = Vec::new();
-            let live = self.liveness(seg);
-            side_scan(&spec, |d| live.is_live(d), &mut out);
-            out.into_iter()
-                .map(|(d, s)| (DocId(seg.global_of(d)), s))
-                .collect()
-        };
-        if threads <= 1 || self.segments.len() < 2 {
-            self.segments.iter().map(scan_one).collect()
-        } else {
-            crate::searcher::parallel_map(&self.segments, threads, scan_one)
-        }
+        let ranked = self.blended_merge(beta, bow_w.as_ref(), bon_w.as_ref(), k, floor, &mut prune);
+        (ranked, prune)
     }
 }
 
@@ -1331,7 +1177,7 @@ mod tests {
                     Some(&spec),
                     None,
                     0.0,
-                    &f64::NEG_INFINITY,
+                    f64::NEG_INFINITY,
                     |d| live.is_live(d),
                     |d| DocId(seg.global_of(d)),
                     &mut topk,
@@ -1352,45 +1198,6 @@ mod tests {
             }
         }
         assert!(hits > 0);
-    }
-
-    /// Threaded segment fan-out under the shared floor reproduces the
-    /// sequential merged-threshold scan bit for bit — scores, docs and
-    /// tie order — and reports the fan-out in [`ParallelStats`].
-    #[test]
-    fn parallel_fan_out_matches_sequential() {
-        let (g, li) = world();
-        let bow_terms: Vec<String> = ["kunar", "khyber", "pakistan", "taliban"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let bon_terms: Vec<String> =
-            ["n0", "n1", "n2", "n3"].iter().map(|s| s.to_string()).collect();
-        let mut idx = index_corpus(
-            &g,
-            &li,
-            &NewsLinkConfig::default().with_segment_docs(1),
-            DOCS,
-        );
-        assert!(idx.segment_count() >= 4);
-        assert!(idx.delete(DocId(1)));
-        for beta in [0.0, 0.4, 1.0] {
-            for k in [1, 3, 100] {
-                let (seq, _, seq_par) =
-                    idx.blended_topk(beta, &bow_terms, &bon_terms, true, k, 1);
-                let (par, _, par_stats) =
-                    idx.blended_topk(beta, &bow_terms, &bon_terms, true, k, 4);
-                assert_eq!(seq_par, ParallelStats::default());
-                assert!(par_stats.workers >= 2, "beta={beta} k={k}");
-                assert_eq!(seq.len(), par.len(), "beta={beta} k={k}");
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "score bits");
-                    assert_eq!(a.1 .0, b.1 .0, "doc / tie order");
-                    assert_eq!(a.1 .1.to_bits(), b.1 .1.to_bits(), "bow bits");
-                    assert_eq!(a.1 .2.to_bits(), b.1 .2.to_bits(), "bon bits");
-                }
-            }
-        }
     }
 
     /// The scatter-gather algebra, exercised in-process: stripe the corpus
@@ -1421,7 +1228,7 @@ mod tests {
             assert!(mono.delete(DocId(1)));
             assert!(shards[(1 % shard_count) as usize].delete(DocId(1)));
             for beta in [0.0, 0.2, 1.0] {
-                let expected = mono.blended_topk(beta, &bow_terms, &bon_terms, true, k, 1).0;
+                let expected = mono.blended_topk(beta, &bow_terms, &bon_terms, true, k).0;
 
                 // Phase 1: exact integer sums of per-shard statistics.
                 let mut totals = [(CollectionStats::default(), vec![0u32; bow_terms.len()]),
@@ -1450,10 +1257,9 @@ mod tests {
                         df: &totals[i].1,
                         norm: 1.0,
                     };
-                    let mut parallel = ParallelStats::default();
                     let max = shards
                         .iter()
-                        .map(|s| s.side_top1_overlay(side, &ov, 1, &mut prune, &mut parallel))
+                        .map(|s| s.side_top1_overlay(side, &ov, &mut prune))
                         .fold(0.0f64, f64::max);
                     if max > 0.0 {
                         norms[i] = max;
@@ -1475,8 +1281,8 @@ mod tests {
                 };
                 let mut union: Vec<(f64, (DocId, f64, f64))> = Vec::new();
                 for shard in &shards {
-                    let (hits, _, _) =
-                        shard.blended_topk_overlay(beta, &bow_ov, &bon_ov, k, f64::NEG_INFINITY, 1);
+                    let (hits, _) =
+                        shard.blended_topk_overlay(beta, &bow_ov, &bon_ov, k, f64::NEG_INFINITY);
                     union.extend(hits);
                 }
                 union.sort_by_key(|(_, (doc, _, _))| doc.0);

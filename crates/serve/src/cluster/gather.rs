@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use newslink_core::{
-    DocId, Explanation, IndexStats, NewsLink, ParallelStats, PruneStats, QueryAnalysis,
+    DocId, Explanation, IndexStats, NewsLink, ParallelShell, PruneStats, QueryAnalysis,
     SearchRequest, SearchResponse, SearchResult,
 };
 use newslink_util::{ClockCache, TopK};
@@ -670,7 +670,7 @@ fn respond(
         explanations: outcome.explanations,
         timed_out: outcome.timed_out,
         prune: outcome.prune,
-        parallel: ParallelStats::default(),
+        parallel: ParallelShell::default(),
     };
     let mut value = response.serialize_value();
     if let Value::Object(pairs) = &mut value {

@@ -105,12 +105,6 @@ pub struct ServerMetrics {
     ns_candidates: AtomicU64,
     ns_docs_scored: AtomicU64,
     ns_blocks_skipped: AtomicU64,
-    par_workers: AtomicU64,
-    par_queries: AtomicU64,
-    par_segments: AtomicU64,
-    par_floor_raises: AtomicU64,
-    par_floor_pruned: AtomicU64,
-    par_floor_blocks_skipped: AtomicU64,
     latency_us: Mutex<Histogram>,
 }
 
@@ -138,12 +132,6 @@ impl ServerMetrics {
             ns_candidates: AtomicU64::new(0),
             ns_docs_scored: AtomicU64::new(0),
             ns_blocks_skipped: AtomicU64::new(0),
-            par_workers: AtomicU64::new(0),
-            par_queries: AtomicU64::new(0),
-            par_segments: AtomicU64::new(0),
-            par_floor_raises: AtomicU64::new(0),
-            par_floor_pruned: AtomicU64::new(0),
-            par_floor_blocks_skipped: AtomicU64::new(0),
             latency_us: Mutex::new(Histogram::new()),
         }
     }
@@ -156,26 +144,6 @@ impl ServerMetrics {
         self.ns_docs_scored.fetch_add(prune.scored, Ordering::Relaxed);
         self.ns_blocks_skipped
             .fetch_add(prune.blocks_skipped, Ordering::Relaxed);
-    }
-
-    /// Fold one query's intra-query fan-out counters into the
-    /// server-wide totals. `workers` is a high-water gauge (the widest
-    /// fan-out seen); everything else accumulates. Queries whose NS
-    /// stage ran sequentially report all-zero stats and leave every
-    /// counter untouched.
-    pub fn observe_parallel(&self, parallel: &newslink_core::ParallelStats) {
-        if parallel.workers == 0 {
-            return;
-        }
-        self.par_workers.fetch_max(parallel.workers, Ordering::Relaxed);
-        self.par_queries.fetch_add(1, Ordering::Relaxed);
-        self.par_segments.fetch_add(parallel.segments, Ordering::Relaxed);
-        self.par_floor_raises
-            .fetch_add(parallel.floor_raises, Ordering::Relaxed);
-        self.par_floor_pruned
-            .fetch_add(parallel.floor_pruned, Ordering::Relaxed);
-        self.par_floor_blocks_skipped
-            .fetch_add(parallel.floor_blocks_skipped, Ordering::Relaxed);
     }
 
     /// Record one finished request: which route it hit, the status it got,
@@ -294,20 +262,6 @@ impl ServerMetrics {
                     ("blocks_skipped".into(), load(&self.ns_blocks_skipped)),
                 ]),
             ),
-            (
-                "search_parallel".into(),
-                Value::Object(vec![
-                    ("workers".into(), load(&self.par_workers)),
-                    ("queries".into(), load(&self.par_queries)),
-                    ("segments".into(), load(&self.par_segments)),
-                    ("floor_raises".into(), load(&self.par_floor_raises)),
-                    ("floor_pruned".into(), load(&self.par_floor_pruned)),
-                    (
-                        "floor_blocks_skipped".into(),
-                        load(&self.par_floor_blocks_skipped),
-                    ),
-                ]),
-            ),
             ("latency_us".into(), self.latency_us.lock().serialize_value()),
             ("cache".into(), cache.serialize_value()),
             (
@@ -395,9 +349,6 @@ mod tests {
         assert_eq!(snap["pruning"]["candidates"], 0u64);
         assert_eq!(snap["pruning"]["docs_scored"], 0u64);
         assert_eq!(snap["pruning"]["blocks_skipped"], 0u64);
-        assert_eq!(snap["search_parallel"]["workers"], 0u64);
-        assert_eq!(snap["search_parallel"]["queries"], 0u64);
-        assert_eq!(snap["search_parallel"]["floor_raises"], 0u64);
         // Without durability wiring, the section is absent entirely.
         assert!(snap["durability"].is_null());
         // The document renders as valid JSON text.
@@ -429,41 +380,6 @@ mod tests {
         assert_eq!(snap["pruning"]["candidates"], 15u64);
         assert_eq!(snap["pruning"]["docs_scored"], 9u64);
         assert_eq!(snap["pruning"]["blocks_skipped"], 3u64);
-    }
-
-    #[test]
-    fn parallel_counters_gauge_workers_and_accumulate_the_rest() {
-        let m = ServerMetrics::new();
-        // A sequential query reports zeros and is not counted.
-        m.observe_parallel(&newslink_core::ParallelStats::default());
-        m.observe_parallel(&newslink_core::ParallelStats {
-            workers: 4,
-            segments: 6,
-            floor_raises: 9,
-            floor_pruned: 2,
-            floor_blocks_skipped: 5,
-        });
-        m.observe_parallel(&newslink_core::ParallelStats {
-            workers: 2,
-            segments: 3,
-            floor_raises: 1,
-            floor_pruned: 0,
-            floor_blocks_skipped: 0,
-        });
-        let snap = m.snapshot(
-            0,
-            &EngineCacheStats::default(),
-            IndexStats::default(),
-            KgStats::default(),
-            None,
-            None,
-        );
-        assert_eq!(snap["search_parallel"]["workers"], 4u64);
-        assert_eq!(snap["search_parallel"]["queries"], 2u64);
-        assert_eq!(snap["search_parallel"]["segments"], 9u64);
-        assert_eq!(snap["search_parallel"]["floor_raises"], 10u64);
-        assert_eq!(snap["search_parallel"]["floor_pruned"], 2u64);
-        assert_eq!(snap["search_parallel"]["floor_blocks_skipped"], 5u64);
     }
 
     #[test]

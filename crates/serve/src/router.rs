@@ -51,7 +51,7 @@ pub struct RequestContext<'a, 'g> {
     /// The shared engine.
     pub engine: &'a NewsLink<'g>,
     /// The corpus index being served. Searches take the read lock and
-    /// fan out over its segments; `/docs` mutations take the write lock
+    /// scan its segments; `/docs` mutations take the write lock
     /// for the (short) seal-and-compact window.
     pub index: &'a RwLock<NewsLinkIndex>,
     /// Server configuration (default deadline budget).
@@ -267,7 +267,6 @@ fn handle_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     };
     let response = ctx.engine.execute(&ctx.index.read(), &request);
     ctx.metrics.observe_pruning(&response.prune);
-    ctx.metrics.observe_parallel(&response.parallel);
     let status = if response.timed_out { 503 } else { 200 };
     routed(Route::Search, status, response.serialize_value().to_compact_string())
 }
@@ -283,7 +282,6 @@ fn handle_batch(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     let response = ctx.engine.execute_batch(&ctx.index.read(), &requests);
     for r in &response.responses {
         ctx.metrics.observe_pruning(&r.prune);
-        ctx.metrics.observe_parallel(&r.parallel);
     }
     routed(Route::Batch, 200, response.serialize_value().to_compact_string())
 }
@@ -479,20 +477,18 @@ fn handle_internal_top1(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Rout
     };
     let beta = f64_from_bits(r.beta_bits);
     let index = ctx.index.read();
-    let threads = ctx.engine.config().effective_search_threads(index.segment_count());
     let mut prune = newslink_core::PruneStats::default();
-    let mut parallel = newslink_core::ParallelStats::default();
     let bow_max = if beta < 1.0 {
-        index.side_top1_overlay(Side::Bow, &bow_ov, threads, &mut prune, &mut parallel)
+        index.side_top1_overlay(Side::Bow, &bow_ov, &mut prune)
     } else {
         0.0
     };
     let bon_max = if beta > 0.0 {
-        index.side_top1_overlay(Side::Bon, &bon_ov, threads, &mut prune, &mut parallel)
+        index.side_top1_overlay(Side::Bon, &bon_ov, &mut prune)
     } else {
         0.0
     };
-    ctx.metrics.observe_parallel(&parallel);
+    ctx.metrics.observe_pruning(&prune);
     let response = Top1Response {
         bow_max_bits: f64_bits(bow_max),
         bon_max_bits: f64_bits(bon_max),
@@ -555,17 +551,9 @@ fn handle_internal_search(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Ro
         });
     }
     let beta = f64_from_bits(r.beta_bits);
-    let threads = ctx.engine.config().effective_search_threads(index.segment_count());
-    let (ranked, prune, parallel) = index.blended_topk_overlay(
-        beta,
-        &bow_ov,
-        &bon_ov,
-        r.k,
-        f64_from_bits(r.floor_bits),
-        threads,
-    );
+    let (ranked, prune) =
+        index.blended_topk_overlay(beta, &bow_ov, &bon_ov, r.k, f64_from_bits(r.floor_bits));
     ctx.metrics.observe_pruning(&prune);
-    ctx.metrics.observe_parallel(&parallel);
     let mut timed_out = false;
     let mut explanations = Vec::new();
     if let Some(opts) = r.explain {

@@ -506,6 +506,37 @@ fn cached_router_makes_two_internal_calls_per_repeat_and_the_oracle_six() {
     });
 }
 
+/// A shard's `/metrics` `pruning` section counts every pruned pass it
+/// ran: the phase-2 top-1 passes as well as the phase-3 scan. Over one
+/// uncached routed search the shards' deltas add up to the `prune` the
+/// router reports.
+#[test]
+fn shard_pruning_metrics_count_the_top1_passes() {
+    with_routers(&fixed_corpus(), 2, |r| {
+        let shard_candidates = || -> i64 {
+            r.shards
+                .iter()
+                .map(|&shard| {
+                    let (status, text) =
+                        client::request(shard, "GET", "/metrics", "").expect("metrics");
+                    assert_eq!(status, 200, "{text}");
+                    let v: Value = serde_json::from_str(&text).expect("metrics json");
+                    v["pruning"]["candidates"].as_i64().expect("pruning.candidates")
+                })
+                .sum()
+        };
+        let before = shard_candidates();
+        let body = search_body(&("Pakistan trade talks".to_string(), 0.2, 3));
+        let (status, reply) =
+            client::request(r.uncached, "POST", "/v1/search", &body).expect("search");
+        assert_eq!(status, 200, "{reply}");
+        let routed: Value = serde_json::from_str(&reply).expect("router json");
+        let routed = routed["prune"]["candidates"].as_i64().expect("prune.candidates");
+        assert!(routed > 0, "the search must do pruned work: {reply}");
+        assert_eq!(shard_candidates() - before, routed);
+    });
+}
+
 /// A shard checks the generation a phase-3 request expects under the
 /// lock it ranks under: a mismatch answers `{"stale": true}` and ranks
 /// nothing, and every internal reply names the generation it was served

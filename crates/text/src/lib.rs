@@ -28,9 +28,6 @@ pub use codec::{
     write_index, write_index_columnar,
 };
 pub use live::{GlobalId, SegmentedIndex};
-pub use maxscore::{
-    blended_scan, maxscore_search, maxscore_search_with, side_scan, Floor, ParallelStats,
-    PruneStats, SharedFloor, SideSpec,
-};
+pub use maxscore::{blended_scan, maxscore_search, maxscore_search_with, PruneStats, SideSpec};
 pub use positions::{PositionalBuilder, PositionalIndex};
 pub use search::{query_tf, score_segment, Hit, Searcher};

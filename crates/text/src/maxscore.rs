@@ -1,8 +1,8 @@
 //! Document-at-a-time top-k with MaxScore and block-max pruning.
 //!
 //! The paper's NS component "employ\[s\] existing top-k ranking algorithms
-//! \[Threshold Algorithm; VSM\]" (§VI). This module provides the
-//! index-pruning half of that machinery:
+//! \[Threshold Algorithm; VSM\]" (§VI). This module computes that top-k
+//! exactly by pruning the index itself:
 //!
 //! - [`maxscore_search`] / [`maxscore_search_with`] — single-side BM25
 //!   top-k with Turtle & Flood's MaxScore term partition, upgraded with
@@ -16,8 +16,6 @@
 //!   BOW and the BON posting lists with the combined bound
 //!   `(1-β)·bow_bound + β·bon_bound`, producing the blended top-k
 //!   directly, without materializing per-document score maps.
-//! - [`side_scan`] — an exhaustive cursor scan of one side used by the
-//!   Threshold Algorithm path to build its sorted-access lists.
 //!
 //! ## Exactness
 //!
@@ -31,8 +29,6 @@
 //! by [`SAFETY`] before comparison so floating-point rounding in the
 //! bound arithmetic can never turn a mathematical upper bound into a
 //! hair-too-small one.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use newslink_util::{FxHashMap, TopK};
 
@@ -69,167 +65,6 @@ impl PruneStats {
         self.candidates += other.candidates;
         self.scored += other.scored;
         self.blocks_skipped += other.blocks_skipped;
-    }
-}
-
-/// Work counters for the intra-query parallel segment fan-out: how many
-/// workers a query's NS stage used and how much pruning the shared
-/// cross-segment floor bought. All zero when the scan ran sequentially.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ParallelStats {
-    /// Scoped worker threads the fan-out ran on (0 = sequential path).
-    pub workers: u64,
-    /// Segments scanned concurrently under the shared floor.
-    pub segments: u64,
-    /// Successful monotone raises of the shared pruning floor.
-    pub floor_raises: u64,
-    /// Candidates discarded where the shared floor — not the segment's
-    /// own heap threshold — was the binding bound.
-    pub floor_pruned: u64,
-    /// Posting blocks skipped whole during bound refinement of those
-    /// floor-discarded candidates: decode work the shared floor paid for.
-    pub floor_blocks_skipped: u64,
-}
-
-impl ParallelStats {
-    /// Fold another query's counters in (metrics aggregation).
-    pub fn add(&mut self, other: &ParallelStats) {
-        self.workers = self.workers.max(other.workers);
-        self.segments += other.segments;
-        self.floor_raises += other.floor_raises;
-        self.floor_pruned += other.floor_pruned;
-        self.floor_blocks_skipped += other.floor_blocks_skipped;
-    }
-}
-
-/// An externally supplied pruning floor consulted by [`blended_scan`]
-/// every time it re-derives its threshold `θ`.
-///
-/// The sequential path passes a plain `f64` (the merged heap's k-th
-/// score after the previous segments — constant for the duration of one
-/// segment's scan). The parallel path passes a [`SharedFloor`] so
-/// segments scanned concurrently prune against each other's *live*
-/// progress: `get` is re-read at every threshold check, and `raise` is
-/// offered each time a segment's own heap threshold rises.
-pub trait Floor {
-    /// The current floor value. Any candidate whose score upper bound
-    /// (inflated by [`SAFETY`]) is at or below `max(get(), local θ)` is
-    /// discarded — so implementations must only ever report values that
-    /// provably cannot survive the final merge (see [`SharedFloor`]).
-    fn get(&self) -> f64;
-    /// Offer a proven lower bound on the final merged k-th score (a full
-    /// local heap's threshold). Default: ignore (constant floors).
-    #[inline]
-    fn raise(&self, _kth: f64) {}
-    /// Record a candidate discarded because the external floor (not the
-    /// local heap) was the binding bound, along with the posting blocks
-    /// skipped whole while refining it. Default: ignore.
-    #[inline]
-    fn note_floor_prune(&self, _refine_blocks: u64) {}
-}
-
-/// A constant floor: the sequential cross-segment threshold.
-impl Floor for f64 {
-    #[inline]
-    fn get(&self) -> f64 {
-        *self
-    }
-}
-
-/// Lock-free shared pruning floor for concurrent segment scans: an
-/// `AtomicU64` holding the f64 bits of the best k-th score any segment's
-/// local heap has reached so far, raised monotonically via fetch-update.
-///
-/// **Why sharing it is exact** (the §6l safety argument, proven by the
-/// `parallel_prop` suite): a full local `TopK(k)`'s threshold is the
-/// k-th best score of real documents, all of which reach the final
-/// merge — so the merged k-th score can only be ≥ it, and the floor is
-/// always a lower bound on the final merged threshold. The scan discards
-/// a candidate only when `bound · SAFETY ≤ floor` with `bound ≥ score`,
-/// i.e. only documents *strictly* below the floor (ties survive: for a
-/// doc scoring exactly `floor > 0`, `bound · SAFETY > floor`). Such
-/// documents lose the final merge no matter the push order, and inside a
-/// local heap they are only ever eviction victims — never competing with
-/// an above-floor document for a tie — so which documents survive, and
-/// their tie order, is untouched. Memory ordering is `Relaxed`
-/// throughout: the floor is monotone and advisory, so a stale read is
-/// just a slightly weaker (still valid) earlier value.
-#[derive(Debug)]
-pub struct SharedFloor {
-    bits: AtomicU64,
-    raises: AtomicU64,
-    pruned: AtomicU64,
-    blocks: AtomicU64,
-}
-
-impl SharedFloor {
-    /// A floor starting at `f64::NEG_INFINITY` (no constraint).
-    pub fn new() -> Self {
-        Self::seeded(f64::NEG_INFINITY)
-    }
-
-    /// A floor pre-seeded with an externally proven threshold (e.g. a
-    /// router-supplied merge floor); the seed is not counted as a raise.
-    pub fn seeded(floor: f64) -> Self {
-        Self {
-            bits: AtomicU64::new(floor.to_bits()),
-            raises: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
-            blocks: AtomicU64::new(0),
-        }
-    }
-
-    /// The current floor value.
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Drain the counters into a [`ParallelStats`] describing a fan-out
-    /// that ran on `workers` threads over `segments` segments.
-    pub fn harvest(&self, workers: usize, segments: usize) -> ParallelStats {
-        ParallelStats {
-            workers: workers as u64,
-            segments: segments as u64,
-            floor_raises: self.raises.load(Ordering::Relaxed),
-            floor_pruned: self.pruned.load(Ordering::Relaxed),
-            floor_blocks_skipped: self.blocks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for SharedFloor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Floor for SharedFloor {
-    #[inline]
-    fn get(&self) -> f64 {
-        self.value()
-    }
-
-    #[inline]
-    fn raise(&self, kth: f64) {
-        // Monotone max on the f64 *values* (not their bit patterns —
-        // negative floors order backwards as bits). Scores are finite and
-        // the seed is -inf, so total_cmp-free `>` is sufficient.
-        let raised = self
-            .bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                (kth > f64::from_bits(cur)).then(|| kth.to_bits())
-            })
-            .is_ok();
-        if raised {
-            self.raises.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn note_floor_prune(&self, refine_blocks: u64) {
-        self.pruned.fetch_add(1, Ordering::Relaxed);
-        self.blocks.fetch_add(refine_blocks, Ordering::Relaxed);
     }
 }
 
@@ -493,20 +328,15 @@ struct BlendedCursor<'i> {
 /// (Sharing `topk` across segments is fine when only the retained
 /// *values* matter, e.g. a top-1 max pass.)
 ///
-/// `floor` is an extra pruning threshold from *outside* this segment,
-/// consulted through the [`Floor`] trait at every threshold check. The
-/// sequential path passes the merged heap's current k-th score as a
-/// plain `&f64` (or `&f64::NEG_INFINITY` for none); the parallel path
-/// passes a [`SharedFloor`] that concurrent segment scans raise against
-/// each other. Skipping a candidate whose bound is ≤ the floor cannot
-/// change the merged outcome: such a document would be rejected when
-/// the survivors are pushed into the (already full, min ≥ floor)
-/// merged heap, and inside this segment's heap ≤-floor entries are only
-/// ever eviction victims, so which above-floor documents survive — and
-/// their tie order — is unaffected by their presence. Whenever this
-/// segment's own heap threshold rises it is offered back through
-/// [`Floor::raise`], making the pruning bidirectional under a shared
-/// floor.
+/// `floor` is an extra pruning threshold from *outside* this segment:
+/// the merged heap's k-th score after the previous segments
+/// (`f64::NEG_INFINITY` for none). Skipping a candidate whose bound is
+/// ≤ the floor cannot change the merged outcome: such a document would
+/// be rejected when the survivors are pushed into the (already full,
+/// min ≥ floor) merged heap, and inside this segment's heap ≤-floor
+/// entries are only ever eviction victims, so which above-floor
+/// documents survive — and their tie order — is unaffected by their
+/// presence.
 ///
 /// `map_doc` translates segment-local ids to global ones at push time;
 /// `live` filters tombstoned documents. A side passed as `None`
@@ -517,7 +347,7 @@ pub fn blended_scan(
     bow: Option<&SideSpec<'_>>,
     bon: Option<&SideSpec<'_>>,
     beta: f64,
-    floor: &impl Floor,
+    floor: f64,
     live: impl Fn(DocId) -> bool,
     map_doc: impl Fn(DocId) -> DocId,
     topk: &mut TopK<(DocId, f64, f64)>,
@@ -561,7 +391,7 @@ pub fn blended_scan(
     let mut first_essential = 0usize;
 
     loop {
-        let theta = topk.threshold().unwrap_or(f64::NEG_INFINITY).max(floor.get());
+        let theta = topk.threshold().unwrap_or(f64::NEG_INFINITY).max(floor);
         while first_essential < cursors.len()
             && prefix_bounds[first_essential + 1] * SAFETY <= theta
         {
@@ -596,17 +426,10 @@ pub fn blended_scan(
                 }
             }
             let mut abandoned = false;
-            let mut refine_blocks = 0u64;
             let mut j = first_essential;
             loop {
                 let local = topk.threshold().unwrap_or(f64::NEG_INFINITY);
-                let ext = floor.get();
-                if bound * SAFETY <= local.max(ext) {
-                    if ext > local {
-                        // The external (shared) floor, not this segment's
-                        // own heap, killed the candidate: credit it.
-                        floor.note_floor_prune(refine_blocks);
-                    }
+                if bound * SAFETY <= local.max(floor) {
                     abandoned = true;
                     break;
                 }
@@ -617,9 +440,7 @@ pub fn blended_scan(
                 let ci = order[j];
                 bound -= cursors[ci].wub;
                 let c = &mut cursors[ci];
-                let before = c.cursor.blocks_skipped();
                 c.cursor.seek(doc);
-                refine_blocks += c.cursor.blocks_skipped() - before;
                 if c.cursor.current_doc() == Some(doc) {
                     bound += c.base * sat_bound(&c.scorer, c.cursor.block_max_tf());
                 }
@@ -647,12 +468,8 @@ pub fn blended_scan(
                 let bow_v = sides[0].map_or(0.0, |s| raw[0] / s.norm);
                 let bon_v = sides[1].map_or(0.0, |s| raw[1] / s.norm);
                 let score = (1.0 - beta) * bow_v + beta * bon_v;
-                if score > 0.0 && topk.push(score, (map_doc(doc), bow_v, bon_v)) {
-                    // A full heap's k-th score is a proven lower bound on
-                    // the final merged threshold: offer it to siblings.
-                    if let Some(kth) = topk.threshold() {
-                        floor.raise(kth);
-                    }
+                if score > 0.0 {
+                    topk.push(score, (map_doc(doc), bow_v, bon_v));
                 }
             }
         }
@@ -666,64 +483,6 @@ pub fn blended_scan(
         .iter()
         .map(|c| c.cursor.blocks_skipped())
         .sum::<u64>();
-}
-
-/// Exhaustive cursor-driven scan of one side over one segment: the raw
-/// (unnormalized) score of every live matching document, ascending by
-/// local doc id, each accumulated in the canonical term order — the
-/// per-document sums are bit-identical to
-/// [`crate::search::score_segment`]'s map entries. Feeds the Threshold
-/// Algorithm's sorted-access lists without materializing hash maps.
-/// `spec.norm` is ignored here; callers normalize after finding the
-/// global max.
-pub fn side_scan(
-    spec: &SideSpec<'_>,
-    live: impl Fn(DocId) -> bool,
-    out: &mut Vec<(DocId, f64)>,
-) {
-    // `qtf · idf` folded once per term (bit-identical to evaluating the
-    // whole product per posting — see [`Bm25::contribution_from_partial`]).
-    let mut cursors: Vec<(PostingCursor<'_>, f64)> = spec
-        .terms
-        .iter()
-        .filter(|(list, _, _)| !list.is_empty())
-        .map(|&(list, qtf, df)| (list.cursor(), spec.scorer.term_partial(spec.stats, df, qtf)))
-        .collect();
-    loop {
-        let mut pivot: Option<DocId> = None;
-        for (c, _) in &cursors {
-            if let Some(d) = c.current_doc() {
-                pivot = Some(match pivot {
-                    Some(p) if p <= d => p,
-                    _ => d,
-                });
-            }
-        }
-        let Some(doc) = pivot else { break };
-        if live(doc) {
-            let mut raw = 0.0;
-            for (c, partial) in &cursors {
-                if let Some(p) = c.current() {
-                    if p.doc == doc {
-                        raw += spec.scorer.contribution_from_partial(
-                            spec.stats,
-                            spec.index.doc_len(doc),
-                            p.tf,
-                            *partial,
-                        );
-                    }
-                }
-            }
-            if raw != 0.0 {
-                out.push((doc, raw));
-            }
-        }
-        for (c, _) in cursors.iter_mut() {
-            if c.current_doc() == Some(doc) {
-                c.advance();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -942,7 +701,7 @@ mod tests {
                         Some(&spec),
                         None,
                         beta,
-                        &f64::NEG_INFINITY,
+                        f64::NEG_INFINITY,
                         |_| true,
                         |d| d,
                         &mut topk,
@@ -979,7 +738,7 @@ mod tests {
             Some(&spec),
             None,
             0.0,
-            &f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
             |_| true,
             |d| d,
             &mut topk,
@@ -990,44 +749,5 @@ mod tests {
             stats.scored < stats.candidates,
             "expected pruning: {stats:?}"
         );
-    }
-
-    #[test]
-    fn side_scan_matches_score_segment_bitwise() {
-        let (index, _) = random_index(13, 300, 25);
-        for qseed in 0..10u64 {
-            let mut rng = DetRng::new(5000 + qseed);
-            let qlen = rng.range(1, 5);
-            let query: Vec<String> = (0..qlen).map(|_| format!("t{}", rng.zipf(25, 1.2))).collect();
-            let qtf = query_tf(&query);
-            let spec = spec_for(&index, Bm25::default(), &qtf, 1.0);
-            let mut got = Vec::new();
-            side_scan(&spec, |_| true, &mut got);
-
-            let dict = index.dictionary();
-            let mut df = FxHashMap::default();
-            for term in qtf.keys() {
-                if let Some(id) = dict.get(term) {
-                    df.insert(*term, dict.doc_freq(id));
-                }
-            }
-            let want = score_segment(
-                Bm25::default(),
-                &index,
-                CollectionStats::from_index(&index),
-                &qtf,
-                &df,
-                |_| true,
-            );
-            assert_eq!(got.len(), want.len(), "query {query:?}");
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending doc ids");
-            for (doc, raw) in got {
-                assert_eq!(
-                    raw.to_bits(),
-                    want.get(&doc).copied().unwrap_or(0.0).to_bits(),
-                    "query {query:?} doc {doc:?}"
-                );
-            }
-        }
     }
 }

@@ -107,21 +107,6 @@ impl<'i, S: Scorer> Searcher<'i, S> {
         acc
     }
 
-    /// Random-access scoring: the score of one specific document for a
-    /// term query (the Threshold Algorithm's random-access probe).
-    pub fn score_doc<T: AsRef<str>>(&self, query_terms: &[T], doc: DocId) -> f64 {
-        let qtf = query_tf(query_terms);
-        let mut score = 0.0;
-        for (term, &qtf) in &qtf {
-            let Some(id) = self.index.term_id(term) else { continue };
-            let df = self.index.doc_freq(id);
-            if let Some((_, p)) = self.index.postings(id).find(doc) {
-                score += self.scorer.contribution(self.index, doc, p.tf, df, qtf);
-            }
-        }
-        self.scorer.normalize(self.index, doc, score)
-    }
-
     /// Top-k documents for a term query, sorted by descending score (ties:
     /// lower doc id first, deterministically).
     pub fn search<T: AsRef<str>>(&self, query_terms: &[T], k: usize) -> Vec<Hit> {
@@ -241,20 +226,6 @@ mod tests {
             } else {
                 assert!(!got.contains_key(&doc));
             }
-        }
-    }
-
-    #[test]
-    fn score_doc_matches_score_all() {
-        let idx = sample();
-        let s = Searcher::new(&idx, Bm25::default());
-        let q = ["taliban", "pakistan", "zebra"];
-        let all = s.score_all(&q);
-        for d in 0..idx.doc_count() as u32 {
-            let doc = DocId(d);
-            let got = s.score_doc(&q, doc);
-            let want = all.get(&doc).copied().unwrap_or(0.0);
-            assert!((got - want).abs() < 1e-12, "doc {d}");
         }
     }
 

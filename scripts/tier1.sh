@@ -50,14 +50,9 @@ cargo test -q -p newslink-core --test crash_recovery
 # Durable serving e2e: restart recovery, degraded /healthz, /admin/snapshot.
 cargo test -q -p newslink-serve --test durability_e2e
 # Pruning-parity property suite: the block-max pruned evaluator must be
-# bit-identical to the exhaustive oracle across β, normalization, TA,
-# segmentation, tombstones and k.
+# bit-identical to the exhaustive oracle across β, normalization,
+# threads, segmentation, tombstones, storage backends and k.
 cargo test -q -p newslink-core --test prune_prop
-# Parallel-parity property suite: the intra-query segment fan-out
-# (shared atomic pruning floor, 1–6+ segments, tombstones, both storage
-# backends) must be bit-identical to the sequential scan — scores, tie
-# order and explanations.
-cargo test -q -p newslink-core --test parallel_prop
 # Resolver-parity property suite: the FST label automaton must match the
 # HashMap oracle — S(l) node sets, gazetteer NER spans, and bit-identical
 # end-to-end search — on alias-heavy unicode graphs, in memory and after
