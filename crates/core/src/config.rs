@@ -98,10 +98,9 @@ pub struct NewsLinkConfig {
     /// knob is an escape hatch (and the oracle switch for equivalence
     /// tests), not a quality trade-off.
     pub prune_topk: bool,
-    /// Ceiling on live segment count (floor 1). Incremental inserts
-    /// through [`crate::NewsLink::insert_document`] and
-    /// [`crate::LiveNewsLink::commit`] compact adjacent segments back
-    /// under this bound. Build-time sharding is governed by
+    /// Ceiling on live segment count (floor 1). Every incremental insert
+    /// through [`crate::NewsLink::insert_document`] compacts adjacent
+    /// segments back under this bound. Build-time sharding is governed by
     /// [`segment_docs`](Self::segment_docs), not this.
     pub max_segments: usize,
 }

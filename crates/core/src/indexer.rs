@@ -59,22 +59,6 @@ pub struct NewsLinkIndex {
 }
 
 impl NewsLinkIndex {
-    /// An index with no documents (the live engine's starting state).
-    pub(crate) fn empty() -> Self {
-        Self {
-            segments: Vec::new(),
-            tombstones: FxHashSet::default(),
-            next_id: 0,
-            id_stride: 1,
-            compactions: 0,
-            generation: fresh_generation(),
-            match_stats: MatchStats::default(),
-            embedded_docs: 0,
-            timer: ComponentTimer::new(),
-            cache_stats: CacheStats::default(),
-        }
-    }
-
     /// Number of live (non-tombstoned) documents.
     pub fn doc_count(&self) -> usize {
         self.total_docs() - self.tombstones.len()

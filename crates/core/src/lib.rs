@@ -13,7 +13,14 @@
 //! - [`directory`] / [`reader`] — the storage seam: named-blob
 //!   directories (file-system or in-memory) and heap/mmap snapshot
 //!   readers;
-//! - [`pipeline`] — the [`NewsLink`] facade.
+//! - [`persist`] / [`wal`] / [`store`] — snapshots, the write-ahead log
+//!   and the durable store that pairs them;
+//! - [`api`] — the declarative request/response types;
+//! - [`score_explain`] — Lucene-`explain()`-style score breakdowns;
+//! - [`alerts`] — standing-query percolation over an article stream;
+//! - [`pipeline`] — the [`NewsLink`] facade. Its `insert_document` /
+//!   `delete_document` are the one way a document enters or leaves a
+//!   built index.
 
 #![deny(unsafe_code)]
 
@@ -23,7 +30,6 @@ mod cache;
 pub mod config;
 pub mod directory;
 pub mod indexer;
-pub mod live;
 pub mod persist;
 pub mod pipeline;
 pub mod reader;
@@ -41,7 +47,6 @@ pub use api::{
 pub use cache::EngineCacheStats;
 pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
 pub use indexer::{doc_ids, index_corpus, index_corpus_sharded, index_corpus_with, NewsLinkIndex};
-pub use live::{LiveHit, LiveNewsLink};
 pub use pipeline::{NewsLink, QueryAnalysis};
 pub use score_explain::{explain_score, ScoreExplanation, SideExplanation, TermContribution};
 pub use searcher::{explain, search, search_batch, QueryOutcome, SearchResult};

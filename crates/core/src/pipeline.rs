@@ -562,6 +562,25 @@ mod tests {
     }
 
     #[test]
+    fn repeated_insert_hits_the_group_memo() {
+        let world = synth::generate(&SynthConfig::small(8));
+        let labels = LabelIndex::build(&world.graph);
+        let engine = NewsLink::new(&world.graph, &labels, NewsLinkConfig::default());
+        let country = world.graph.label(world.countries[0]);
+        let city = world.graph.label(world.cities[0]);
+        let text = format!("Officials from {country} met in {city}.");
+        let mut index = engine.index_corpus::<&str>(&[]);
+        engine.insert_document(&mut index, &text);
+        let first = engine.cache_stats().groups;
+        assert!(first.misses > 0, "the first insert embeds its groups");
+        // Same article again: every entity group is memoized.
+        engine.insert_document(&mut index, &text);
+        let second = engine.cache_stats().groups;
+        assert_eq!(second.misses, first.misses);
+        assert!(second.hits > first.hits);
+    }
+
+    #[test]
     fn disabled_cache_engine_still_works() {
         let world = synth::generate(&SynthConfig::small(7));
         let labels = LabelIndex::build(&world.graph);

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    index_corpus, search, write_newslink_index, Directory, FsDirectory, NewsLinkConfig,
-    NewsLinkIndex, RamDirectory, StorageBackend,
+    index_corpus, search, write_newslink_index, Directory, FsDirectory, NewsLink,
+    NewsLinkConfig, NewsLinkIndex, RamDirectory, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -160,32 +160,49 @@ proptest! {
         assert_same_ranking(&g, &li, &seg_cfg, &seg, &mmap, &query, k, "mmap reload");
     }
 
-    /// Deletions behave identically however the index is sharded, both
-    /// while the tombstones are live and after compaction expunges them.
+    /// Deletions behave identically however the index is laid out — a
+    /// sharded build, or the live path (one `insert_document` per doc,
+    /// then `delete_document`) under any segment ceiling — both while the
+    /// tombstones are live and after compaction expunges them.
     #[test]
     fn tombstones_rank_bit_identically_across_layouts(
         docs in corpus_strategy(),
         query in query_strategy(),
         k in 1usize..6,
         delete_mask in prop::collection::vec(any::<bool>(), 10..11),
+        max_segments in 1usize..4,
     ) {
         let (g, li) = world();
         let mono_cfg = NewsLinkConfig::default();
         let seg_cfg = NewsLinkConfig::default().with_segment_docs(2);
         let mut mono = index_corpus(&g, &li, &mono_cfg, &docs);
         let mut seg = index_corpus(&g, &li, &seg_cfg, &docs);
-        // Delete the same subset from both; keep at least one doc live.
+        let engine = NewsLink::new(
+            &g,
+            &li,
+            NewsLinkConfig::default().with_max_segments(max_segments),
+        );
+        let mut inc = engine.index_corpus::<&str>(&[]);
+        for (i, d) in docs.iter().enumerate() {
+            prop_assert_eq!(engine.insert_document(&mut inc, d), DocId(i as u32));
+            prop_assert!(inc.segment_count() <= max_segments);
+        }
+        // Delete the same subset from all three; keep at least one doc live.
         let mut live = docs.len();
         for (i, _) in docs.iter().enumerate() {
             if live > 1 && delete_mask[i % delete_mask.len()] {
                 prop_assert!(mono.delete(DocId(i as u32)));
                 prop_assert!(seg.delete(DocId(i as u32)));
+                prop_assert!(engine.delete_document(&mut inc, DocId(i as u32)));
                 live -= 1;
             }
         }
         prop_assert_eq!(mono.doc_count(), live);
         prop_assert_eq!(seg.doc_count(), live);
+        prop_assert_eq!(inc.doc_count(), live);
+        prop_assert!(inc.segment_count() <= max_segments);
         assert_same_ranking(&g, &li, &mono_cfg, &mono, &seg, &query, k, "tombstoned");
+        assert_same_ranking(&g, &li, &mono_cfg, &mono, &inc, &query, k, "inserted");
 
         // Tombstones persist through the v4 round-trip on both backends.
         let (heap, mmap) = round_trip_both_backends(&g, &seg, "tombstoned");
@@ -202,6 +219,8 @@ proptest! {
         // Surviving ids are stable: every live doc keeps its identity.
         let mono_ids: Vec<u32> = mono.doc_ids().map(|d| d.0).collect();
         let seg_ids: Vec<u32> = seg.doc_ids().map(|d| d.0).collect();
-        prop_assert_eq!(mono_ids, seg_ids);
+        let inc_ids: Vec<u32> = inc.doc_ids().map(|d| d.0).collect();
+        prop_assert_eq!(&mono_ids, &seg_ids);
+        prop_assert_eq!(&mono_ids, &inc_ids);
     }
 }

@@ -5,15 +5,21 @@
 //! the standalone "Lucene" baseline of Table IV, the BOW half of NewsLink's
 //! blended score (Equation 3), and — fed node-id terms instead of words —
 //! the BON half as well (§VI "scoring compatibility").
+//!
+//! - [`inverted`] / [`dictionary`] — the immutable index and its builder;
+//! - [`score`] / [`search`] — BM25 / TF-IDF and the exhaustive scorer;
+//! - [`maxscore`] — the block-max pruned top-k evaluator;
+//! - [`codec`] — the binary index formats.
+//!
+//! Segments, tombstones and live updates live one layer up, in
+//! `newslink-core`'s `NewsLinkIndex`.
 
 #![deny(unsafe_code)]
 
 pub mod codec;
 pub mod dictionary;
 pub mod inverted;
-pub mod live;
 pub mod maxscore;
-pub mod positions;
 pub mod score;
 pub mod search;
 
@@ -27,7 +33,5 @@ pub use codec::{
     load_index, read_index, read_index_columnar, read_index_columnar_lazy, save_index,
     write_index, write_index_columnar,
 };
-pub use live::{GlobalId, SegmentedIndex};
 pub use maxscore::{blended_scan, maxscore_search, maxscore_search_with, PruneStats, SideSpec};
-pub use positions::{PositionalBuilder, PositionalIndex};
 pub use search::{query_tf, score_segment, Hit, Searcher};

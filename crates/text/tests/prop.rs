@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 
-use newslink_text::{
-    maxscore_search, read_index, write_index, Bm25, IndexBuilder, SegmentedIndex, Searcher,
-};
+use newslink_text::{maxscore_search, read_index, write_index, Bm25, IndexBuilder, Searcher};
 
 /// Strategy: a corpus of small documents over a tiny vocabulary (so terms
 /// collide across documents and scoring paths are exercised).
@@ -60,71 +58,6 @@ proptest! {
         for (x, y) in a.iter().zip(&c) {
             prop_assert_eq!(x.doc, y.doc);
             prop_assert!((x.score - y.score).abs() < 1e-15);
-        }
-    }
-
-    /// A segmented index (arbitrary commit points) scores identically to a
-    /// flat index over the same documents.
-    #[test]
-    fn segments_are_transparent(
-        docs in corpus_strategy(),
-        query in query_strategy(),
-        commit_every in 1usize..6,
-        max_segments in 1usize..4,
-    ) {
-        let mut seg = SegmentedIndex::new(max_segments);
-        let mut flat = IndexBuilder::new();
-        for (i, d) in docs.iter().enumerate() {
-            seg.add_document(d);
-            flat.add_document(d);
-            if i % commit_every == 0 {
-                seg.commit();
-            }
-        }
-        seg.commit();
-        let flat = flat.build();
-        let seg_hits = seg.search(&query, 10);
-        let flat_hits = Searcher::new(&flat, Bm25::default()).search(&query, 10);
-        prop_assert_eq!(seg_hits.len(), flat_hits.len());
-        for (s, f) in seg_hits.iter().zip(&flat_hits) {
-            prop_assert_eq!(s.0, u64::from(f.doc.0));
-            prop_assert!((s.1 - f.score).abs() < 1e-9, "{} vs {}", s.1, f.score);
-        }
-    }
-
-    /// Deleting a document is equivalent to never having indexed it.
-    #[test]
-    fn deletion_equals_omission(
-        docs in corpus_strategy(),
-        query in query_strategy(),
-        del_mask in prop::collection::vec(any::<bool>(), 1..40),
-    ) {
-        let mut seg = SegmentedIndex::new(2);
-        let mut ids = Vec::new();
-        for d in &docs {
-            ids.push(seg.add_document(d));
-            seg.commit();
-        }
-        let mut live = Vec::new();
-        for (i, d) in docs.iter().enumerate() {
-            if *del_mask.get(i).unwrap_or(&false) {
-                seg.delete_document(ids[i]);
-            } else {
-                live.push((ids[i], d.clone()));
-            }
-        }
-        seg.commit();
-        let mut flat = IndexBuilder::new();
-        for (_, d) in &live {
-            flat.add_document(d);
-        }
-        let flat = flat.build();
-        let seg_hits = seg.search(&query, 10);
-        let flat_hits = Searcher::new(&flat, Bm25::default()).search(&query, 10);
-        prop_assert_eq!(seg_hits.len(), flat_hits.len());
-        for (s, f) in seg_hits.iter().zip(&flat_hits) {
-            prop_assert_eq!(s.0, live[f.doc.index()].0);
-            prop_assert!((s.1 - f.score).abs() < 1e-9);
         }
     }
 }

@@ -8,46 +8,55 @@ use newslink::core::{
     load_newslink_index, save_newslink_index, NewsLink, NewsLinkConfig, SearchRequest,
 };
 use newslink::kg::{synth, LabelIndex, SynthConfig};
-use newslink::nlp::analyze;
-use newslink::text::SegmentedIndex;
 
 fn main() {
-    // --- Part 1: a live segmented text index -----------------------------
+    // --- Part 1: a live segmented index -----------------------------------
     println!("== live segmented index ==");
-    let mut live = SegmentedIndex::new(3);
-    let id_a = live.add_document(&analyze("Taliban attack shakes the Khyber region"));
-    let id_b = live.add_document(&analyze("Election results announced in the capital"));
-    live.commit();
+    let world = synth::generate(&SynthConfig::small(99));
+    let labels = LabelIndex::build(&world.graph);
+    let live = NewsLink::new(
+        &world.graph,
+        &labels,
+        NewsLinkConfig::default().with_max_segments(3),
+    );
+    let mut index = live.index_corpus(&[
+        "Taliban attack shakes the Khyber region",
+        "Election results announced in the capital",
+    ]);
+    let ids: Vec<_> = index.doc_ids().collect();
+    let (id_a, id_b) = (ids[0], ids[1]);
     println!(
-        "after first commit: {} docs in {} segment(s)",
-        live.doc_count(),
-        live.segment_count()
+        "after the build: {} docs in {} segment(s)",
+        index.doc_count(),
+        index.segment_count()
     );
     // A late correction: the election story is retracted.
-    live.delete_document(id_b);
-    // A stream of follow-ups arrives.
+    assert!(live.delete_document(&mut index, id_b));
+    // A stream of follow-ups arrives; every insert seals its own segment
+    // and compacts back under the ceiling.
     for i in 0..6 {
-        live.add_document(&analyze(&format!(
-            "Follow-up {i}: authorities in Khyber said the investigation continues"
-        )));
-        live.commit();
+        live.insert_document(
+            &mut index,
+            &format!("Follow-up {i}: authorities in Khyber said the investigation continues"),
+        );
     }
     println!(
         "after follow-ups: {} docs in {} segment(s) (merge policy capped)",
-        live.doc_count(),
-        live.segment_count()
+        index.doc_count(),
+        index.segment_count()
     );
-    let hits = live.search(&analyze("khyber attack"), 3);
+    assert!(index.segment_count() <= 3);
+    let hits = live.search(&index, "khyber attack", 3).results;
     println!("top hits for 'khyber attack':");
-    for (id, score) in &hits {
-        println!("  doc {id} score {score:.3}");
+    for hit in &hits {
+        println!("  doc {} score {:.3}", hit.doc.0, hit.score);
     }
-    assert_eq!(hits[0].0, id_a);
+    assert_eq!(hits[0].doc, id_a);
+    let everything = live.search(&index, "election results capital khyber", 10).results;
+    assert!(everything.iter().all(|h| h.doc != id_b), "retracted doc ranked");
 
     // --- Part 2: persist a full NewsLink index ---------------------------
     println!("\n== NewsLink index persistence ==");
-    let world = synth::generate(&SynthConfig::small(99));
-    let labels = LabelIndex::build(&world.graph);
     let engine = NewsLink::new(&world.graph, &labels, NewsLinkConfig::default());
     let country = world.graph.label(world.countries[0]);
     let docs: Vec<String> = (0..50)

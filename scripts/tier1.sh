@@ -36,41 +36,21 @@ if ! grep -q 'deny(unsafe_op_in_unsafe_fn)' crates/util/src/lib.rs; then
   echo "ERROR: crates/util/src/lib.rs must deny unsafe_op_in_unsafe_fn" >&2
   exit 1
 fi
+# The workspace run covers the gate suites; what each one pins:
+# http_e2e: HTTP smoke over real TCP (load-shed, deadlines, graceful drain).
+# segment_prop: sharded, tombstoned, inserted and compacted layouts rank like the monolith.
+# crash_recovery: a crash at any write offset never loses an acked write or half-applies one.
+# durability_e2e: restart recovery, degraded /healthz, /admin/snapshot.
+# prune_prop: the block-max pruned evaluator is bit-identical to the exhaustive oracle.
+# fst_prop: the FST label automaton matches the HashMap oracle, end to end.
+# cluster_prop: a router over real shard servers merges like one in-process search.
+# chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
 cargo test -q --workspace
-# The serving layer's e2e suite is the HTTP smoke gate: real TCP,
-# load-shed, deadline and graceful-drain coverage.
-cargo test -q -p newslink-serve --test http_e2e
-# Segment-parity property suite: sharded/compacted/tombstoned layouts
-# must rank bit-identically to the monolithic index.
-cargo test -q -p newslink-core --test segment_prop
-# Durability fault-injection suite: crash at every write offset, torn
-# WAL tails, quarantined segments — acked mutations are never lost,
-# unacked ones never half-applied, reload never panics.
-cargo test -q -p newslink-core --test crash_recovery
-# Durable serving e2e: restart recovery, degraded /healthz, /admin/snapshot.
-cargo test -q -p newslink-serve --test durability_e2e
-# Pruning-parity property suite: the block-max pruned evaluator must be
-# bit-identical to the exhaustive oracle across β, normalization,
-# threads, segmentation, tombstones, storage backends and k.
-cargo test -q -p newslink-core --test prune_prop
-# Resolver-parity property suite: the FST label automaton must match the
-# HashMap oracle — S(l) node sets, gazetteer NER spans, and bit-identical
-# end-to-end search — on alias-heavy unicode graphs, in memory and after
-# a serialized round trip.
-cargo test -q -p newslink --test fst_prop
 # The real thing: SIGKILL the release binary mid-mutation and restart it
 # (ignored by default; needs the release build from the first step).
 cargo test -q -p newslink-serve --test kill9_e2e -- --ignored
-# Cluster-parity property suite: a router scatter-gathering real shard
-# servers over TCP must merge bit-identically to one in-process search.
-cargo test -q -p newslink-serve --test cluster_prop
 # Cluster failover e2e: two shard groups of two release-binary replicas
 # behind a router; kill -9 a primary (reads fail over, writes refuse),
 # kill the whole group (honest degraded 503), restart and heal with
 # every acked write intact (ignored by default; needs the release build).
 cargo test -q -p newslink-serve --test cluster_e2e -- --ignored
-# Chaos resilience e2e: seeded in-process TCP fault injection (latency,
-# throttling, short writes, resets, black holes, refusals) against the
-# router — answers stay bit-identical or honestly degraded, breakers
-# trip and heal, the prober never stalls, same seed ⇒ same faults.
-cargo test -q -p newslink-serve --test chaos_e2e
