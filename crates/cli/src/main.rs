@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use args::Args;
 use newslink_core::{
     load_newslink_index, save_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig,
-    NewsLinkIndex, StorageBackend, StoreOptions,
+    NewsLinkIndex, StorageBackend,
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
@@ -161,7 +161,7 @@ fn blob_dir(path: &str) -> Result<(FsDirectory, String), String> {
 
 /// Load a snapshot file through the selected storage backend (strict
 /// mode — any damage is an error, same as [`load_newslink_index`]).
-fn load_index_with(
+fn open_snapshot_with(
     graph: &newslink_kg::KnowledgeGraph,
     path: &str,
     backend: StorageBackend,
@@ -382,7 +382,7 @@ fn build_index(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("writing {out}: {e}"))?;
     // Verification reopen through the requested backend: prove the file
     // loads the way it will be served before declaring success.
-    let reopened = load_index_with(&graph, out, backend)?;
+    let reopened = open_snapshot_with(&graph, out, backend)?;
     if reopened.doc_count() != index.doc_count() {
         return Err(format!(
             "verification reopen ({backend}) saw {} docs, expected {}",
@@ -636,9 +636,8 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
                     }
                 })
             };
-            let options = StoreOptions::new().backend(backend);
             let (store, index) =
-                newslink_core::DurableStore::open_with(&engine, dir_path, &options, seed)
+                newslink_core::DurableStore::open_with(&engine, dir_path, backend, seed)
                     .map_err(|e| format!("opening data dir {dir}: {e}"))?;
             let report = store.report();
             if report.degraded() {
@@ -668,7 +667,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
         None => (
             None,
             match args.get("index") {
-                Some(path) => load_index_with(&graph, path, backend)?,
+                Some(path) => open_snapshot_with(&graph, path, backend)?,
                 None => {
                     println!("indexing {} documents …", texts.len());
                     match stripe {

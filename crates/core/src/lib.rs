@@ -17,14 +17,12 @@
 //!   and the durable store that pairs them;
 //! - [`api`] — the declarative request/response types;
 //! - [`score_explain`] — Lucene-`explain()`-style score breakdowns;
-//! - [`alerts`] — standing-query percolation over an article stream;
 //! - [`pipeline`] — the [`NewsLink`] facade. Its `insert_document` /
 //!   `delete_document` are the one way a document enters or leaves a
 //!   built index.
 
 #![deny(unsafe_code)]
 
-pub mod alerts;
 pub mod api;
 mod cache;
 pub mod config;
@@ -39,7 +37,6 @@ pub mod segment;
 pub mod store;
 pub mod wal;
 
-pub use alerts::{AlertMatch, AlertRegistry};
 pub use api::{
     BatchResponse, ExplainOptions, Explanation, ParallelShell, QueryCacheInfo, SearchRequest,
     SearchResponse,
@@ -55,10 +52,10 @@ pub use directory::{Directory, FsDirectory, RamDirectory};
 pub use persist::{
     atomic_write_file, load_label_fst, load_newslink_index, load_newslink_index_tolerant,
     read_newslink_index, read_newslink_index_bytes, read_newslink_index_tolerant, save_label_fst,
-    save_newslink_index, segment_byte_spans, write_newslink_index, write_newslink_index_v3,
-    LoadReport, PersistError, LABEL_FST_BLOB,
+    save_newslink_index, segment_byte_spans, write_newslink_index, LoadReport, PersistError,
+    LABEL_FST_BLOB,
 };
-pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend, StoreOptions};
+pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend};
 pub use store::DurableStore;
 pub use wal::{Wal, WalRecord};
 

@@ -2,48 +2,36 @@
 //! reload it without re-embedding the corpus.
 //!
 //! Corpus embedding dominates indexing cost (Figure 7), so a production
-//! deployment builds once and serves many sessions. Two on-disk formats
-//! are understood:
-//!
-//! ## Version 4 (written by this build) — mmap-friendly sections
+//! deployment builds once and serves many sessions. There is one on-disk
+//! format, version 4; a file carrying any other version byte is refused
+//! with [`PersistError::UnsupportedVersion`] (re-index to upgrade):
 //!
 //! ```text
 //! [NLNK][4][header frame]  …pad…  [section 0] …pad… [section N-1]
-//! [directory: N × {offset u64, len u64, crc u32}][dir CRC u32][NL4F]
+//! [directory: N × {offset u64, len u64, xxh64 u64}][dir CRC u32][NL4F]
 //! ```
 //!
-//! The header frame keeps the v3 shape (`[len varint][body][CRC-32]`,
-//! carrying the graph fingerprint, id allocator, lifecycle counters,
-//! tombstones and segment count). Every segment then lives in its own
-//! **64-byte-aligned, CRC-framed section** addressed by the offset
-//! directory at the tail — no pointer chasing, no length-prefixed
-//! deserialization walk. Inside a section every table is fixed-width
-//! little-endian (globals, embedding record ends, the columnar
-//! BOW/BON indexes of [`newslink_text::read_index_columnar`]), so a
-//! reader hands out `&[u8]` slices of the file instead of decoding:
-//! opening a snapshot from a memory mapping is "map, validate footers,
-//! go", and posting data plus the encoded doc store stay in the OS page
-//! cache rather than the process heap. Because each section is located
-//! by the directory — not by walking its predecessors — a corrupt
-//! section quarantines *alone*; later segments still load (v3 loses
-//! everything after a torn length prefix).
+//! The header frame (`[len varint][body][CRC-32]`) carries the graph
+//! fingerprint, id allocator, lifecycle counters, tombstones and
+//! segment count. Every segment then lives in its own **64-byte-aligned,
+//! checksummed section** addressed by the offset directory at the tail —
+//! no pointer chasing, no length-prefixed deserialization walk. Inside a
+//! section every table is fixed-width little-endian (globals, embedding
+//! record ends, the columnar BOW/BON indexes of
+//! [`newslink_text::read_index_columnar`]), so a reader hands out `&[u8]`
+//! slices of the file instead of decoding: opening a snapshot from a
+//! memory mapping is "map, validate footers, go", and posting data plus
+//! the encoded doc store stay in the OS page cache rather than the
+//! process heap. The heap and mmap backends decode the same bytes; they
+//! differ only in where those bytes live.
 //!
-//! ## Version 3 (read for compatibility) — sequential CRC frames
-//!
-//! A stream of `[length varint][body][CRC-32]` frames (header, then one
-//! per segment); segment bodies use the v2 varint index sections.
-//! [`write_newslink_index_v3`] keeps the writer available so migration
-//! can be tested; [`read_newslink_index_bytes`] dispatches on the
-//! version byte, so v3 snapshots load transparently and the next
-//! checkpoint rewrites them as v4.
-//!
-//! Both formats share the same guarantees:
-//!
-//! - **Detection**: a bit flip anywhere fails a CRC instead of
+//! - **Detection**: a bit flip anywhere fails a checksum instead of
 //!   deserializing into silently wrong postings.
 //! - **Isolation**: [`read_newslink_index_tolerant`] quarantines damaged
 //!   segments and loads the rest, reporting what was lost in a
-//!   [`LoadReport`].
+//!   [`LoadReport`]. Because each section is located by the directory —
+//!   not by walking its predecessors — a corrupt section quarantines
+//!   *alone*; later segments still load.
 //!
 //! [`save_newslink_index`] is crash-atomic: it writes `<path>.tmp`,
 //! fsyncs the file, renames it over `path` and fsyncs the parent
@@ -60,23 +48,18 @@ use std::path::Path;
 use newslink_embed::codec as embed_codec;
 use newslink_kg::KnowledgeGraph;
 use newslink_nlp::MatchStats;
-use newslink_text::{
-    read_index, read_index_columnar, read_index_columnar_lazy, write_index, write_index_columnar,
-};
+use newslink_text::{read_index_columnar, read_index_columnar_lazy, write_index_columnar};
 use newslink_util::{crc32, varint, xxh64, Bytes, ComponentTimer, FxHashSet};
 
 use crate::indexer::NewsLinkIndex;
 use crate::segment::{DocStore, IndexSegment};
 
 const MAGIC: &[u8; 4] = b"NLNK";
-/// Version 2 introduced the segmented manifest; version 3 wrapped the
-/// header and every segment in length-prefixed CRC-32 frames; version 4
-/// moves segments into aligned, directory-addressed sections with
-/// fixed-width tables so a memory-mapped reader never deserializes.
+/// The one format this build writes and reads: aligned,
+/// directory-addressed sections with fixed-width tables, so a
+/// memory-mapped reader never deserializes. Any other version byte is
+/// refused, not migrated.
 const VERSION: u8 = 4;
-/// The previous sequential-frame format, still readable (and writable,
-/// for migration tests) by this build.
-const VERSION_V3: u8 = 3;
 
 /// No frame in a real index approaches this; a longer length prefix
 /// means the prefix itself is corrupt.
@@ -152,7 +135,7 @@ impl fmt::Display for PersistError {
             Self::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported index version {v} (this build reads {VERSION_V3} and {VERSION})"
+                    "unsupported index version {v} (this build reads {VERSION})"
                 )
             }
             Self::GraphMismatch {
@@ -230,7 +213,7 @@ impl LoadReport {
     }
 }
 
-/// Encode the header frame body (shared by the v3 and v4 writers).
+/// Encode the header frame body.
 fn encode_header_body(index: &NewsLinkIndex, graph: &KnowledgeGraph) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     // Graph fingerprint.
@@ -253,8 +236,8 @@ fn encode_header_body(index: &NewsLinkIndex, graph: &KnowledgeGraph) -> io::Resu
     Ok(body)
 }
 
-/// Serialize a built index in the current (version 4) format: header
-/// frame, aligned CRC-framed segment sections, offset directory, footer.
+/// Serialize a built index: header frame, aligned checksummed segment
+/// sections, offset directory, footer.
 /// The bytes are assembled in memory first (offsets must be known), then
 /// streamed to `out` — so failpoint writers still see one sequential
 /// write.
@@ -268,7 +251,7 @@ pub fn write_newslink_index<W: Write>(
     Ok(())
 }
 
-/// Encode the version-4 snapshot into one buffer.
+/// Encode the snapshot into one buffer.
 fn encode_newslink_index(
     index: &NewsLinkIndex,
     graph: &KnowledgeGraph,
@@ -331,35 +314,6 @@ fn encode_segment_section(seg: &IndexSegment) -> Result<Vec<u8>, PersistError> {
 fn section_u32(v: usize, what: &str) -> Result<u32, PersistError> {
     u32::try_from(v)
         .map_err(|_| PersistError::Corrupt(format!("{what} of {v} bytes exceeds a v4 section")))
-}
-
-/// Serialize in the previous sequential-frame format (version 3):
-/// header frame + one frame per segment. Kept so format migration —
-/// old snapshot in, v4 checkpoint out — stays testable.
-pub fn write_newslink_index_v3<W: Write>(
-    index: &NewsLinkIndex,
-    graph: &KnowledgeGraph,
-    out: &mut W,
-) -> Result<(), PersistError> {
-    out.write_all(MAGIC)?;
-    out.write_all(&[VERSION_V3])?;
-    write_frame(out, &encode_header_body(index, graph)?)?;
-
-    let mut body = Vec::new();
-    for seg in &index.segments {
-        body.clear();
-        varint::write_u64(&mut body, seg.len() as u64)?;
-        for &g in seg.globals() {
-            varint::write_u64(&mut body, u64::from(g))?;
-        }
-        write_index(seg.bow(), &mut body)?;
-        write_index(seg.bon(), &mut body)?;
-        for e in seg.embeddings() {
-            embed_codec::write_embedding(e, &mut body)?;
-        }
-        write_frame(out, &body)?;
-    }
-    Ok(())
 }
 
 fn write_frame<W: Write>(out: &mut W, body: &[u8]) -> io::Result<()> {
@@ -448,70 +402,17 @@ fn parse_header(mut body: &[u8]) -> Result<Header, PersistError> {
     })
 }
 
-/// Parse one v3 segment frame body and validate its invariants against
-/// the allocator and the last global id of the previous kept segment.
-fn parse_segment(
-    mut body: &[u8],
-    si: usize,
-    next_id: u32,
-    prev_global: Option<u32>,
-) -> Result<(IndexSegment, u32), PersistError> {
-    let input = &mut body;
-    let oops = |e: io::Error| PersistError::Corrupt(format!("segment {si} frame underruns: {e}"));
-    let len = varint::read_u64(input).map_err(oops)? as usize;
-    if len == 0 {
-        return Err(PersistError::Corrupt(format!("segment {si} is empty")));
-    }
-    let mut globals = Vec::with_capacity(len.min(1 << 20));
-    let mut prev = prev_global;
-    for _ in 0..len {
-        let g = read_u32(input, "global id")?;
-        if prev.is_some_and(|p| p >= g) {
-            return Err(PersistError::Corrupt(format!(
-                "segment {si}: global ids not strictly ascending at {g}"
-            )));
-        }
-        if g >= next_id {
-            return Err(PersistError::Corrupt(format!(
-                "segment {si}: global id {g} beyond allocator ({next_id})"
-            )));
-        }
-        prev = Some(g);
-        globals.push(g);
-    }
-    let bow = read_index(input).map_err(oops)?;
-    let bon = read_index(input).map_err(oops)?;
-    if bow.doc_count() != len || bon.doc_count() != len {
-        return Err(PersistError::Corrupt(format!(
-            "segment {si}: doc counts misaligned (globals {len}, BOW {}, BON {})",
-            bow.doc_count(),
-            bon.doc_count()
-        )));
-    }
-    let mut embeddings = Vec::with_capacity(len);
-    for _ in 0..len {
-        embeddings.push(embed_codec::read_embedding(input).map_err(oops)?);
-    }
-    if !input.is_empty() {
-        return Err(PersistError::Corrupt(format!(
-            "segment {si} frame has {} trailing bytes",
-            input.len()
-        )));
-    }
-    let last = globals[globals.len() - 1];
-    Ok((IndexSegment::from_parts(bow, bon, embeddings, globals), last))
-}
-
-/// Parse one v4 segment section and validate every invariant the
+/// Parse one segment section and validate every invariant the
 /// zero-copy views rely on: exact tiling of the fixed-width tables and
 /// blobs, ascending global ids, monotone embedding record ends. The
-/// section's CRC has already passed; any failure here is [`Corrupt`].
+/// section's checksum has already passed; any failure here is
+/// [`Corrupt`].
 ///
 /// The returned segment's posting data and doc store are `Bytes` slices
 /// of `section` — zero-copy when the section came from a memory mapping.
 ///
 /// [`Corrupt`]: PersistError::Corrupt
-fn parse_segment_v4(
+fn parse_segment(
     section: &Bytes,
     si: usize,
     next_id: u32,
@@ -613,8 +514,8 @@ fn parse_segment_v4(
 /// one flipped bit anywhere — fails the whole load; use
 /// [`read_newslink_index_tolerant`] to salvage what survives.
 ///
-/// Reads the stream to its end, then dispatches on the version byte
-/// (the v4 layout is directory-addressed and needs random access).
+/// Reads the stream to its end first: the layout is directory-addressed
+/// and needs random access.
 pub fn read_newslink_index<R: Read>(
     graph: &KnowledgeGraph,
     input: &mut R,
@@ -628,7 +529,7 @@ pub fn read_newslink_index<R: Read>(
 /// checksum or validation are *quarantined* (skipped) rather than fatal,
 /// and tombstones pointing into quarantined segments are dropped. The
 /// envelope — magic, version, graph fingerprint, the header frame and
-/// (v4) the section directory + footer — must still be intact; without
+/// the section directory + footer — must still be intact; without
 /// the allocator and manifest there is nothing safe to serve.
 ///
 /// The returned [`LoadReport`] says exactly what was lost;
@@ -642,30 +543,64 @@ pub fn read_newslink_index_tolerant<R: Read>(
     read_newslink_index_bytes(graph, &Bytes::from_vec(buf), true)
 }
 
-/// Deserialize an index from a whole-file byte region, dispatching on
-/// the format version (3 or 4). This is the storage layer's entry
-/// point: hand it a memory-mapped [`Bytes`] and a v4 snapshot loads
-/// zero-copy — posting data and the encoded doc store stay views of the
-/// mapping. `tolerant` selects quarantine-and-continue over
-/// fail-on-first-damage.
+/// Deserialize an index from a whole-file byte region. This is the
+/// storage layer's entry point: hand it a memory-mapped [`Bytes`] and
+/// the snapshot loads zero-copy — posting data and the encoded doc
+/// store stay views of the mapping. `tolerant` selects
+/// quarantine-and-continue over fail-on-first-damage.
+///
+/// The envelope is validated first, then each directory-addressed
+/// section is checked and parsed independently, so a damaged one
+/// quarantines alone.
 pub fn read_newslink_index_bytes(
     graph: &KnowledgeGraph,
     bytes: &Bytes,
     tolerant: bool,
 ) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let mut cursor: &[u8] = bytes;
-    let input = &mut cursor;
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let envelope = parse_envelope(bytes)?;
+    check_graph(&envelope.header, graph)?;
+
+    let sums = section_sums(bytes, &envelope.sections);
+    let mut report = LoadReport::default();
+    let mut segments = Vec::with_capacity(envelope.header.n_segments.min(1024));
+    let mut prev_global: Option<u32> = None;
+    for (si, &(start, end, stored)) in envelope.sections.iter().enumerate() {
+        let section = bytes.slice(start..end);
+        let computed = sums[si];
+        let parsed = if computed != stored {
+            Err(PersistError::ChecksumMismatch {
+                what: format!("segment {si}"),
+                stored,
+                computed,
+            })
+        } else {
+            parse_segment(&section, si, envelope.header.next_id, prev_global)
+        };
+        match parsed {
+            Ok((seg, last)) => {
+                prev_global = Some(last);
+                segments.push(seg);
+            }
+            Err(_) if tolerant => {
+                report.quarantined_segments += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    assemble_index(envelope.header, segments, report, tolerant)
+}
+
+/// The magic and version gate every reader passes: anything but
+/// [`VERSION`] is [`PersistError::UnsupportedVersion`].
+fn check_magic_and_version(raw: &[u8]) -> Result<(), PersistError> {
+    let eof = || PersistError::Io(io::ErrorKind::UnexpectedEof.into());
+    if raw.get(..4).ok_or_else(eof)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let mut version = [0u8; 1];
-    input.read_exact(&mut version)?;
-    match version[0] {
-        VERSION_V3 => read_v3_frames(graph, input, tolerant),
-        VERSION => read_v4(graph, bytes, tolerant),
-        v => Err(PersistError::UnsupportedVersion(v)),
+    match raw.get(4) {
+        None => Err(eof()),
+        Some(&VERSION) => Ok(()),
+        Some(&v) => Err(PersistError::UnsupportedVersion(v)),
     }
 }
 
@@ -682,7 +617,7 @@ fn check_graph(header: &Header, graph: &KnowledgeGraph) -> Result<(), PersistErr
     Ok(())
 }
 
-/// The shared load tail: build the index, resolve tombstones against
+/// The load tail: build the index, resolve tombstones against
 /// the segments that survived.
 fn assemble_index(
     header: Header,
@@ -720,64 +655,20 @@ fn assemble_index(
     Ok((index, report))
 }
 
-/// The v3 body: a sequential frame walk over `input`, which is
-/// positioned just past the magic and version bytes.
-fn read_v3_frames(
-    graph: &KnowledgeGraph,
-    input: &mut &[u8],
-    tolerant: bool,
-) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let header = parse_header(&read_frame(input, "header")?)?;
-    check_graph(&header, graph)?;
-
-    let mut report = LoadReport::default();
-    let mut segments = Vec::with_capacity(header.n_segments.min(1024));
-    let mut prev_global: Option<u32> = None;
-    for si in 0..header.n_segments {
-        let what = format!("segment {si}");
-        let body = match read_frame(input, &what) {
-            Ok(body) => body,
-            Err(PersistError::ChecksumMismatch { .. }) if tolerant => {
-                // The frame's extent was intact (length prefix consumed,
-                // body + CRC read) — quarantine it and keep scanning.
-                report.quarantined_segments += 1;
-                continue;
-            }
-            Err(_) if tolerant => {
-                // Truncation or a corrupt length prefix: the rest of the
-                // file cannot be located. Everything from here on is lost.
-                report.quarantined_segments += header.n_segments - si;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        match parse_segment(&body, si, header.next_id, prev_global) {
-            Ok((seg, last)) => {
-                prev_global = Some(last);
-                segments.push(seg);
-            }
-            Err(_) if tolerant => {
-                report.quarantined_segments += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    assemble_index(header, segments, report, tolerant)
-}
-
-/// Parsed v4 envelope: the header plus each section's `(start, end,
-/// crc)` from the tail directory. Fails on any damage to the header
+/// Parsed envelope: the header plus each section's `(start, end,
+/// xxh64)` from the tail directory. Fails on any damage to the header
 /// frame, directory checksum or footer — the envelope must be intact
 /// even for tolerant loads.
-struct V4Envelope {
+struct Envelope {
     header: Header,
     sections: Vec<(usize, usize, u64)>,
 }
 
-/// Validate the v4 envelope of a whole file (magic and version already
-/// checked): header frame, footer magic, directory CRC, and per-section
-/// bounds against the data region.
-fn parse_v4_envelope(raw: &[u8]) -> Result<V4Envelope, PersistError> {
+/// Validate the envelope of a whole file: magic and version, header
+/// frame, footer magic, directory CRC, and per-section bounds against
+/// the data region.
+fn parse_envelope(raw: &[u8]) -> Result<Envelope, PersistError> {
+    check_magic_and_version(raw)?;
     let mut cursor = &raw[5..];
     let header = parse_header(&read_frame(&mut cursor, "header")?)?;
     let header_end = raw.len() - cursor.len();
@@ -837,10 +728,10 @@ fn parse_v4_envelope(raw: &[u8]) -> Result<V4Envelope, PersistError> {
         }
         sections.push((start, end, sum));
     }
-    Ok(V4Envelope { header, sections })
+    Ok(Envelope { header, sections })
 }
 
-/// Per-section XXH64 sums of the v4 data region. On the mapped fast
+/// Per-section XXH64 sums of the data region. On the mapped fast
 /// path the open-time work is *only* verification (decode is deferred),
 /// and the sections are independent — so large mapped files checksum on
 /// multiple threads. Heap loads keep the classic sequential
@@ -881,63 +772,12 @@ fn section_sums(bytes: &Bytes, sections: &[(usize, usize, u64)]) -> Vec<u64> {
     out
 }
 
-/// The v4 body: validate the envelope, then check and parse each
-/// directory-addressed section independently. Because sections are
-/// located by the directory, a damaged one quarantines alone — later
-/// segments still load (v3 loses everything after a torn frame).
-fn read_v4(
-    graph: &KnowledgeGraph,
-    bytes: &Bytes,
-    tolerant: bool,
-) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let envelope = parse_v4_envelope(bytes)?;
-    check_graph(&envelope.header, graph)?;
-
-    let sums = section_sums(bytes, &envelope.sections);
-    let mut report = LoadReport::default();
-    let mut segments = Vec::with_capacity(envelope.header.n_segments.min(1024));
-    let mut prev_global: Option<u32> = None;
-    for (si, &(start, end, stored)) in envelope.sections.iter().enumerate() {
-        let section = bytes.slice(start..end);
-        let computed = sums[si];
-        let parsed = if computed != stored {
-            Err(PersistError::ChecksumMismatch {
-                what: format!("segment {si}"),
-                stored,
-                computed,
-            })
-        } else {
-            parse_segment_v4(&section, si, envelope.header.next_id, prev_global)
-        };
-        match parsed {
-            Ok((seg, last)) => {
-                prev_global = Some(last);
-                segments.push(seg);
-            }
-            Err(_) if tolerant => {
-                report.quarantined_segments += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    assemble_index(envelope.header, segments, report, tolerant)
-}
-
-/// `(start, end)` byte span of every segment section in a version-4
-/// snapshot, in directory order. The fault-injection suites use this to
-/// flip bytes inside a chosen segment without hand-walking the layout.
-/// Fails exactly when the reader would reject the envelope.
+/// `(start, end)` byte span of every segment section in a snapshot, in
+/// directory order. The fault-injection suites use this to flip bytes
+/// inside a chosen segment without hand-walking the layout. Fails
+/// exactly when the reader would reject the envelope.
 pub fn segment_byte_spans(raw: &[u8]) -> Result<Vec<(usize, usize)>, PersistError> {
-    if raw.len() < 5 {
-        return Err(PersistError::Corrupt("file too short".to_string()));
-    }
-    if &raw[..4] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    if raw[4] != VERSION {
-        return Err(PersistError::UnsupportedVersion(raw[4]));
-    }
-    let envelope = parse_v4_envelope(raw)?;
+    let envelope = parse_envelope(raw)?;
     Ok(envelope
         .sections
         .into_iter()
@@ -1065,23 +905,6 @@ mod tests {
         "Pakistan held talks in Khyber.",
         "A story with no entities whatsoever.",
     ];
-
-    /// `(frame_start, body_start, body_end)` for every frame in a **v3**
-    /// buffer (frame 0 is the header). `body_end` is also where the CRC
-    /// starts. v4 sections are located with [`segment_byte_spans`].
-    fn frame_spans(buf: &[u8]) -> Vec<(usize, usize, usize)> {
-        let mut spans = Vec::new();
-        let mut at = 5; // magic + version
-        while at < buf.len() {
-            let mut cursor = &buf[at..];
-            let len = varint::read_u64(&mut cursor).unwrap() as usize;
-            let body_start = buf.len() - cursor.len();
-            spans.push((at, body_start, body_start + len));
-            at = body_start + len + 4;
-        }
-        assert_eq!(at, buf.len(), "frames must tile the file exactly");
-        spans
-    }
 
     /// Re-stamp the CRC of the frame whose body spans `[start, end)`
     /// after a deliberate body edit (so the edit reaches the structural
@@ -1211,55 +1034,14 @@ mod tests {
         let idx = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        // Every truncation point must produce an error, never a panic.
+        // Every truncation point must produce an error, never a panic —
+        // in tolerant mode too: a cut always tears the envelope (header
+        // frame, directory or footer), and that is never salvageable.
         for cut in [3, 5, 9, buf.len() / 2, buf.len() - 3] {
             let err = read_newslink_index(&g, &mut &buf[..cut]);
             assert!(err.is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
-    fn truncation_mid_varint_and_mid_segment_is_io() {
-        let (g, li) = world();
-        let idx = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
-        let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        let spans = frame_spans(&buf);
-        let (seg_frame_start, seg_body_start, seg_body_end) = spans[1];
-        // The segment frame's length prefix is a multi-byte varint in
-        // this fixture; cutting one byte into it is a mid-varint tear.
-        assert!(
-            seg_body_start - seg_frame_start > 1,
-            "fixture's segment frame length must be a multi-byte varint"
-        );
-        for cut in [seg_frame_start + 1, (seg_body_start + seg_body_end) / 2] {
-            match read_newslink_index(&g, &mut &buf[..cut]) {
-                Err(PersistError::Io(e)) => {
-                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}")
-                }
-                other => panic!("cut at {cut}: expected Io(UnexpectedEof), got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn checksum_flip_is_typed_and_names_the_frame() {
-        let (g, li) = world();
-        let cfg = NewsLinkConfig::default().with_segment_docs(1);
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        let spans = frame_spans(&buf);
-        assert_eq!(spans.len(), 4, "header + three single-doc segments");
-        // Flip one bit in the middle of segment 1's body.
-        let (_, body_start, body_end) = spans[2];
-        buf[(body_start + body_end) / 2] ^= 0x40;
-        match read_newslink_index(&g, &mut &buf[..]) {
-            Err(PersistError::ChecksumMismatch { what, stored, computed }) => {
-                assert_eq!(what, "segment 1");
-                assert_ne!(stored, computed);
-            }
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
+            let err = read_newslink_index_tolerant(&g, &mut &buf[..cut]);
+            assert!(err.is_err(), "tolerant load of cut at {cut} must fail");
         }
     }
 
@@ -1269,10 +1051,18 @@ mod tests {
         let idx = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        buf[4] = 2; // the pre-checksum format version
-        match read_newslink_index(&g, &mut &buf[..]) {
-            Err(PersistError::UnsupportedVersion(2)) => {}
-            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
+        // 3 is the retired sequential-frame format, 2 the pre-checksum
+        // one: both are refused by the reader and the span helper alike.
+        for old in [3u8, 2] {
+            buf[4] = old;
+            match read_newslink_index(&g, &mut &buf[..]) {
+                Err(PersistError::UnsupportedVersion(v)) => assert_eq!(v, old),
+                other => panic!("expected UnsupportedVersion({old}), got {other:?}"),
+            }
+            assert!(matches!(
+                segment_byte_spans(&buf),
+                Err(PersistError::UnsupportedVersion(v)) if v == old
+            ));
         }
         buf[0] = b'X';
         assert!(matches!(
@@ -1287,15 +1077,19 @@ mod tests {
         let cfg = NewsLinkConfig::default().with_segment_docs(1);
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        // Header body layout: nodes(1) edges(1) next_id(1) … — all small
-        // varints in this fixture. Zeroing next_id makes every stored
-        // global id fall beyond the allocator; the CRC is re-stamped so
-        // the edit reaches the structural validator, not the checksum.
-        let (_, body_start, body_end) = frame_spans(&buf)[0];
+        write_newslink_index(&idx, &g, &mut buf).unwrap();
+        // The header frame starts after magic + version:
+        // `[len varint][body][CRC-32]`. Body layout: nodes(1) edges(1)
+        // next_id(1) … — all small varints in this fixture. Zeroing
+        // next_id makes every stored global id fall beyond the
+        // allocator; the CRC is re-stamped so the edit reaches the
+        // structural validator, not the checksum.
+        let mut cursor = &buf[5..];
+        let len = varint::read_u64(&mut cursor).unwrap() as usize;
+        let body_start = buf.len() - cursor.len();
         assert_eq!(buf[body_start + 2], 3, "fixture layout changed");
         buf[body_start + 2] = 0;
-        restamp_crc(&mut buf, body_start, body_end);
+        restamp_crc(&mut buf, body_start, body_start + len);
         match read_newslink_index(&g, &mut &buf[..]) {
             Err(PersistError::Corrupt(msg)) => {
                 assert!(msg.contains("beyond allocator"), "{msg}")
@@ -1305,63 +1099,16 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_load_quarantines_checksum_failing_segment() {
-        let (g, li) = world();
-        let cfg = NewsLinkConfig::default().with_segment_docs(1);
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        let spans = frame_spans(&buf);
-        // Corrupt segment 1 (holding doc 1).
-        let (_, body_start, body_end) = spans[2];
-        buf[(body_start + body_end) / 2] ^= 0x01;
-
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
-        assert!(report.degraded());
-        assert_eq!(report.quarantined_segments, 1);
-        assert_eq!(report.segments_loaded, 2);
-        assert_eq!(report.dropped_tombstones, 0);
-        assert_eq!(back.doc_count(), 2);
-        assert!(back.locate(DocId(0)).is_some());
-        assert!(back.locate(DocId(1)).is_none(), "doc 1 was quarantined");
-        assert!(back.locate(DocId(2)).is_some());
-        // The surviving docs still serve queries.
-        let out = search(&g, &li, &cfg, &back, "Taliban near Kunar", 3);
-        assert!(out.results.iter().any(|r| r.doc == DocId(0)));
-        // The allocator still accounts for the lost doc: fresh ids are new.
-        let mut back = back;
-        assert_eq!(back.reserve_id(), DocId(3));
-    }
-
-    #[test]
-    fn tolerant_load_quarantines_truncated_tail() {
-        let (g, li) = world();
-        let cfg = NewsLinkConfig::default().with_segment_docs(1);
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        let spans = frame_spans(&buf);
-        // Cut mid-way through segment 1: segments 1 and 2 are both lost.
-        let cut = (spans[2].1 + spans[2].2) / 2;
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..cut]).unwrap();
-        assert_eq!(report.quarantined_segments, 2);
-        assert_eq!(report.segments_loaded, 1);
-        assert_eq!(back.doc_count(), 1);
-        assert!(back.locate(DocId(0)).is_some());
-    }
-
-    #[test]
     fn tolerant_load_drops_tombstones_into_quarantined_segments() {
         let (g, li) = world();
         let cfg = NewsLinkConfig::default().with_segment_docs(1);
         let mut idx = index_corpus(&g, &li, &cfg, DOCS);
         idx.delete(DocId(1));
         let mut buf = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut buf).unwrap();
-        let spans = frame_spans(&buf);
+        write_newslink_index(&idx, &g, &mut buf).unwrap();
         // Quarantine segment 1, which holds the tombstoned doc 1.
-        let (_, body_start, body_end) = spans[2];
-        buf[(body_start + body_end) / 2] ^= 0x08;
+        let (start, end) = segment_byte_spans(&buf).unwrap()[1];
+        buf[(start + end) / 2] ^= 0x08;
         let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
         assert_eq!(report.quarantined_segments, 1);
         assert_eq!(report.dropped_tombstones, 1);
@@ -1495,13 +1242,6 @@ mod tests {
             assert!(start >= prev_end && end > start && end <= buf.len());
             prev_end = end;
         }
-        // The span helper rejects v3 bytes.
-        let mut v3 = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut v3).unwrap();
-        assert!(matches!(
-            segment_byte_spans(&v3),
-            Err(PersistError::UnsupportedVersion(3))
-        ));
     }
 
     #[test]
@@ -1511,9 +1251,8 @@ mod tests {
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        // Corrupt the FIRST section: unlike v3's sequential frame walk,
-        // the directory still addresses segments 1 and 2, so only doc 0
-        // is lost.
+        // Corrupt the FIRST section: the directory still addresses
+        // segments 1 and 2, so only doc 0 is lost.
         let (start, end) = segment_byte_spans(&buf).unwrap()[0];
         buf[(start + end) / 2] ^= 0x20;
         match read_newslink_index(&g, &mut &buf[..]) {
@@ -1526,6 +1265,13 @@ mod tests {
         assert!(back.locate(DocId(0)).is_none(), "doc 0 was quarantined");
         assert!(back.locate(DocId(1)).is_some());
         assert!(back.locate(DocId(2)).is_some());
+        // The survivors still answer a query, and the lost doc never ranks.
+        let out = search(&g, &li, &cfg, &back, "Pakistan talks", 3);
+        assert!(out.results.iter().any(|r| r.doc == DocId(1)));
+        assert!(out.results.iter().all(|r| r.doc != DocId(0)));
+        // The allocator still accounts for the lost doc: fresh ids are new.
+        let mut back = back;
+        assert_eq!(back.reserve_id(), DocId(3));
     }
 
     #[test]
@@ -1555,27 +1301,6 @@ mod tests {
             read_newslink_index_tolerant(&g, &mut &nofoot[..]),
             Err(PersistError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn v3_snapshot_migrates_forward_through_version_dispatch() {
-        let (g, li) = world();
-        let cfg = NewsLinkConfig::default().with_segment_docs(1);
-        let mut idx = index_corpus(&g, &li, &cfg, DOCS);
-        idx.delete(DocId(1));
-        let mut v3 = Vec::new();
-        write_newslink_index_v3(&idx, &g, &mut v3).unwrap();
-        assert_eq!(v3[4], VERSION_V3);
-        // The default reader dispatches on the version byte.
-        let back = read_newslink_index(&g, &mut &v3[..]).unwrap();
-        assert_search_parity(&g, &li, &cfg, &idx, &back);
-        // Re-saving produces v4; reloading preserves behaviour bit-exactly.
-        let mut v4 = Vec::new();
-        write_newslink_index(&back, &g, &mut v4).unwrap();
-        assert_eq!(v4[4], VERSION);
-        let again = read_newslink_index(&g, &mut &v4[..]).unwrap();
-        assert_eq!(again.tombstone_count(), 1);
-        assert_search_parity(&g, &li, &cfg, &idx, &again);
     }
 
     #[test]

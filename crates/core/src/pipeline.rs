@@ -78,21 +78,6 @@ impl<'g> NewsLink<'g> {
         }
     }
 
-    /// Create an engine with [`StoreOptions`] overrides applied over
-    /// `config` (storage backend selection happens where the snapshot
-    /// is opened: [`DurableStore::open_with`] takes the same options).
-    ///
-    /// [`StoreOptions`]: crate::reader::StoreOptions
-    /// [`DurableStore::open_with`]: crate::store::DurableStore::open_with
-    pub fn open_with(
-        graph: &'g KnowledgeGraph,
-        label_index: &'g LabelIndex,
-        config: NewsLinkConfig,
-        options: &crate::reader::StoreOptions,
-    ) -> Self {
-        Self::new(graph, label_index, options.apply(config))
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &NewsLinkConfig {
         &self.config

@@ -194,25 +194,9 @@ impl IndexSegment {
         }
     }
 
-    /// Rebuild from already-frozen parts with decoded embeddings
-    /// (version-3 persistence, merges).
-    pub(crate) fn from_parts(
-        bow: InvertedIndex,
-        bon: InvertedIndex,
-        embeddings: Vec<DocEmbedding>,
-        globals: Vec<u32>,
-    ) -> Self {
-        Self {
-            bow,
-            bon,
-            docs: DocStore::Eager(embeddings),
-            globals,
-        }
-    }
-
     /// Rebuild from already-frozen parts with a still-encoded doc store
-    /// (version-4 persistence; `store` is typically a zero-copy view of
-    /// the snapshot).
+    /// (snapshot loading; `store` is typically a zero-copy view of the
+    /// snapshot).
     pub(crate) fn from_lazy_parts(
         bow: InvertedIndex,
         bon: InvertedIndex,

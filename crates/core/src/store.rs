@@ -43,7 +43,7 @@ use crate::directory::{Directory, FsDirectory};
 use crate::indexer::NewsLinkIndex;
 use crate::persist::{write_newslink_index, LoadReport, PersistError};
 use crate::pipeline::NewsLink;
-use crate::reader::{SegmentReader, StorageBackend, StoreOptions};
+use crate::reader::{SegmentReader, StorageBackend};
 use crate::wal::{Wal, WalRecord};
 
 /// Snapshot file name inside the data directory.
@@ -69,7 +69,7 @@ impl DurableStore {
     /// the corpus file) and it is checkpointed immediately so the next
     /// open skips the build.
     ///
-    /// Uses the default [`StoreOptions`] (heap backend); see
+    /// Uses the default [`StorageBackend`] (heap); see
     /// [`open_with`](Self::open_with).
     ///
     /// Recovery also checkpoints when the WAL held records and the
@@ -83,21 +83,24 @@ impl DurableStore {
         dir: &Path,
         seed: impl FnOnce() -> NewsLinkIndex,
     ) -> Result<(Self, NewsLinkIndex), PersistError> {
-        Self::open_with(engine, dir, &StoreOptions::new(), seed)
+        Self::open_with(engine, dir, StorageBackend::default(), seed)
     }
 
-    /// [`open`](Self::open) with explicit [`StoreOptions`]: the
-    /// snapshot loads through the selected storage backend's
-    /// [`SegmentReader`] (config overrides are applied earlier, by
-    /// [`NewsLink::open_with`](crate::pipeline::NewsLink::open_with)).
+    /// [`open`](Self::open) through an explicit storage backend: the
+    /// snapshot loads through that backend's [`SegmentReader`].
+    ///
+    /// A snapshot this build cannot read — a foreign magic, or any
+    /// version but the current one — fails the open with a typed
+    /// [`PersistError`] before anything is written, so the file is left
+    /// exactly as it was found.
     pub fn open_with(
         engine: &NewsLink<'_>,
         dir: &Path,
-        options: &StoreOptions,
+        backend: StorageBackend,
         seed: impl FnOnce() -> NewsLinkIndex,
     ) -> Result<(Self, NewsLinkIndex), PersistError> {
         let fsdir = FsDirectory::create(dir)?;
-        let reader = options.segment_reader();
+        let reader = backend.reader();
         fsdir.remove(&format!("{SNAPSHOT_FILE}.tmp"))?;
         let fresh = !fsdir.exists(SNAPSHOT_FILE);
         let (mut index, mut report) = if fresh {
@@ -313,9 +316,9 @@ mod tests {
         let (g, li) = world();
         let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
         let dir = temp_dir("mmap");
-        let opts = StoreOptions::new().backend(StorageBackend::Mmap);
+        let mmap = StorageBackend::Mmap;
         let (store, index) =
-            DurableStore::open_with(&engine, &dir, &opts, || engine.index_corpus(DOCS)).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || engine.index_corpus(DOCS)).unwrap();
         assert_eq!(store.backend(), StorageBackend::Mmap);
         assert_eq!(index.doc_count(), 2);
         assert!(store.snapshot_len() > 0);
@@ -323,7 +326,7 @@ mod tests {
         // Reopen: the snapshot loads through the mapping and the live
         // index keeps it alive while a checkpoint replaces the file.
         let (mut store, mut index) =
-            DurableStore::open_with(&engine, &dir, &opts, || unreachable!()).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
         assert_eq!(index.doc_count(), 2);
         let id = engine.insert_document(&mut index, "Kunar aid convoy arrived.");
         store.log_insert(id, "Kunar aid convoy arrived.").unwrap();
@@ -332,7 +335,7 @@ mod tests {
         assert!(index.locate(DocId(0)).is_some());
         drop(store);
         let (store, reloaded) =
-            DurableStore::open_with(&engine, &dir, &opts, || unreachable!()).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
         assert_eq!(reloaded.doc_count(), 3);
         assert_eq!(store.report().wal_records_replayed, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -7,7 +7,6 @@ use std::path::{Path, PathBuf};
 
 use newslink_core::{
     segment_byte_spans, DurableStore, NewsLink, NewsLinkConfig, NewsLinkIndex, StorageBackend,
-    StoreOptions,
 };
 use newslink_kg::{synth, KnowledgeGraph, LabelIndex, SynthConfig};
 use newslink_serve::{client, DurableState, ServeConfig, Server, ServerHandle};
@@ -66,9 +65,8 @@ fn with_durable_server<R>(
     let labels = LabelIndex::build(&fixture.graph);
     let engine = NewsLink::new(&fixture.graph, &labels, engine_config);
     let docs = fixture.docs();
-    let options = StoreOptions::new().backend(backend);
     let (store, index) =
-        DurableStore::open_with(&engine, dir, &options, || engine.index_corpus(&docs))
+        DurableStore::open_with(&engine, dir, backend, || engine.index_corpus(&docs))
             .expect("open store");
     let durable = DurableState::new(store);
     let index: parking_lot::RwLock<NewsLinkIndex> = parking_lot::RwLock::new(index);

@@ -1,284 +1,51 @@
-//! Binary persistence of inverted indexes.
+//! The on-disk inverted-index section: a columnar, mmap-native layout.
 //!
-//! A versioned, varint-compressed on-disk format in the spirit of Lucene's
-//! index files: the dictionary (terms + document frequencies), the
-//! document-length table, and per-term posting lists in their in-memory
-//! block-compressed form. Round-trips byte-exactly through [`write_index`]
-//! / [`read_index`].
-//!
-//! Version 2 layout (all integers LEB128 unless noted):
+//! This is the BOW/BON index section of a snapshot segment
+//! (`newslink_core::persist`). Every table is fixed-width little-endian
+//! and addressed by offset, so a reader over a memory mapping parses
+//! three small tables and then *slices* the posting data blob in place —
+//! no per-posting decode walk at load time. Layout:
 //!
 //! ```text
-//! magic    "NLIX"           4 raw bytes
-//! version  u8               raw byte (currently 2)
-//! n_terms  varint
-//! terms    n_terms × (len-prefixed UTF-8, doc_freq varint)
-//! n_docs   varint
-//! doc_len  n_docs × varint
-//! postings n_terms × list
-//! list     count varint, then ceil(count / BLOCK_LEN) blocks
-//! block    last_doc varint, max_tf varint, n_bytes varint,
-//!          n_bytes raw delta-coded (doc_delta, tf) varint pairs
+//! header    n_terms u32, n_docs u32, total_len u64,
+//!           term_blob_len u32, n_blocks u32, data_len u32     (28 bytes)
+//! doc_len   n_docs × u32
+//! sorted    n_terms × u32 — term ids in ascending term-byte order
+//! terms     n_terms × {df u32, count u32, term_end u32,
+//!                      block_end u32, data_end u32}           (20 bytes each)
+//! term blob concatenated UTF-8 (term i = blob[term_end[i-1]..term_end[i]])
+//! blocks    n_blocks × {last_doc u32, max_tf u32, offset u32} (12 bytes each)
+//! data      concatenated per-list delta streams                (sliced zero-copy)
 //! ```
 //!
-//! Blocks are persisted exactly as [`crate::inverted::PostingList`] holds
-//! them in memory, so loading a segment is a validated copy, not a
-//! re-encode. Every block is re-decoded on read and checked against its
-//! own metadata (strictly ascending doc ids below `n_docs`, recomputed
-//! `last_doc`/`max_tf` matching, no trailing bytes) so torn or bit-flipped
-//! blocks surface as [`io::ErrorKind::InvalidData`] — which the snapshot
-//! layer maps onto its typed corrupt-frame error.
+//! `*_end` columns are cumulative end offsets; entry `i`'s start is entry
+//! `i-1`'s end. Posting blocks are stored exactly as
+//! [`crate::inverted::PostingList`] holds them in memory (varint
+//! `(doc_delta, tf)` pairs), so loading is a slice, not a re-encode. The
+//! `sorted` permutation lets a reader resolve a term by binary search
+//! over the blob *in place* — no dictionary hashmap needs to exist for a
+//! lookup to work, which is what makes the lazy mapped representation
+//! ([`read_index_columnar_lazy`]) O(1) to open.
 //!
-//! Version 1 (uncompressed delta streams, postings before the doc-length
-//! table) is still readable; writers always emit version 2.
+//! Integrity is the caller's job: the section travels inside a
+//! checksummed segment section of the snapshot. [`read_index_columnar`]
+//! (eager) re-validates everything later slicing relies on (monotone
+//! offsets, in-bounds ends); the lazy reader checks only the
+//! header-derived table extents and trusts the checksum for per-entry
+//! values, clamping offsets on access so even a checksum collision
+//! cannot read out of bounds.
 
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
 use std::sync::OnceLock;
 
-use newslink_util::{varint, Bytes};
+use newslink_util::Bytes;
 
 use crate::dictionary::{TermDictionary, TermId};
-use crate::inverted::{BlockMeta, DocId, InvertedIndex, Posting, PostingList, BLOCK_LEN};
-
-const MAGIC: &[u8; 4] = b"NLIX";
-const VERSION: u8 = 2;
-/// Defensive cap on term length when decoding untrusted input.
-const MAX_TERM_BYTES: usize = 1 << 16;
-/// Defensive cap on one block's byte length: `BLOCK_LEN` pairs of
-/// maximal 5-byte varints, rounded up.
-const MAX_BLOCK_BYTES: usize = BLOCK_LEN * 10 + 16;
+use crate::inverted::{BlockMeta, DocId, InvertedIndex, PostingList, BLOCK_LEN};
 
 fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
-
-/// Serialize `index` to `out`.
-pub fn write_index<W: Write>(index: &InvertedIndex, out: &mut W) -> io::Result<()> {
-    out.write_all(MAGIC)?;
-    out.write_all(&[VERSION])?;
-    let dict = index.dictionary();
-    varint::write_u64(out, dict.len() as u64)?;
-    for t in 0..dict.len() {
-        let term = TermId(t as u32);
-        varint::write_str(out, dict.term(term))?;
-        varint::write_u32(out, dict.doc_freq(term))?;
-    }
-    varint::write_u64(out, index.doc_count() as u64)?;
-    for d in 0..index.doc_count() {
-        varint::write_u32(out, index.doc_len(DocId(d as u32)))?;
-    }
-    for t in 0..dict.len() {
-        let postings = index.postings(TermId(t as u32));
-        varint::write_u64(out, postings.len() as u64)?;
-        for (i, meta) in postings.blocks().iter().enumerate() {
-            let bytes = postings.block_bytes(i);
-            varint::write_u32(out, meta.last_doc)?;
-            varint::write_u32(out, meta.max_tf)?;
-            varint::write_u64(out, bytes.len() as u64)?;
-            out.write_all(bytes)?;
-        }
-    }
-    Ok(())
-}
-
-/// Deserialize an index from `input`.
-pub fn read_index<R: Read>(input: &mut R) -> io::Result<InvertedIndex> {
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut version = [0u8; 1];
-    input.read_exact(&mut version)?;
-    let n_terms = varint::read_u64(input)? as usize;
-    let mut terms = Vec::with_capacity(n_terms.min(1 << 20));
-    let mut doc_freq = Vec::with_capacity(n_terms.min(1 << 20));
-    for _ in 0..n_terms {
-        terms.push(varint::read_str(input, MAX_TERM_BYTES)?);
-        doc_freq.push(varint::read_u32(input)?);
-    }
-    let dict = TermDictionary::from_parts(terms, doc_freq);
-    match version[0] {
-        1 => read_v1_body(input, dict, n_terms),
-        2 => read_v2_body(input, dict, n_terms),
-        v => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported index version {v}"),
-        )),
-    }
-}
-
-/// Version 2 body: doc-length table, then block-compressed lists.
-fn read_v2_body<R: Read>(
-    input: &mut R,
-    dict: TermDictionary,
-    n_terms: usize,
-) -> io::Result<InvertedIndex> {
-    let (doc_len, total_len) = read_doc_lens(input)?;
-    let n_docs = doc_len.len();
-    let mut postings: Vec<PostingList> = Vec::with_capacity(n_terms.min(1 << 20));
-    for _ in 0..n_terms {
-        let count = varint::read_u64(input)? as usize;
-        let n_blocks = count.div_ceil(BLOCK_LEN);
-        let mut data = Vec::new();
-        let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20));
-        let mut prev = 0u32;
-        let mut first = true;
-        for b in 0..n_blocks {
-            let last_doc = varint::read_u32(input)?;
-            let max_tf = varint::read_u32(input)?;
-            let n_bytes = varint::read_u64(input)? as usize;
-            if n_bytes > MAX_BLOCK_BYTES {
-                return Err(corrupt("posting block oversized"));
-            }
-            let mut bytes = vec![0u8; n_bytes];
-            input.read_exact(&mut bytes)?;
-            // Validate the block against its own metadata before trusting
-            // it as an in-memory PostingList block.
-            let block_len = if b + 1 == n_blocks {
-                count - b * BLOCK_LEN
-            } else {
-                BLOCK_LEN
-            };
-            let mut r: &[u8] = &bytes;
-            let mut seen_max_tf = 0u32;
-            // The block's framing was intact, so running out of bytes
-            // mid-decode is corruption, not a short stream.
-            let torn = |_| corrupt("torn posting block");
-            for _ in 0..block_len {
-                let delta = varint::read_u32(&mut r).map_err(torn)?;
-                let tf = varint::read_u32(&mut r).map_err(torn)?;
-                let doc = if first {
-                    first = false;
-                    delta
-                } else {
-                    if delta == 0 {
-                        return Err(corrupt("posting block repeats a doc id"));
-                    }
-                    prev.checked_add(delta)
-                        .ok_or_else(|| corrupt("doc id overflow"))?
-                };
-                if doc as usize >= n_docs {
-                    return Err(corrupt("posting references unknown document"));
-                }
-                seen_max_tf = seen_max_tf.max(tf);
-                prev = doc;
-            }
-            if !r.is_empty() {
-                return Err(corrupt("trailing bytes in posting block"));
-            }
-            if prev != last_doc {
-                return Err(corrupt("posting block last_doc mismatch"));
-            }
-            if seen_max_tf != max_tf {
-                return Err(corrupt("posting block max_tf mismatch"));
-            }
-            let offset = u32::try_from(data.len())
-                .map_err(|_| corrupt("posting list exceeds 4 GiB"))?;
-            blocks.push(BlockMeta {
-                last_doc,
-                max_tf,
-                offset,
-            });
-            data.extend_from_slice(&bytes);
-        }
-        postings.push(PostingList::from_raw_parts(Bytes::from_vec(data), blocks, count));
-    }
-    Ok(InvertedIndex::from_owned_parts(dict, postings, doc_len, total_len))
-}
-
-/// Version 1 body: uncompressed delta streams, then the doc-length table.
-fn read_v1_body<R: Read>(
-    input: &mut R,
-    dict: TermDictionary,
-    n_terms: usize,
-) -> io::Result<InvertedIndex> {
-    let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms.min(1 << 20));
-    for _ in 0..n_terms {
-        let count = varint::read_u64(input)? as usize;
-        let mut list = Vec::with_capacity(count.min(1 << 20));
-        let mut prev = 0u32;
-        for i in 0..count {
-            let delta = varint::read_u32(input)?;
-            let tf = varint::read_u32(input)?;
-            let doc = if i == 0 {
-                delta
-            } else {
-                prev.checked_add(delta)
-                    .ok_or_else(|| corrupt("doc id overflow"))?
-            };
-            list.push(Posting {
-                doc: DocId(doc),
-                tf,
-            });
-            prev = doc;
-        }
-        lists.push(list);
-    }
-    let (doc_len, total_len) = read_doc_lens(input)?;
-    // Structural validation: postings must reference existing docs.
-    for list in &lists {
-        if let Some(last) = list.last() {
-            if last.doc.index() >= doc_len.len() {
-                return Err(corrupt("posting references unknown document"));
-            }
-        }
-    }
-    Ok(InvertedIndex::from_owned_parts(
-        dict,
-        lists.iter().map(|l| PostingList::from_postings(l)).collect(),
-        doc_len,
-        total_len,
-    ))
-}
-
-fn read_doc_lens<R: Read>(input: &mut R) -> io::Result<(Vec<u32>, u64)> {
-    let n_docs = varint::read_u64(input)? as usize;
-    let mut doc_len = Vec::with_capacity(n_docs.min(1 << 24));
-    let mut total_len = 0u64;
-    for _ in 0..n_docs {
-        let l = varint::read_u32(input)?;
-        total_len += u64::from(l);
-        doc_len.push(l);
-    }
-    Ok((doc_len, total_len))
-}
-
-// ---------------------------------------------------------------------------
-// Columnar (mmap-native) layout — the inverted-index section of segment
-// format v4 (`newslink_core::persist`).
-//
-// Unlike the varint stream above, every table here is fixed-width
-// little-endian and addressed by offset, so a reader over a memory
-// mapping parses three small tables and then *slices* the posting data
-// blob in place — no per-posting decode walk at load time. Layout:
-//
-// ```text
-// header    n_terms u32, n_docs u32, total_len u64,
-//           term_blob_len u32, n_blocks u32, data_len u32     (28 bytes)
-// doc_len   n_docs × u32
-// sorted    n_terms × u32 — term ids in ascending term-byte order
-// terms     n_terms × {df u32, count u32, term_end u32,
-//                      block_end u32, data_end u32}           (20 bytes each)
-// term blob concatenated UTF-8 (term i = blob[term_end[i-1]..term_end[i]])
-// blocks    n_blocks × {last_doc u32, max_tf u32, offset u32} (12 bytes each)
-// data      concatenated per-list delta streams                (sliced zero-copy)
-// ```
-//
-// `*_end` columns are cumulative end offsets; entry `i`'s start is entry
-// `i-1`'s end. The `sorted` permutation lets a reader resolve a term
-// by binary search over the blob *in place* — no dictionary hashmap
-// needs to exist for a lookup to work, which is what makes the lazy
-// mapped representation ([`read_index_columnar_lazy`]) O(1) to open.
-//
-// Integrity is the caller's job: the section travels inside a
-// CRC-framed block of the v4 snapshot. `read_index_columnar` (eager)
-// re-validates everything later slicing relies on (monotone offsets,
-// in-bounds ends); the lazy reader checks only the header-derived table
-// extents and trusts the CRC for per-entry values, clamping offsets on
-// access so even a CRC collision cannot read out of bounds.
-// ---------------------------------------------------------------------------
 
 /// Fixed-width byte cost of one term-table entry.
 const TERM_ENTRY_BYTES: usize = 20;
@@ -746,19 +513,6 @@ impl MappedColumnar {
     }
 }
 
-/// Save an index to a file.
-pub fn save_index(index: &InvertedIndex, path: &Path) -> io::Result<()> {
-    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-    write_index(index, &mut f)?;
-    f.flush()
-}
-
-/// Load an index from a file.
-pub fn load_index(path: &Path) -> io::Result<InvertedIndex> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_index(&mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,236 +528,6 @@ mod tests {
         b.add_document::<&str>(&[]);
         b.add_document(&["swat", "valley", "clashes"]);
         b.build()
-    }
-
-    #[test]
-    fn round_trip_preserves_structure() {
-        let idx = sample();
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let back = read_index(&mut &buf[..]).unwrap();
-        assert_eq!(back.doc_count(), idx.doc_count());
-        assert_eq!(back.avg_doc_len(), idx.avg_doc_len());
-        let d = idx.dictionary();
-        let bd = back.dictionary();
-        assert_eq!(bd.len(), d.len());
-        for t in 0..d.len() {
-            let term = TermId(t as u32);
-            assert_eq!(bd.term(term), d.term(term));
-            assert_eq!(bd.doc_freq(term), d.doc_freq(term));
-            assert_eq!(back.postings(term), idx.postings(term));
-        }
-        assert_eq!(bd.doc_freq_slice(), d.doc_freq_slice());
-    }
-
-    #[test]
-    fn round_trip_preserves_multi_block_lists() {
-        // Enough docs sharing a term that its list spans several blocks.
-        let mut b = IndexBuilder::new();
-        for i in 0..1000u32 {
-            if i % 3 == 0 {
-                b.add_document(&["common", "filler"]);
-            } else {
-                b.add_document(&["common"]);
-            }
-        }
-        let idx = b.build();
-        assert!(idx.postings_for("common").blocks().len() > 1);
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let back = read_index(&mut &buf[..]).unwrap();
-        assert_eq!(back.postings_for("common"), idx.postings_for("common"));
-        assert_eq!(back.postings_for("filler"), idx.postings_for("filler"));
-    }
-
-    #[test]
-    fn round_trip_preserves_scores() {
-        let mut rng = DetRng::new(7);
-        let mut b = IndexBuilder::new();
-        for _ in 0..200 {
-            let len = rng.range(2, 20);
-            let terms: Vec<String> =
-                (0..len).map(|_| format!("w{}", rng.zipf(60, 1.3))).collect();
-            b.add_document(&terms);
-        }
-        let idx = b.build();
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let back = read_index(&mut &buf[..]).unwrap();
-        let s1 = Searcher::new(&idx, Bm25::default());
-        let s2 = Searcher::new(&back, Bm25::default());
-        for q in [vec!["w0", "w3"], vec!["w1"], vec!["w2", "w2", "w7"]] {
-            let a = s1.search(&q, 10);
-            let b = s2.search(&q, 10);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.doc, y.doc);
-                assert!((x.score - y.score).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_index_round_trips() {
-        let idx = IndexBuilder::new().build();
-        let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
-        let back = read_index(&mut &buf[..]).unwrap();
-        assert_eq!(back.doc_count(), 0);
-        assert_eq!(back.dictionary().len(), 0);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        write_index(&sample(), &mut buf).unwrap();
-        buf[0] = b'X';
-        assert!(read_index(&mut &buf[..]).is_err());
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_index(&sample(), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(read_index(&mut &buf[..]).is_err());
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let mut buf = Vec::new();
-        write_index(&sample(), &mut buf).unwrap();
-        for cut in [3, 5, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                read_index(&mut &buf[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
-    }
-
-    /// A hand-encoded v2 header: magic, version, one term `t` with the
-    /// given doc_freq, `doc_lens`, ready for a postings section.
-    fn v2_prefix(doc_lens: &[u32], doc_freq: u32) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(2);
-        varint::write_u64(&mut buf, 1).unwrap();
-        varint::write_str(&mut buf, "t").unwrap();
-        varint::write_u32(&mut buf, doc_freq).unwrap();
-        varint::write_u64(&mut buf, doc_lens.len() as u64).unwrap();
-        for &l in doc_lens {
-            varint::write_u32(&mut buf, l).unwrap();
-        }
-        buf
-    }
-
-    /// Append one posting block with explicit metadata and raw bytes.
-    fn push_block(buf: &mut Vec<u8>, last_doc: u32, max_tf: u32, bytes: &[u8]) {
-        varint::write_u32(buf, last_doc).unwrap();
-        varint::write_u32(buf, max_tf).unwrap();
-        varint::write_u64(buf, bytes.len() as u64).unwrap();
-        buf.extend_from_slice(bytes);
-    }
-
-    fn expect_corrupt(buf: &[u8], what: &str) {
-        let err = read_index(&mut &buf[..]).expect_err(what);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-    }
-
-    #[test]
-    fn torn_block_rejected() {
-        // Block claims two postings but its bytes hold only one pair.
-        let mut buf = v2_prefix(&[1, 1], 2);
-        varint::write_u64(&mut buf, 2).unwrap(); // count = 2
-        push_block(&mut buf, 1, 1, &[0x00, 0x01]); // only (delta=0, tf=1)
-        expect_corrupt(&buf, "torn block must be rejected");
-    }
-
-    #[test]
-    fn bad_varint_in_block_rejected() {
-        // 0xFF runs forever as a varint continuation: decode must bail.
-        let mut buf = v2_prefix(&[1, 1], 2);
-        varint::write_u64(&mut buf, 2).unwrap();
-        push_block(&mut buf, 1, 1, &[0xFF; 12]);
-        expect_corrupt(&buf, "bad varint must be rejected");
-    }
-
-    #[test]
-    fn duplicate_doc_in_block_rejected() {
-        // Second delta of 0 would repeat doc 0.
-        let mut buf = v2_prefix(&[1, 1], 2);
-        varint::write_u64(&mut buf, 2).unwrap();
-        push_block(&mut buf, 0, 1, &[0x00, 0x01, 0x00, 0x01]);
-        expect_corrupt(&buf, "repeated doc id must be rejected");
-    }
-
-    #[test]
-    fn block_metadata_mismatch_rejected() {
-        // Content decodes to docs {0, 1} tf 1, but metadata lies.
-        let content: &[u8] = &[0x00, 0x01, 0x01, 0x01];
-        for (last_doc, max_tf) in [(2u32, 1u32), (1, 9)] {
-            let mut buf = v2_prefix(&[1, 1], 2);
-            varint::write_u64(&mut buf, 2).unwrap();
-            push_block(&mut buf, last_doc, max_tf, content);
-            expect_corrupt(&buf, "metadata mismatch must be rejected");
-        }
-    }
-
-    #[test]
-    fn unknown_document_in_block_rejected() {
-        // Posting for doc 5 with only 2 documents in the table.
-        let mut buf = v2_prefix(&[1, 1], 1);
-        varint::write_u64(&mut buf, 1).unwrap();
-        push_block(&mut buf, 5, 1, &[0x05, 0x01]);
-        expect_corrupt(&buf, "out-of-range doc must be rejected");
-    }
-
-    #[test]
-    fn trailing_bytes_in_block_rejected() {
-        let mut buf = v2_prefix(&[1, 1], 1);
-        varint::write_u64(&mut buf, 1).unwrap();
-        push_block(&mut buf, 0, 1, &[0x00, 0x01, 0x07]);
-        expect_corrupt(&buf, "trailing block bytes must be rejected");
-    }
-
-    #[test]
-    fn v1_stream_still_readable() {
-        // Hand-encode the index `sample()` produces in the version-1
-        // layout (postings as one uncompressed delta stream, doc-length
-        // table last) and check it decodes equal to the v2 round-trip.
-        let idx = sample();
-        let dict = idx.dictionary();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(1);
-        varint::write_u64(&mut buf, dict.len() as u64).unwrap();
-        for t in 0..dict.len() {
-            let term = TermId(t as u32);
-            varint::write_str(&mut buf, dict.term(term)).unwrap();
-            varint::write_u32(&mut buf, dict.doc_freq(term)).unwrap();
-        }
-        for t in 0..dict.len() {
-            let postings = idx.postings(TermId(t as u32)).to_vec();
-            varint::write_u64(&mut buf, postings.len() as u64).unwrap();
-            let mut prev = 0u32;
-            for p in postings {
-                varint::write_u32(&mut buf, p.doc.0 - prev).unwrap();
-                varint::write_u32(&mut buf, p.tf).unwrap();
-                prev = p.doc.0;
-            }
-        }
-        varint::write_u64(&mut buf, idx.doc_count() as u64).unwrap();
-        for d in 0..idx.doc_count() {
-            varint::write_u32(&mut buf, idx.doc_len(DocId(d as u32))).unwrap();
-        }
-
-        let back = read_index(&mut &buf[..]).unwrap();
-        assert_eq!(back.doc_count(), idx.doc_count());
-        assert_eq!(back.avg_doc_len(), idx.avg_doc_len());
-        for t in 0..dict.len() {
-            let term = TermId(t as u32);
-            assert_eq!(back.postings(term), idx.postings(term));
-        }
     }
 
     fn assert_index_eq(a: &InvertedIndex, b: &InvertedIndex) {
@@ -1125,31 +649,21 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
-        let idx = sample();
-        let dir = std::env::temp_dir().join("newslink_codec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.nlix");
-        save_index(&idx, &path).unwrap();
-        let back = load_index(&path).unwrap();
-        assert_eq!(back.doc_count(), 4);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn compression_is_effective_on_dense_postings() {
-        // 1000 docs sharing one term: deltas of 1 → ~2 bytes/posting.
+        // 1000 docs sharing one term: deltas of 1 → ~2 bytes/posting in
+        // the posting data. The whole section is not the measure: it
+        // also carries a 4-byte-per-doc length table.
         let mut b = IndexBuilder::new();
         for _ in 0..1000 {
             b.add_document(&["common"]);
         }
         let idx = b.build();
         let mut buf = Vec::new();
-        write_index(&idx, &mut buf).unwrap();
+        write_index_columnar(&idx, &mut buf).unwrap();
+        let data_len = u32::from_le_bytes(buf[24..28].try_into().unwrap());
         assert!(
-            buf.len() < 1000 * 4,
-            "expected delta compression, got {} bytes",
-            buf.len()
+            data_len < 1000 * 4,
+            "expected delta compression, got {data_len} posting bytes"
         );
     }
 }

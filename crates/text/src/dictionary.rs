@@ -39,12 +39,6 @@ impl TermDictionary {
             doc_freq,
         }
     }
-
-    /// Set a term's document frequency (codec use).
-    #[cfg(test)]
-    pub(crate) fn doc_freq_slice(&self) -> &[u32] {
-        &self.doc_freq
-    }
 }
 
 impl TermDictionary {

@@ -178,7 +178,7 @@ impl PostingList {
         &self.blocks
     }
 
-    /// The raw delta bytes of block `i` (codec write path).
+    /// The raw delta bytes of block `i` (cursor decode path).
     pub(crate) fn block_bytes(&self, i: usize) -> &[u8] {
         let start = self.blocks[i].offset as usize;
         let end = self

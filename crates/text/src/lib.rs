@@ -9,7 +9,7 @@
 //! - [`inverted`] / [`dictionary`] — the immutable index and its builder;
 //! - [`score`] / [`search`] — BM25 / TF-IDF and the exhaustive scorer;
 //! - [`maxscore`] — the block-max pruned top-k evaluator;
-//! - [`codec`] — the binary index formats.
+//! - [`codec`] — the columnar on-disk index section.
 //!
 //! Segments, tombstones and live updates live one layer up, in
 //! `newslink-core`'s `NewsLinkIndex`.
@@ -29,9 +29,6 @@ pub use inverted::{
     PostingIter, PostingList, BLOCK_LEN,
 };
 pub use score::{Bm25, Scorer, TfIdfCosine};
-pub use codec::{
-    load_index, read_index, read_index_columnar, read_index_columnar_lazy, save_index,
-    write_index, write_index_columnar,
-};
+pub use codec::{read_index_columnar, read_index_columnar_lazy, write_index_columnar};
 pub use maxscore::{blended_scan, maxscore_search, maxscore_search_with, PruneStats, SideSpec};
 pub use search::{query_tf, score_segment, Hit, Searcher};

@@ -41,6 +41,7 @@ fi
 # segment_prop: sharded, tombstoned, inserted and compacted layouts rank like the monolith.
 # crash_recovery: a crash at any write offset never loses an acked write or half-applies one.
 # durability_e2e: restart recovery, degraded /healthz, /admin/snapshot.
+# snapshot_backends: heap and mmap load one snapshot bit-identically; an old-version data dir is refused typed and untouched.
 # prune_prop: the block-max pruned evaluator is bit-identical to the exhaustive oracle.
 # fst_prop: the FST label automaton matches the HashMap oracle, end to end.
 # cluster_prop: a router over real shard servers merges like one in-process search.
