@@ -80,10 +80,6 @@ pub struct NewsLinkConfig {
     pub threads: usize,
     /// Shared traversal/embedding cache sizing.
     pub cache: CacheConfig,
-    /// Normalize BOW/BON score maps by their maxima before blending so β
-    /// weights two comparable [0, 1] signals. (The paper blends Lucene
-    /// scores; normalization pins the β semantics across index scales.)
-    pub normalize_scores: bool,
     /// Documents per immutable index segment at build time. `0` (the
     /// default) seals the whole corpus into one segment — the
     /// pre-segmentation behaviour. Smaller segments build in parallel
@@ -113,7 +109,6 @@ impl Default for NewsLinkConfig {
             search: SearchConfig::default(),
             threads: 1,
             cache: CacheConfig::default(),
-            normalize_scores: true,
             segment_docs: 0,
             prune_topk: true,
             max_segments: 8,
@@ -210,7 +205,6 @@ mod tests {
         let c = NewsLinkConfig::default();
         assert_eq!(c.beta, 0.2);
         assert_eq!(c.model, EmbeddingModel::Lcag);
-        assert!(c.normalize_scores);
         assert_eq!(c.segment_docs, 0, "single segment by default");
         assert_eq!(c.max_segments, 8);
         assert!(c.prune_topk, "pruned evaluator on by default");

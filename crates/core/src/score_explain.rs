@@ -42,7 +42,7 @@ pub struct SideExplanation {
     /// Raw accumulated score.
     pub raw: f64,
     /// The normalization divisor (the side's maximum over all candidates),
-    /// 0 when normalization is off or the side is empty.
+    /// 0 when the side is inactive or empty.
     pub max_raw: f64,
     /// The normalized value entering the blend.
     pub normalized: f64,
@@ -151,10 +151,9 @@ fn side_contributions(
 
 /// Explain the blended score of `doc` for `query_text`.
 ///
-/// Runs the same NLP/NE path as [`crate::searcher::search`] and, when
-/// `config.normalize_scores` is on, recomputes each side's normalization
-/// divisor over the whole candidate set so the reported numbers match the
-/// ranking exactly.
+/// Runs the same NLP/NE path as [`crate::searcher::search`] and
+/// recomputes each side's normalization divisor over the whole candidate
+/// set so the reported numbers match the ranking exactly.
 pub fn explain_score(
     graph: &KnowledgeGraph,
     label_index: &LabelIndex,
@@ -194,25 +193,23 @@ pub fn explain_score(
         SideExplanation::default()
     };
 
-    if config.normalize_scores {
-        let side_max = |side: Side, terms: &[String]| -> f64 {
-            index
-                .score_side_parts(side, match side {
-                    Side::Bow => bow_scorer,
-                    Side::Bon => bon_scorer,
-                }, terms)
-                .iter()
-                .flat_map(|m| m.values().copied())
-                .fold(0.0, f64::max)
-        };
-        if beta < 1.0 {
-            bow.max_raw = side_max(Side::Bow, &artifacts.analysis.terms);
-            bow.normalized = if bow.max_raw > 0.0 { bow.raw / bow.max_raw } else { 0.0 };
-        }
-        if beta > 0.0 {
-            bon.max_raw = side_max(Side::Bon, &bon_query);
-            bon.normalized = if bon.max_raw > 0.0 { bon.raw / bon.max_raw } else { 0.0 };
-        }
+    let side_max = |side: Side, terms: &[String]| -> f64 {
+        index
+            .score_side_parts(side, match side {
+                Side::Bow => bow_scorer,
+                Side::Bon => bon_scorer,
+            }, terms)
+            .iter()
+            .flat_map(|m| m.values().copied())
+            .fold(0.0, f64::max)
+    };
+    if beta < 1.0 {
+        bow.max_raw = side_max(Side::Bow, &artifacts.analysis.terms);
+        bow.normalized = if bow.max_raw > 0.0 { bow.raw / bow.max_raw } else { 0.0 };
+    }
+    if beta > 0.0 {
+        bon.max_raw = side_max(Side::Bon, &bon_query);
+        bon.normalized = if bon.max_raw > 0.0 { bon.raw / bon.max_raw } else { 0.0 };
     }
 
     ScoreExplanation {

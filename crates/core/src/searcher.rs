@@ -32,9 +32,9 @@ pub struct SearchResult {
     pub doc: DocId,
     /// The blended score `F`.
     pub score: f64,
-    /// The BOW component (already normalized if configured).
+    /// The BOW component, max-normalized.
     pub bow: f64,
-    /// The BON component (already normalized if configured).
+    /// The BON component, max-normalized.
     pub bon: f64,
 }
 
@@ -143,13 +143,7 @@ pub(crate) fn run_query(
         // Block-max pruned blended top-k straight off the posting cursors
         // (bit-identical to the exhaustive oracle below — the escape
         // hatch is `with_prune_topk(false)`).
-        let (ranked, stats) = index.blended_topk(
-            beta,
-            &terms,
-            &bon_terms(&embedding),
-            config.normalize_scores,
-            k,
-        );
+        let (ranked, stats) = index.blended_topk(beta, &terms, &bon_terms(&embedding), k);
         prune = stats;
         ranked
             .into_iter()
@@ -180,10 +174,10 @@ pub(crate) fn run_query(
         } else {
             Vec::new()
         };
-        if config.normalize_scores {
-            max_normalize_parts(&mut bow_parts);
-            max_normalize_parts(&mut bon_parts);
-        }
+        // Each side is divided by its maximum before the Equation 3
+        // blend, so β weights two comparable [0, 1] signals.
+        max_normalize_parts(&mut bow_parts);
+        max_normalize_parts(&mut bon_parts);
 
         // Per-segment blended top-k, then a top-k merge in segment
         // order. Segment ranges ascend and `TopK` favors earlier

@@ -152,8 +152,8 @@ pub struct SideOverlay<'a> {
     /// Cluster-wide live document frequency of each term, aligned with
     /// `terms` (0 for terms no live document carries).
     pub df: &'a [u32],
-    /// Normalization divisor (1.0 when normalization is off or the
-    /// side's global maximum raw score was not positive).
+    /// Normalization divisor (1.0 when the side's global maximum raw
+    /// score was not positive).
     pub norm: f64,
 }
 
@@ -768,20 +768,18 @@ impl NewsLinkIndex {
     /// candidate can survive the merge (see [`blended_scan`] for why the
     /// skip is exact).
     ///
-    /// With `normalize` set, each active side's global maximum is found
-    /// first by a cheap pruned top-1 pass, then used as that side's
-    /// divisor in the main scan — reproducing the exhaustive
-    /// max-normalization exactly (a max over a set is feed-order
-    /// independent, so sharing the top-1 heap across segments is safe
-    /// there). Returns `(score, (doc, bow, bon))` tuples sorted by
-    /// descending score plus the pruning work counters.
+    /// Each active side's global maximum is found first by a cheap pruned
+    /// top-1 pass, then used as that side's divisor in the main scan —
+    /// reproducing the exhaustive max-normalization exactly (a max over a
+    /// set is feed-order independent, so sharing the top-1 heap across
+    /// segments is safe there). Returns `(score, (doc, bow, bon))` tuples
+    /// sorted by descending score plus the pruning work counters.
     #[allow(clippy::type_complexity)]
     pub(crate) fn blended_topk(
         &self,
         beta: f64,
         bow_terms: &[String],
         bon_terms: &[String],
-        normalize: bool,
         k: usize,
     ) -> (Vec<(f64, (DocId, f64, f64))>, PruneStats) {
         let mut prune = PruneStats::default();
@@ -791,12 +789,10 @@ impl NewsLinkIndex {
         let bon_bm25 = Bm25 { k1: 1.2, b: 0.0 };
         let mut bow = self.side_work(Side::Bow, Bm25::default(), bow_terms, beta < 1.0);
         let mut bon = self.side_work(Side::Bon, bon_bm25, bon_terms, beta > 0.0);
-        if normalize {
-            for w in [&mut bow, &mut bon].into_iter().flatten() {
-                let max = self.side_top1(w, &mut prune);
-                if max > 0.0 {
-                    w.norm = max;
-                }
+        for w in [&mut bow, &mut bon].into_iter().flatten() {
+            let max = self.side_top1(w, &mut prune);
+            if max > 0.0 {
+                w.norm = max;
             }
         }
         let ranked =
@@ -1212,7 +1208,7 @@ mod tests {
             assert!(mono.delete(DocId(1)));
             assert!(shards[(1 % shard_count) as usize].delete(DocId(1)));
             for beta in [0.0, 0.2, 1.0] {
-                let expected = mono.blended_topk(beta, &bow_terms, &bon_terms, true, k).0;
+                let expected = mono.blended_topk(beta, &bow_terms, &bon_terms, k).0;
 
                 // Phase 1: exact integer sums of per-shard statistics.
                 let mut totals = [(CollectionStats::default(), vec![0u32; bow_terms.len()]),

@@ -150,17 +150,15 @@ proptest! {
 
     /// The pruned evaluator returns the same `SearchResult` vector as
     /// the exhaustive oracle, bit for bit, across the whole configuration
-    /// surface: β ∈ {0, 0.3, 1}, normalization on/off, one worker thread
-    /// or auto (the `newslink serve` setting), one to four segments, with
-    /// and without tombstones, and k from 1 up to well past the corpus
-    /// size.
+    /// surface: β ∈ {0, 0.3, 1}, one worker thread or auto (the
+    /// `newslink serve` setting), one to four segments, with and without
+    /// tombstones, and k from 1 up to well past the corpus size.
     #[test]
     fn pruned_path_is_bit_identical_to_exhaustive(
         docs in corpus_strategy(),
         query in query_strategy(),
         beta_i in 0usize..3,
         k_i in 0usize..3,
-        normalize in any::<bool>(),
         auto_threads in any::<bool>(),
         segment_docs in 0usize..4,
         do_delete in any::<bool>(),
@@ -175,7 +173,6 @@ proptest! {
         if auto_threads {
             pruned_cfg = pruned_cfg.with_auto_threads();
         }
-        pruned_cfg.normalize_scores = normalize;
         prop_assert!(pruned_cfg.prune_topk, "pruning must be the default");
         let oracle_cfg = pruned_cfg.clone().with_prune_topk(false);
 
@@ -196,16 +193,16 @@ proptest! {
         prop_assert_eq!(
             pruned.results.len(),
             oracle.results.len(),
-            "result count (β={} k={} norm={} threads={} segdocs={})",
-            beta, k, normalize, pruned_cfg.threads, segment_docs
+            "result count (β={} k={} threads={} segdocs={})",
+            beta, k, pruned_cfg.threads, segment_docs
         );
         for (x, y) in pruned.results.iter().zip(&oracle.results) {
             prop_assert_eq!(x.doc, y.doc, "doc order for β={} k={}", beta, k);
             prop_assert_eq!(
                 x.score.to_bits(),
                 y.score.to_bits(),
-                "score bits for doc {} (β={} k={} norm={} threads={} segdocs={})",
-                x.doc.0, beta, k, normalize, pruned_cfg.threads, segment_docs
+                "score bits for doc {} (β={} k={} threads={} segdocs={})",
+                x.doc.0, beta, k, pruned_cfg.threads, segment_docs
             );
             prop_assert_eq!(x.bow.to_bits(), y.bow.to_bits(), "bow bits for doc {}", x.doc.0);
             prop_assert_eq!(x.bon.to_bits(), y.bon.to_bits(), "bon bits for doc {}", x.doc.0);

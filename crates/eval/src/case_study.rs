@@ -56,11 +56,7 @@ pub fn run_case_study(ctx: &EvalContext) -> Option<CaseStudy> {
     let config = NewsLinkConfig::default()
         .with_beta(1.0)
         .with_model(EmbeddingModel::Lcag)
-        .with_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
+        .with_auto_threads();
     let index =
         newslink_core::index_corpus(&ctx.world.graph, &ctx.label_index, &config, &ctx.texts);
     let nlp = NlpPipeline::new(&ctx.world.graph, &ctx.label_index);

@@ -28,7 +28,7 @@ pub struct QueryCase {
 pub enum EvalScale {
     /// Tiny: unit-test sized (small world, ~80 docs).
     Tiny,
-    /// Default bench scale (medium world, ~600 docs per corpus).
+    /// Default `repro` scale (medium world, ~600 docs per corpus).
     Small,
     /// Fuller run (medium world, ~2400 docs).
     Medium,
@@ -85,6 +85,8 @@ pub struct EvalContext {
     pub bow_index: InvertedIndex,
     /// The master seed.
     pub seed: u64,
+    /// The scale the fixture was built at.
+    pub scale: EvalScale,
 }
 
 impl EvalContext {
@@ -112,6 +114,7 @@ impl EvalContext {
             doc_terms,
             bow_index: ib.build(),
             seed,
+            scale,
         }
     }
 
@@ -137,6 +140,33 @@ impl EvalContext {
         }
         out
     }
+}
+
+/// The fixed seed the recorded CNN-flavor experiments use.
+pub const CNN_SEED: u64 = 1101;
+/// Kaggle-flavor fixture seed.
+pub const KAGGLE_SEED: u64 = 2202;
+
+/// Build the CNN-flavor fixture the recorded experiments use.
+pub fn cnn_context(scale: EvalScale) -> EvalContext {
+    EvalContext::build(CorpusFlavor::CnnLike, scale, CNN_SEED)
+}
+
+/// Build the Kaggle-flavor fixture the recorded experiments use.
+pub fn kaggle_context(scale: EvalScale) -> EvalContext {
+    EvalContext::build(CorpusFlavor::KaggleLike, scale, KAGGLE_SEED)
+}
+
+/// Print the standard experiment banner.
+pub fn banner(name: &str, ctx: &EvalContext) {
+    println!(
+        "\n### {name} | corpus={} docs={} kg_nodes={} kg_edges={} scale={:?}",
+        ctx.corpus.flavor.name(),
+        ctx.corpus.len(),
+        ctx.world.graph.node_count(),
+        ctx.world.graph.edge_count(),
+        ctx.scale,
+    );
 }
 
 #[cfg(test)]

@@ -7,10 +7,12 @@
 //! - [`runner`] — per-table experiment runners;
 //! - [`user_study`] — the simulated panel of Figure 5;
 //! - [`case_study`] — the worked example of Figure 6 / Tables I, II, VI;
+//! - [`ablation`] — the G* coverage and edge-weighting ablations;
 //! - [`tables`] — paper-style text rendering.
 
 #![deny(unsafe_code)]
 
+pub mod ablation;
 pub mod case_study;
 pub mod context;
 pub mod methods;
@@ -21,8 +23,11 @@ pub mod significance;
 pub mod tables;
 pub mod user_study;
 
+pub use ablation::{run_ablation_coverage, run_ablation_weights, AblationResult};
 pub use case_study::{run_case_study, CaseStudy};
-pub use context::{EvalContext, EvalScale, QueryCase};
+pub use context::{
+    banner, cnn_context, kaggle_context, EvalContext, EvalScale, QueryCase, CNN_SEED, KAGGLE_SEED,
+};
 pub use methods::{
     Doc2VecMethod, LdaMethod, LuceneMethod, NewsLinkMethod, QeprfMethod, SbertMethod,
     SearchMethod,

@@ -206,18 +206,15 @@ pub struct NewsLinkMethod<'c> {
 impl<'c> NewsLinkMethod<'c> {
     /// Embed and index the fixture's corpus under `model` with weight β.
     pub fn new(ctx: &'c EvalContext, beta: f64, model: EmbeddingModel) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let config = NewsLinkConfig::default()
             .with_beta(beta)
             .with_model(model)
-            .with_threads(threads);
+            .with_auto_threads();
         Self::with_config(ctx, config)
     }
 
-    /// Embed and index under an explicit configuration (used by ablation
-    /// benches, e.g. the `single_path` width ablation).
+    /// Embed and index under an explicit configuration (used by the
+    /// ablations, e.g. the `single_path` width ablation).
     pub fn with_config(ctx: &'c EvalContext, config: NewsLinkConfig) -> Self {
         let index = newslink_core::index_corpus(
             &ctx.world.graph,

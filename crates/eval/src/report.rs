@@ -1,10 +1,11 @@
 //! Machine-readable experiment reports.
 //!
-//! Besides the paper-style text tables, every bench target can dump its
-//! raw results as JSON so downstream analysis (plotting, regression
-//! tracking across commits) does not have to scrape stdout. Reports are
-//! written when the `NEWSLINK_REPORT_DIR` environment variable names a
-//! directory.
+//! Besides the paper-style text tables, every `repro` example target can
+//! dump its raw results as JSON so downstream analysis (plotting,
+//! regression tracking across commits) does not have to scrape stdout.
+//! Reports are written when the `NEWSLINK_REPORT_DIR` environment
+//! variable names a directory; `tests/paper_tables.rs` pins the Tiny
+//! ones byte for byte.
 
 use std::path::{Path, PathBuf};
 

@@ -120,11 +120,7 @@ pub fn build_pairs(ctx: &EvalContext, n_pairs: usize) -> Vec<PairFeatures> {
     let config = NewsLinkConfig::default()
         .with_beta(1.0)
         .with_model(EmbeddingModel::Lcag)
-        .with_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
+        .with_auto_threads();
     let index =
         newslink_core::index_corpus(&ctx.world.graph, &ctx.label_index, &config, &ctx.texts);
     let mut pairs = Vec::new();

@@ -463,7 +463,7 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
 }
 
 /// Phases 1–2: sum the shards' statistics into the cluster-wide overlay
-/// and, with normalization on, fold the shard maxima into its divisors.
+/// and fold the shard maxima into its divisors.
 /// Returns the overlay and the top-1 passes' pruning work.
 fn overlay_phases(
     analysis: &QueryAnalysis,
@@ -517,32 +517,30 @@ fn overlay_phases(
     // Phase 2: normalization divisors — each side's global maximum raw
     // score is the max over shard maxima.
     let mut prune = PruneStats::default();
-    if ctx.engine.config().normalize_scores {
-        let top1_request = Top1Request {
-            beta_bits,
-            bow: bow.clone(),
-            bon: bon.clone(),
-        };
-        let body = serde_json::to_string(&top1_request).unwrap_or_default();
-        let tops: Vec<Option<Top1Response>> =
-            scatter(ctx.cluster, alive, "/internal/top1", |_| body.as_str(), deadline);
-        for (generation, top) in generations.iter_mut().zip(&tops) {
-            if top.as_ref().map(|t| t.generation) != *generation {
-                *generation = None;
-            }
+    let top1_request = Top1Request {
+        beta_bits,
+        bow: bow.clone(),
+        bon: bon.clone(),
+    };
+    let body = serde_json::to_string(&top1_request).unwrap_or_default();
+    let tops: Vec<Option<Top1Response>> =
+        scatter(ctx.cluster, alive, "/internal/top1", |_| body.as_str(), deadline);
+    for (generation, top) in generations.iter_mut().zip(&tops) {
+        if top.as_ref().map(|t| t.generation) != *generation {
+            *generation = None;
         }
-        let (mut bow_max, mut bon_max) = (0.0f64, 0.0f64);
-        for t in tops.into_iter().flatten() {
-            bow_max = bow_max.max(f64_from_bits(t.bow_max_bits));
-            bon_max = bon_max.max(f64_from_bits(t.bon_max_bits));
-            prune.add(&t.prune);
-        }
-        if bow_max > 0.0 {
-            bow.norm_bits = f64_bits(bow_max);
-        }
-        if bon_max > 0.0 {
-            bon.norm_bits = f64_bits(bon_max);
-        }
+    }
+    let (mut bow_max, mut bon_max) = (0.0f64, 0.0f64);
+    for t in tops.into_iter().flatten() {
+        bow_max = bow_max.max(f64_from_bits(t.bow_max_bits));
+        bon_max = bon_max.max(f64_from_bits(t.bon_max_bits));
+        prune.add(&t.prune);
+    }
+    if bow_max > 0.0 {
+        bow.norm_bits = f64_bits(bow_max);
+    }
+    if bon_max > 0.0 {
+        bon.norm_bits = f64_bits(bon_max);
     }
     (Overlay { bow, bon, generations }, prune)
 }

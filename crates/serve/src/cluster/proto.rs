@@ -8,9 +8,8 @@
 //!    document frequencies for the query's terms. Integer sums, so the
 //!    router's totals equal the monolithic values in any reply order.
 //! 2. `/internal/top1` — each shard's maximum raw score per side under
-//!    the summed overlay (only when normalization is on). `max` over a
-//!    set is feed-order independent, so folding the shard maxima equals
-//!    the in-process global top-1.
+//!    the summed overlay. `max` over a set is feed-order independent, so
+//!    folding the shard maxima equals the in-process global top-1.
 //! 3. `/internal/search` — the pruned blended top-k under the full
 //!    overlay (stats + df + normalization divisors), plus optional
 //!    explanations.

@@ -350,6 +350,35 @@ fn resets_fail_over_bit_identical() {
     });
 }
 
+/// Hedged reads around one slow replica: the delayed replica is listed
+/// first, so it is every read's primary; after 3 ms the router races a
+/// budget-paid hedge at the healthy sibling and takes whichever answers
+/// first. Answers stay bit-identical, hedges both launch and win, and
+/// amplification stays inside the budget. Latency is not asserted.
+#[test]
+fn hedged_reads_beat_a_slow_primary_bit_identical() {
+    let slow = FaultPlan::always(Fault::Delay {
+        ms: 15,
+        jitter_ms: 5,
+    });
+    let plans = vec![vec![Some(slow), None]];
+    let cfg = ResilienceConfig {
+        hedge_after_ms: Some(3),
+        retry_budget: 2.0,
+        ..Default::default()
+    };
+    with_chaos_cluster(plans, cfg, None, |ctx| {
+        assert_bit_identical(ctx);
+        let res = ctx.resilience_metrics();
+        let counter = |k: &str| res.get(k).and_then(|v| v.as_i64()).expect("counter");
+        assert!(
+            counter("hedges_launched") > 0 && counter("hedges_won") > 0,
+            "hedges launched at and won against the slow primary: {res:?}"
+        );
+        assert_amplification_bounded(ctx);
+    });
+}
+
 // ---------------------------------------------------------------------
 // Loss faults: honest degradation.
 // ---------------------------------------------------------------------

@@ -4,9 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
-# Examples and bench targets (harness = false) are not exercised by
-# `cargo test`; compile them so drift is caught here.
-cargo build --release --workspace --examples --benches
+# Examples are not exercised by `cargo test`; compile them so drift is
+# caught here.
+cargo build --release --workspace --examples
 # The benchmark (perf/) is a package of its own that compiles against
 # crate signatures (perf/README.md § "Signatures the benchmark pins");
 # build and unit-test it here so a broken pin fails locally, not in the
@@ -46,6 +46,7 @@ fi
 # fst_prop: the FST label automaton matches the HashMap oracle, end to end.
 # cluster_prop: a router over real shard servers merges like one in-process search.
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
+# paper_tables: seeded Tiny paper tables are byte-identical to tests/golden/paper_tables.
 cargo test -q --workspace
 # The real thing: SIGKILL the release binary mid-mutation and restart it
 # (ignored by default; needs the release build from the first step).
