@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use args::Args;
 use newslink_core::{
     load_newslink_index, save_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig,
-    NewsLinkIndex, StorageBackend,
+    NewsLinkIndex, SearchRequest, StorageBackend,
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
@@ -428,7 +428,7 @@ fn search_cmd(args: &Args) -> Result<(), String> {
             texts.len()
         ));
     }
-    let outcome = engine.search(&index, query, k);
+    let outcome = engine.execute(&index, &SearchRequest::new(query).with_k(k));
     if outcome.results.is_empty() {
         println!("no results");
         return Ok(());
@@ -449,14 +449,7 @@ fn search_cmd(args: &Args) -> Result<(), String> {
             }
         }
         if explain_score {
-            let ex = newslink_core::explain_score(
-                &graph,
-                &labels,
-                engine.config(),
-                &index,
-                query,
-                hit.doc,
-            );
+            let ex = engine.explain_score(&index, query, hit.doc);
             for line in ex.to_string().lines() {
                 println!("      {line}");
             }

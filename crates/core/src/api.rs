@@ -4,12 +4,8 @@
 //! many hits, an optional per-request β override, whether to attach
 //! relationship-path explanations, and whether this request may use the
 //! engine's caches. [`crate::NewsLink::execute`] turns it into a
-//! [`SearchResponse`] carrying the ranked hits plus everything the old
-//! multi-argument call sites had to assemble by hand (embedding, timers,
-//! cache observability, explanations).
-//!
-//! The free functions in [`crate::searcher`] remain as thin wrappers for
-//! existing callers; new code should construct requests.
+//! [`SearchResponse`] carrying the ranked hits plus the query embedding,
+//! timers, cache observability and explanations.
 //!
 //! With the `serde` feature enabled these types double as the wire
 //! format of the `newslink-serve` HTTP layer: [`SearchRequest`] and

@@ -5,8 +5,7 @@
 //!
 //! - the `newslink-embed` [`EmbeddingCache`] (the `G*` group memo),
 //!   consulted by every per-document and per-query embedding, from
-//!   `index_corpus` worker threads and `search_batch` scoped threads
-//!   alike;
+//!   `index_corpus` and `execute_batch` worker threads alike;
 //! - a query memo mapping the raw query string to its finished NLP + NE
 //!   artifacts, so a repeated query skips both components entirely.
 //!
@@ -18,8 +17,7 @@
 use std::sync::Arc;
 
 use newslink_embed::{DocEmbedding, EmbeddingCache};
-use newslink_kg::ShardedCache;
-use newslink_util::CacheStats;
+use newslink_util::{CacheStats, ShardedCache};
 
 use crate::config::CacheConfig;
 
@@ -62,12 +60,6 @@ impl EngineCaches {
             queries: self.query.stats(),
         }
     }
-
-    /// Drop all cached entries (counters are preserved).
-    pub fn clear(&self) {
-        self.embed.clear();
-        self.query.clear();
-    }
 }
 
 /// Per-tier counter snapshot of an engine's caches.
@@ -107,8 +99,6 @@ mod tests {
         let s = caches.stats();
         assert_eq!(s.queries.misses, 1);
         assert_eq!(s.combined().misses, 1);
-        caches.clear();
-        assert_eq!(caches.stats().queries.entries, 0);
 
         // An indexing run moves the group memo and nothing else: the
         // inert `distances` field must not come back to life.
@@ -116,15 +106,11 @@ mod tests {
         let labels = newslink_kg::LabelIndex::build(&world.graph);
         let country = world.graph.label(world.countries[0]);
         let docs = [format!("Officials from {country} signed the accord.")];
-        let config = crate::NewsLinkConfig::default();
-        crate::indexer::index_corpus_with(
-            &world.graph,
-            &labels,
-            &config,
-            Some(&caches.embed),
-            &docs,
-        );
-        assert!(caches.stats().groups.lookups() > 0);
-        assert_eq!(caches.stats().distances, CacheStats::default());
+        let engine = crate::NewsLink::new(&world.graph, &labels, crate::NewsLinkConfig::default());
+        engine.index_corpus(&docs);
+        let stats = engine.cache_stats();
+        assert!(stats.groups.lookups() > 0);
+        assert_eq!(stats.queries.lookups(), 0);
+        assert_eq!(stats.distances, CacheStats::default());
     }
 }

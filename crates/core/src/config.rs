@@ -117,11 +117,6 @@ impl Default for NewsLinkConfig {
 }
 
 impl NewsLinkConfig {
-    /// The paper's best setting, `NewsLink(0.2)`.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// Set β (clamped to [0, 1]).
     pub fn with_beta(mut self, beta: f64) -> Self {
         self.beta = beta.clamp(0.0, 1.0);

@@ -58,7 +58,7 @@ pub trait Directory: Send + Sync + std::fmt::Debug {
 /// `read` copies the file into the heap; `open_bytes` memory-maps it
 /// (empty files map to the empty region). `atomic_write` is the
 /// temp-file + fsync + rename protocol of
-/// [`atomic_write_file`](crate::persist::atomic_write_file).
+/// [`crate::persist::atomic_write_file`].
 #[derive(Debug, Clone)]
 pub struct FsDirectory {
     root: PathBuf,

@@ -20,10 +20,10 @@ use newslink_embed::{
 };
 use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_nlp::{DocumentAnalysis, MatchStats, NlpPipeline};
-use newslink_text::DocId;
 use newslink_util::{CacheStats, ComponentTimer, FxHashSet};
 
 use crate::config::{EmbeddingModel, NewsLinkConfig};
+use crate::searcher::parallel_map;
 use crate::segment::IndexSegment;
 
 /// The frozen search-side state for one corpus: an ordered set of
@@ -142,16 +142,6 @@ pub(crate) struct DocArtifacts {
     pub ne_nanos: u64,
 }
 
-/// Run NLP + NE for one document (uncached).
-pub(crate) fn embed_one(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    text: &str,
-) -> DocArtifacts {
-    embed_one_with(graph, label_index, config, None, text)
-}
-
 /// Run NLP + NE for one document, consulting `cache` for every entity
 /// group when provided. Cached and uncached runs produce identical
 /// artifacts (see `newslink_embed::cache`); only the timings differ.
@@ -199,70 +189,22 @@ pub(crate) fn embed_one_with(
     }
 }
 
-/// Embed and index a whole corpus.
+/// Embed and index one stripe of a corpus (`shard_count == 1` is the
+/// whole corpus). Documents at positions `i ≡ shard (mod shard_count)`
+/// keep their corpus-order global id `i`, and the id allocator continues
+/// on the same stripe, so the union of the `shard_count` stripe builds is
+/// document-for-document, id-for-id the whole-corpus build — which,
+/// combined with the global-stats overlay, is what keeps a scatter-gather
+/// search bit-identical to the in-process path.
 ///
 /// Both stages parallelize across `config.threads` (the paper notes corpus
 /// embedding "can easily be parallelized"): embedding chunks documents
 /// across worker threads, and with `config.segment_docs > 0` the sealed
 /// segments build concurrently too. Document ids are assigned before the
 /// fan-out, so the result is deterministic and identical to a serial run.
-pub fn index_corpus<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    texts: &[S],
-) -> NewsLinkIndex {
-    // A run-local cache: recurring entity groups across the corpus embed
-    // once. Engine-owned callers share a longer-lived cache instead via
-    // [`index_corpus_with`].
-    let local = if config.cache.enabled {
-        Some(EmbeddingCache::new(
-            config.cache.group_capacity,
-            config.cache.distance_capacity,
-        ))
-    } else {
-        None
-    };
-    index_corpus_with(graph, label_index, config, local.as_ref(), texts)
-}
-
-/// [`index_corpus`] against a caller-owned [`EmbeddingCache`] (pass `None`
-/// for a fully uncached run). The cache is read and populated from every
-/// worker thread.
-pub fn index_corpus_with<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    cache: Option<&EmbeddingCache>,
-    texts: &[S],
-) -> NewsLinkIndex {
-    index_corpus_stripe(graph, label_index, config, cache, texts, 0, 1)
-}
-
-/// Build one cluster shard's slice of a corpus: documents at positions
-/// `i ≡ shard (mod shard_count)` keep their corpus-order global id `i`,
-/// and the id allocator continues on the same stripe. The union of the
-/// `shard_count` shard builds is document-for-document, id-for-id the
-/// single-process [`index_corpus_with`] build of the whole corpus —
-/// which, combined with the global-stats overlay, is what keeps a
-/// scatter-gather search bit-identical to the in-process path.
-pub fn index_corpus_sharded<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    cache: Option<&EmbeddingCache>,
-    texts: &[S],
-    shard: u32,
-    shard_count: u32,
-) -> NewsLinkIndex {
-    assert!(
-        shard_count > 0 && shard < shard_count,
-        "stripe {shard} of {shard_count} is malformed"
-    );
-    index_corpus_stripe(graph, label_index, config, cache, texts, shard, shard_count)
-}
-
-fn index_corpus_stripe<S: AsRef<str> + Sync>(
+/// `cache` (the engine's group memo, or `None` for an uncached run) is
+/// read and populated from every worker thread.
+pub(crate) fn build_stripe<S: AsRef<str> + Sync>(
     graph: &KnowledgeGraph,
     label_index: &LabelIndex,
     config: &NewsLinkConfig,
@@ -281,13 +223,9 @@ fn index_corpus_stripe<S: AsRef<str> + Sync>(
         .map(|(i, t)| (i as u32, t))
         .unzip();
     let threads = config.effective_threads(kept.len());
-    let artifacts: Vec<DocArtifacts> = if threads <= 1 {
-        kept.iter()
-            .map(|t| embed_one_with(graph, label_index, config, cache, t.as_ref()))
-            .collect()
-    } else {
-        parallel_embed(graph, label_index, config, cache, threads, &kept)
-    };
+    let artifacts = parallel_map(kept, threads, |t| {
+        embed_one_with(graph, label_index, config, cache, t.as_ref())
+    });
 
     let mut timer = ComponentTimer::new();
     let mut match_stats = MatchStats::default();
@@ -321,11 +259,7 @@ fn index_corpus_stripe<S: AsRef<str> + Sync>(
         }
     }
     let build_threads = config.effective_threads(chunks.len());
-    let segments: Vec<IndexSegment> = if build_threads <= 1 || chunks.len() < 2 {
-        chunks.into_iter().map(IndexSegment::build).collect()
-    } else {
-        parallel_build_segments(chunks, build_threads)
-    };
+    let segments = parallel_map(chunks, build_threads, IndexSegment::build);
     timer.record_batch("ns", t_ns.elapsed(), total.max(1) as u64);
 
     // The allocator resumes past the whole corpus, on this stripe.
@@ -347,88 +281,13 @@ fn index_corpus_stripe<S: AsRef<str> + Sync>(
     }
 }
 
-/// Chunked parallel embedding via crossbeam scoped threads.
-fn parallel_embed<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    cache: Option<&EmbeddingCache>,
-    threads: usize,
-    texts: &[S],
-) -> Vec<DocArtifacts> {
-    let chunk = texts.len().div_ceil(threads);
-    let mut out: Vec<Option<DocArtifacts>> = Vec::new();
-    out.resize_with(texts.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        let mut slots = out.as_mut_slice();
-        let mut offset = 0usize;
-        let mut handles = Vec::new();
-        while offset < texts.len() {
-            let take = chunk.min(texts.len() - offset);
-            let (head, rest) = slots.split_at_mut(take);
-            slots = rest;
-            let batch = &texts[offset..offset + take];
-            handles.push(scope.spawn(move |_| {
-                for (slot, text) in head.iter_mut().zip(batch) {
-                    *slot = Some(embed_one_with(graph, label_index, config, cache, text.as_ref()));
-                }
-            }));
-            offset += take;
-        }
-        for h in handles {
-            h.join().expect("embedding worker panicked");
-        }
-    })
-    .expect("crossbeam scope failed");
-    out.into_iter().map(|a| a.expect("all docs embedded")).collect()
-}
-
-/// Seal chunks into segments on scoped worker threads. Chunks carry their
-/// pre-assigned global ids, so build order cannot affect the result.
-fn parallel_build_segments(
-    mut chunks: Vec<Vec<(u32, DocArtifacts)>>,
-    threads: usize,
-) -> Vec<IndexSegment> {
-    let per = chunks.len().div_ceil(threads);
-    let mut out: Vec<Option<IndexSegment>> = Vec::new();
-    out.resize_with(chunks.len(), || None);
-    std::thread::scope(|scope| {
-        let mut slots = out.as_mut_slice();
-        while !chunks.is_empty() {
-            let take = per.min(chunks.len());
-            let group: Vec<Vec<(u32, DocArtifacts)>> = chunks.drain(..take).collect();
-            let (head, rest) = slots.split_at_mut(take);
-            slots = rest;
-            scope.spawn(move || {
-                for (slot, chunk) in head.iter_mut().zip(group) {
-                    *slot = Some(IndexSegment::build(chunk));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("all segments built"))
-        .collect()
-}
-
-/// Live document ids of an index, in ascending order.
-///
-/// Ordering guarantee: at build time ids are **dense** (`0..doc_count`)
-/// in corpus order, regardless of `segment_docs` or thread count — ids
-/// are assigned before the segment-build fan-out. Afterwards ids are
-/// **stable**: deletion and compaction never renumber a surviving
-/// document, and reclaimed ids are never reused for new documents (live
-/// inserts always draw fresh ids from `next_id`). The sequence therefore
-/// stays strictly ascending but may grow gaps once documents are
-/// deleted.
-pub fn doc_ids(index: &NewsLinkIndex) -> impl Iterator<Item = DocId> + '_ {
-    index.doc_ids()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::test_support::index_corpus;
+    use crate::pipeline::NewsLink;
     use newslink_kg::{EntityType, GraphBuilder};
+    use newslink_text::DocId;
 
     fn world() -> (KnowledgeGraph, LabelIndex) {
         let mut b = GraphBuilder::new();
@@ -551,14 +410,14 @@ mod tests {
     fn cached_indexing_matches_uncached_and_counts() {
         let (g, li) = world();
         let cfg = NewsLinkConfig::default();
-        let uncached = index_corpus_with(&g, &li, &cfg, None, DOCS);
+        let uncached = index_corpus(&g, &li, &cfg.clone().without_cache(), DOCS);
         assert_eq!(uncached.cache_stats, CacheStats::default());
 
-        let cache = EmbeddingCache::new(64, 64);
-        let first = index_corpus_with(&g, &li, &cfg, Some(&cache), DOCS);
+        let engine = NewsLink::new(&g, &li, cfg);
+        let first = engine.index_corpus(DOCS);
         assert!(first.cache_stats.lookups() > 0);
         // A rebuild over the same corpus is answered by the group memo.
-        let second = index_corpus_with(&g, &li, &cfg, Some(&cache), DOCS);
+        let second = engine.index_corpus(DOCS);
         assert_eq!(second.cache_stats.misses, 0);
         assert!(second.cache_stats.hits > 0);
 
@@ -573,7 +432,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let (g, li) = world();
-        let idx = index_corpus::<&str>(&g, &li, &NewsLinkConfig::default(), &[]);
+        let idx = index_corpus(&g, &li, &NewsLinkConfig::default(), &[]);
         assert_eq!(idx.doc_count(), 0);
         assert_eq!(idx.segment_count(), 0);
         assert_eq!(idx.embedded_ratio(), 0.0);
@@ -583,10 +442,11 @@ mod tests {
     fn striped_builds_partition_the_corpus() {
         let (g, li) = world();
         let cfg = NewsLinkConfig::default().with_segment_docs(1);
-        let mono = index_corpus(&g, &li, &cfg, DOCS);
+        let engine = NewsLink::new(&g, &li, cfg.without_cache());
+        let mono = engine.index_corpus(DOCS);
         for shard_count in [1u32, 2, 3, 4] {
             let mut shards: Vec<NewsLinkIndex> = (0..shard_count)
-                .map(|s| index_corpus_sharded(&g, &li, &cfg, None, DOCS, s, shard_count))
+                .map(|s| engine.index_corpus_sharded(DOCS, s, shard_count))
                 .collect();
             // Stripes are disjoint and their union is the full id range.
             let mut union: Vec<u32> = Vec::new();
@@ -641,7 +501,7 @@ mod tests {
     #[test]
     fn generation_changes_on_every_mutation_and_never_repeats() {
         let (g, li) = world();
-        let engine = crate::pipeline::NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
         let mut idx = engine.index_corpus(DOCS);
         let twin = engine.index_corpus(DOCS);
         let mut seen = vec![idx.generation(), twin.generation()];
@@ -681,12 +541,12 @@ mod tests {
         );
         // Dense at build, in corpus order, independent of sharding and
         // thread count.
-        let ids: Vec<u32> = doc_ids(&idx).map(|d| d.0).collect();
+        let ids: Vec<u32> = idx.doc_ids().map(|d| d.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         // Deletion leaves a gap; compaction does not renumber survivors.
         idx.delete(DocId(1));
         idx.compact();
-        let ids: Vec<u32> = doc_ids(&idx).map(|d| d.0).collect();
+        let ids: Vec<u32> = idx.doc_ids().map(|d| d.0).collect();
         assert_eq!(ids, vec![0, 2]);
         assert!(idx.embedding(DocId(0)).is_some());
         assert!(idx.embedding(DocId(1)).is_none());

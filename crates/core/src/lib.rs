@@ -5,11 +5,12 @@
 //! `newslink-text`) into one engine:
 //!
 //! - [`config`] — β, embedding model, threading, segment sizing;
-//! - [`indexer`] — corpus embedding + parallel segment building;
+//! - [`indexer`] — the [`NewsLinkIndex`] type, corpus embedding and
+//!   parallel segment building;
 //! - [`segment`] — immutable index segments, tombstones, compaction and
 //!   the global-stats scoring overlay;
-//! - [`searcher`] — Equation 3 blended scoring, per-segment scoring,
-//!   top-k merge, explanations;
+//! - [`searcher`] — Equation 3 blended scoring, per-segment scoring and
+//!   the top-k merge;
 //! - [`directory`] / [`reader`] — the storage seam: named-blob
 //!   directories (file-system or in-memory) and heap/mmap snapshot
 //!   readers;
@@ -17,9 +18,12 @@
 //!   and the durable store that pairs them;
 //! - [`api`] — the declarative request/response types;
 //! - [`score_explain`] — Lucene-`explain()`-style score breakdowns;
-//! - [`pipeline`] — the [`NewsLink`] facade. Its `insert_document` /
-//!   `delete_document` are the one way a document enters or leaves a
-//!   built index.
+//! - [`pipeline`] — the [`NewsLink`] facade, the only public way to
+//!   index ([`NewsLink::index_corpus`], [`NewsLink::index_corpus_sharded`]),
+//!   search ([`NewsLink::execute`], [`NewsLink::execute_batch`]) and
+//!   explain ([`NewsLink::explain`], [`NewsLink::explain_score`]). Its
+//!   `insert_document` / `delete_document` are the one way a document
+//!   enters or leaves a built index.
 
 #![deny(unsafe_code)]
 
@@ -43,10 +47,10 @@ pub use api::{
 };
 pub use cache::EngineCacheStats;
 pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
-pub use indexer::{doc_ids, index_corpus, index_corpus_sharded, index_corpus_with, NewsLinkIndex};
+pub use indexer::NewsLinkIndex;
 pub use pipeline::{NewsLink, QueryAnalysis};
-pub use score_explain::{explain_score, ScoreExplanation, SideExplanation, TermContribution};
-pub use searcher::{explain, search, search_batch, QueryOutcome, SearchResult};
+pub use score_explain::{ScoreExplanation, SideExplanation, TermContribution};
+pub use searcher::SearchResult;
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};
 pub use directory::{Directory, FsDirectory, RamDirectory};
 pub use persist::{

@@ -837,7 +837,7 @@ pub fn load_newslink_index(
     read_newslink_index(graph, &mut f)
 }
 
-/// Blob name of the label-automaton artifact inside a [`Directory`].
+/// Blob name of the label-automaton artifact inside a [`Directory`](crate::Directory).
 pub const LABEL_FST_BLOB: &str = "labels.fst";
 
 /// Publish the FST label index into `dir` under [`LABEL_FST_BLOB`],
@@ -881,8 +881,7 @@ mod tests {
     use super::*;
     use crate::config::NewsLinkConfig;
     use crate::directory::FsDirectory;
-    use crate::indexer::index_corpus;
-    use crate::searcher::search;
+    use crate::pipeline::test_support::{index_corpus, search};
     use newslink_kg::{EntityType, GraphBuilder, LabelIndex};
     use newslink_text::DocId;
 

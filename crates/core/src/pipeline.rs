@@ -4,7 +4,7 @@
 //! behind one handle. Typical use:
 //!
 //! ```
-//! use newslink_core::{NewsLink, NewsLinkConfig};
+//! use newslink_core::{NewsLink, NewsLinkConfig, SearchRequest};
 //! use newslink_kg::{synth, LabelIndex, SynthConfig};
 //!
 //! let world = synth::generate(&SynthConfig::small(7));
@@ -13,15 +13,15 @@
 //!
 //! let docs = vec!["Some news text mentioning entities.".to_string()];
 //! let index = engine.index_corpus(&docs);
-//! let outcome = engine.search(&index, "entities in the news", 5);
-//! for hit in &outcome.results {
+//! let response = engine.execute(&index, &SearchRequest::new("entities in the news").with_k(5));
+//! for hit in &response.results {
 //!     println!("doc {} scored {:.3}", hit.doc.0, hit.score);
 //! }
 //! ```
 
 use std::time::Instant;
 
-use newslink_embed::{bon_terms, DocEmbedding, RelationshipPath};
+use newslink_embed::{bon_terms, relationship_paths, DocEmbedding, RelationshipPath};
 use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
 use newslink_util::ComponentTimer;
@@ -31,9 +31,9 @@ use crate::api::{
 };
 use crate::cache::{EngineCacheStats, EngineCaches};
 use crate::config::NewsLinkConfig;
-use crate::indexer::{embed_one_with, index_corpus_with, NewsLinkIndex};
+use crate::indexer::{build_stripe, embed_one_with, NewsLinkIndex};
 use crate::persist::PersistError;
-use crate::searcher::{analyze_query_text, explain, parallel_map, run_query, QueryOutcome};
+use crate::searcher::{analyze_query_text, parallel_map, run_query};
 use crate::segment::IndexSegment;
 
 /// The query-side artifacts a scatter-gather router needs: the analyzed
@@ -99,13 +99,7 @@ impl<'g> NewsLink<'g> {
     /// [`cache_stats`](NewsLinkIndex::cache_stats) records this run's
     /// share of that activity.
     pub fn index_corpus<S: AsRef<str> + Sync>(&self, texts: &[S]) -> NewsLinkIndex {
-        index_corpus_with(
-            self.graph,
-            self.label_index,
-            &self.config,
-            self.caches.as_ref().map(|c| &c.embed),
-            texts,
-        )
+        self.index_corpus_sharded(texts, 0, 1)
     }
 
     /// Embed and index this engine's stripe of a corpus: documents whose
@@ -114,13 +108,18 @@ impl<'g> NewsLink<'g> {
     /// only ids on that stripe afterwards. The union of every shard's
     /// stripe over the same corpus covers exactly the documents (and
     /// ids) of a single [`index_corpus`](Self::index_corpus) build.
+    /// `shard >= shard_count` is a caller bug and panics.
     pub fn index_corpus_sharded<S: AsRef<str> + Sync>(
         &self,
         texts: &[S],
         shard: u32,
         shard_count: u32,
     ) -> NewsLinkIndex {
-        crate::indexer::index_corpus_sharded(
+        assert!(
+            shard_count > 0 && shard < shard_count,
+            "stripe {shard} of {shard_count} is malformed"
+        );
+        build_stripe(
             self.graph,
             self.label_index,
             &self.config,
@@ -134,7 +133,7 @@ impl<'g> NewsLink<'g> {
     /// Run only the query-side NLP + NE stages (no index needed): the
     /// analysis a scatter-gather router performs once and ships to every
     /// shard. Served from the engine's query memo when possible, exactly
-    /// like [`search`](Self::search).
+    /// like [`execute`](Self::execute).
     pub fn analyze_query(&self, query_text: &str) -> QueryAnalysis {
         let mut timer = ComponentTimer::new();
         let mut cache = QueryCacheInfo {
@@ -238,25 +237,9 @@ impl<'g> NewsLink<'g> {
         }
     }
 
-    /// Blended top-k search (the *query processing* half), through the
-    /// engine caches. Equivalent to
-    /// `execute(index, &SearchRequest::new(query).with_k(k))` minus the
-    /// response envelope.
-    pub fn search(&self, index: &NewsLinkIndex, query: &str, k: usize) -> QueryOutcome {
-        run_query(
-            self.graph,
-            self.label_index,
-            &self.config,
-            index,
-            self.caches.as_ref(),
-            query,
-            k,
-            None,
-            None,
-        )
-    }
-
-    /// Execute one declarative [`SearchRequest`].
+    /// Execute one declarative [`SearchRequest`]: blended top-k search
+    /// (the *query processing* half), through the engine caches unless
+    /// the request opts out.
     ///
     /// A request [`timeout_ms`](SearchRequest::timeout_ms) budget starts
     /// counting here. It is checked between pipeline stages (after
@@ -297,7 +280,13 @@ impl<'g> NewsLink<'g> {
                 .iter()
                 .map(|r| Explanation {
                     doc: r.doc,
-                    paths: explain(index, &outcome.embedding, r.doc, opts.max_len, opts.max_paths),
+                    paths: self.explain(
+                        index,
+                        &outcome.embedding,
+                        r.doc,
+                        opts.max_len,
+                        opts.max_paths,
+                    ),
                 })
                 .collect(),
             None => Vec::new(),
@@ -321,7 +310,8 @@ impl<'g> NewsLink<'g> {
     pub fn execute_batch(&self, index: &NewsLinkIndex, requests: &[SearchRequest]) -> BatchResponse {
         let t0 = Instant::now();
         let threads = self.config.effective_threads(requests.len());
-        let responses = parallel_map(requests, threads, |r| self.execute(index, r));
+        let responses =
+            parallel_map(requests.iter().collect(), threads, |r| self.execute(index, r));
         let mut timer = ComponentTimer::new();
         for response in &responses {
             timer.merge(&response.timer);
@@ -339,14 +329,10 @@ impl<'g> NewsLink<'g> {
             .unwrap_or_default()
     }
 
-    /// Drop all cached entries (counters survive; capacity is unchanged).
-    pub fn clear_caches(&self) {
-        if let Some(c) = &self.caches {
-            c.clear();
-        }
-    }
-
-    /// Relationship-path explanations for one result.
+    /// Relationship-path explanations for one result: paths linking the
+    /// query's entities to the document's entities through the overlap of
+    /// their subgraph embeddings (§VII-E). Empty for unknown or deleted
+    /// documents.
     pub fn explain(
         &self,
         index: &NewsLinkIndex,
@@ -355,14 +341,59 @@ impl<'g> NewsLink<'g> {
         max_len: usize,
         max_paths: usize,
     ) -> Vec<RelationshipPath> {
-        explain(index, query_embedding, doc, max_len, max_paths)
+        match index.embedding(doc) {
+            Some(doc_embedding) => {
+                relationship_paths(query_embedding, doc_embedding, max_len, max_paths)
+            }
+            None => Vec::new(),
+        }
+    }
+}
+
+/// Shorthands for the crate's unit tests that need only a built index or
+/// one uncached query.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// Index `docs` with a fresh engine configured by `config`.
+    pub(crate) fn index_corpus(
+        graph: &KnowledgeGraph,
+        labels: &LabelIndex,
+        config: &NewsLinkConfig,
+        docs: &[&str],
+    ) -> NewsLinkIndex {
+        NewsLink::new(graph, labels, config.clone()).index_corpus(docs)
+    }
+
+    /// One uncached top-`k` query through an engine configured by `config`.
+    pub(crate) fn search(
+        graph: &KnowledgeGraph,
+        labels: &LabelIndex,
+        config: &NewsLinkConfig,
+        index: &NewsLinkIndex,
+        query: &str,
+        k: usize,
+    ) -> SearchResponse {
+        NewsLink::new(graph, labels, config.clone().without_cache())
+            .execute(index, &SearchRequest::new(query).with_k(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::searcher::SearchResult;
     use newslink_kg::{synth, SynthConfig};
+
+    fn search(
+        engine: &NewsLink<'_>,
+        index: &NewsLinkIndex,
+        q: &str,
+        k: usize,
+    ) -> Vec<SearchResult> {
+        engine.execute(index, &SearchRequest::new(q).with_k(k)).results
+    }
 
     #[test]
     fn end_to_end_on_synthetic_world() {
@@ -381,14 +412,14 @@ mod tests {
         let index = engine.index_corpus(&docs);
         assert_eq!(index.doc_count(), 3);
 
-        let outcome = engine.search(&index, &format!("News about {country}."), 3);
-        assert!(!outcome.results.is_empty());
-        let top = outcome.results[0].doc;
+        let results = search(&engine, &index, &format!("News about {country}."), 3);
+        assert!(!results.is_empty());
+        let top = results[0].doc;
         assert!(top.0 < 2, "entity-bearing docs must rank above filler");
     }
 
     #[test]
-    fn execute_matches_search_and_reports_cache_activity() {
+    fn execute_is_cache_transparent_and_reports_cache_activity() {
         let world = synth::generate(&SynthConfig::small(5));
         let labels = LabelIndex::build(&world.graph);
         let engine = NewsLink::new(&world.graph, &labels, NewsLinkConfig::default());
@@ -407,7 +438,6 @@ mod tests {
         let warm = engine.execute(&index, &request);
         assert!(warm.cache.query_hit, "repeat request must hit the query memo");
         assert_eq!(warm.results, cold.results);
-        assert_eq!(warm.results, engine.search(&index, &query, 5).results);
 
         let stats = engine.cache_stats();
         assert!(stats.queries.hits >= 1);
@@ -417,12 +447,6 @@ mod tests {
         let bypass = engine.execute(&index, &request.clone().without_cache());
         assert!(!bypass.cache.enabled);
         assert_eq!(bypass.results, cold.results);
-
-        engine.clear_caches();
-        assert_eq!(engine.cache_stats().queries.entries, 0);
-        let after_clear = engine.execute(&index, &request);
-        assert!(!after_clear.cache.query_hit);
-        assert_eq!(after_clear.results, cold.results);
     }
 
     #[test]
@@ -521,10 +545,10 @@ mod tests {
         let full_docs = vec![docs[0].clone(), docs[1].clone(), extra.clone()];
         let rebuilt = engine.index_corpus(&full_docs);
         let q = format!("news about {country}");
-        let a = engine.search(&index, &q, 5);
-        let b = engine.search(&rebuilt, &q, 5);
-        assert_eq!(a.results.len(), b.results.len());
-        for (x, y) in a.results.iter().zip(&b.results) {
+        let a = search(&engine, &index, &q, 5);
+        let b = search(&engine, &rebuilt, &q, 5);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.doc, y.doc);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
@@ -533,14 +557,14 @@ mod tests {
         assert!(engine.delete_document(&mut index, id));
         assert!(!engine.delete_document(&mut index, id));
         assert_eq!(index.doc_count(), 2);
-        let after = engine.search(&index, &q, 5);
-        assert!(after.results.iter().all(|r| r.doc != id));
+        let after = search(&engine, &index, &q, 5);
+        assert!(after.iter().all(|r| r.doc != id));
         index.compact();
         assert_eq!(index.tombstone_count(), 0);
-        let compacted = engine.search(&index, &q, 5);
-        let baseline = engine.search(&engine.index_corpus(&docs), &q, 5);
-        assert_eq!(compacted.results.len(), baseline.results.len());
-        for (x, y) in compacted.results.iter().zip(&baseline.results) {
+        let compacted = search(&engine, &index, &q, 5);
+        let baseline = search(&engine, &engine.index_corpus(&docs), &q, 5);
+        assert_eq!(compacted.len(), baseline.len());
+        for (x, y) in compacted.iter().zip(&baseline) {
             assert_eq!(x.doc, y.doc);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }

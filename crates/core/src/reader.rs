@@ -1,6 +1,6 @@
 //! [`SegmentReader`]: how snapshot bytes reach the engine.
 //!
-//! A [`Directory`](crate::directory::Directory) names blobs; a
+//! A [`crate::directory::Directory`] names blobs; a
 //! `SegmentReader` decides *what kind of bytes* a snapshot loads
 //! through:
 //!

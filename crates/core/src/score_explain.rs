@@ -9,12 +9,11 @@
 
 use std::fmt;
 
-use newslink_embed::{bon_terms, parse_node_term};
-use newslink_kg::{KnowledgeGraph, LabelIndex};
+use newslink_embed::parse_node_term;
 use newslink_text::{query_tf, Bm25, DocId};
 
-use crate::config::NewsLinkConfig;
-use crate::indexer::{embed_one, NewsLinkIndex};
+use crate::indexer::NewsLinkIndex;
+use crate::pipeline::NewsLink;
 use crate::segment::Side;
 
 /// One term's contribution to one side of the score.
@@ -149,84 +148,78 @@ fn side_contributions(
     }
 }
 
-/// Explain the blended score of `doc` for `query_text`.
-///
-/// Runs the same NLP/NE path as [`crate::searcher::search`] and
-/// recomputes each side's normalization divisor over the whole candidate
-/// set so the reported numbers match the ranking exactly.
-pub fn explain_score(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    query_text: &str,
-    doc: DocId,
-) -> ScoreExplanation {
-    let artifacts = embed_one(graph, label_index, config, query_text);
-    let beta = config.beta;
-    let bow_scorer = Bm25::default();
-    let bon_scorer = Bm25 { k1: 1.2, b: 0.0 };
-    let bon_query = bon_terms(&artifacts.embedding);
+impl NewsLink<'_> {
+    /// Explain the blended score of `doc` for `query` under the engine's β.
+    ///
+    /// The query terms come from [`analyze_query`](Self::analyze_query),
+    /// the same analysis [`execute`](Self::execute) scores with, and each
+    /// side's normalization divisor is recomputed over the whole candidate
+    /// set, so `total`, `bow.normalized` and `bon.normalized` equal the
+    /// ranked result's `score`, `bow` and `bon` bit for bit.
+    pub fn explain_score(
+        &self,
+        index: &NewsLinkIndex,
+        query: &str,
+        doc: DocId,
+    ) -> ScoreExplanation {
+        let analysis = self.analyze_query(query);
+        let graph = self.graph();
+        let beta = self.config().beta;
+        let bow_scorer = Bm25::default();
+        let bon_scorer = Bm25 { k1: 1.2, b: 0.0 };
 
-    let mut bow = if beta < 1.0 {
-        side_contributions(
-            index,
-            Side::Bow,
-            bow_scorer,
-            &artifacts.analysis.terms,
-            doc,
-            |t| t.to_string(),
-        )
-    } else {
-        SideExplanation::default()
-    };
-    let mut bon = if beta > 0.0 {
-        side_contributions(index, Side::Bon, bon_scorer, &bon_query, doc, |t| {
-            match parse_node_term(t) {
-                Some(node) if graph.contains(node) => {
-                    format!("{t} ({})", graph.label(node))
+        let mut bow = if beta < 1.0 {
+            side_contributions(index, Side::Bow, bow_scorer, &analysis.terms, doc, |t| {
+                t.to_string()
+            })
+        } else {
+            SideExplanation::default()
+        };
+        let mut bon = if beta > 0.0 {
+            side_contributions(index, Side::Bon, bon_scorer, &analysis.bon_terms, doc, |t| {
+                match parse_node_term(t) {
+                    Some(node) if graph.contains(node) => {
+                        format!("{t} ({})", graph.label(node))
+                    }
+                    _ => t.to_string(),
                 }
-                _ => t.to_string(),
-            }
-        })
-    } else {
-        SideExplanation::default()
-    };
+            })
+        } else {
+            SideExplanation::default()
+        };
 
-    let side_max = |side: Side, terms: &[String]| -> f64 {
-        index
-            .score_side_parts(side, match side {
-                Side::Bow => bow_scorer,
-                Side::Bon => bon_scorer,
-            }, terms)
-            .iter()
-            .flat_map(|m| m.values().copied())
-            .fold(0.0, f64::max)
-    };
-    if beta < 1.0 {
-        bow.max_raw = side_max(Side::Bow, &artifacts.analysis.terms);
-        bow.normalized = if bow.max_raw > 0.0 { bow.raw / bow.max_raw } else { 0.0 };
-    }
-    if beta > 0.0 {
-        bon.max_raw = side_max(Side::Bon, &bon_query);
-        bon.normalized = if bon.max_raw > 0.0 { bon.raw / bon.max_raw } else { 0.0 };
-    }
+        let side_max = |side: Side, scorer: Bm25, terms: &[String]| -> f64 {
+            index
+                .score_side_parts(side, scorer, terms)
+                .iter()
+                .flat_map(|m| m.values().copied())
+                .fold(0.0, f64::max)
+        };
+        if beta < 1.0 {
+            bow.max_raw = side_max(Side::Bow, bow_scorer, &analysis.terms);
+            bow.normalized = if bow.max_raw > 0.0 { bow.raw / bow.max_raw } else { 0.0 };
+        }
+        if beta > 0.0 {
+            bon.max_raw = side_max(Side::Bon, bon_scorer, &analysis.bon_terms);
+            bon.normalized = if bon.max_raw > 0.0 { bon.raw / bon.max_raw } else { 0.0 };
+        }
 
-    ScoreExplanation {
-        doc,
-        beta,
-        total: (1.0 - beta) * bow.normalized + beta * bon.normalized,
-        bow,
-        bon,
+        ScoreExplanation {
+            doc,
+            beta,
+            total: (1.0 - beta) * bow.normalized + beta * bon.normalized,
+            bow,
+            bon,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexer::index_corpus;
-    use crate::searcher::search;
-    use newslink_kg::{EntityType, GraphBuilder};
+    use crate::api::SearchRequest;
+    use crate::config::NewsLinkConfig;
+    use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 
     fn world() -> (KnowledgeGraph, LabelIndex) {
         let mut b = GraphBuilder::new();
@@ -250,30 +243,25 @@ mod tests {
     #[test]
     fn explanation_total_matches_search_score() {
         let (g, li) = world();
-        let cfg = NewsLinkConfig::default();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let idx = engine.index_corpus(DOCS);
         let q = "Taliban clashes near Kunar in Pakistan";
-        let outcome = search(&g, &li, &cfg, &idx, q, 5);
-        for hit in &outcome.results {
-            let ex = explain_score(&g, &li, &cfg, &idx, q, hit.doc);
-            assert!(
-                (ex.total - hit.score).abs() < 1e-9,
-                "doc {}: explain {} vs search {}",
-                hit.doc.0,
-                ex.total,
-                hit.score
-            );
-            assert!((ex.bow.normalized - hit.bow).abs() < 1e-9);
-            assert!((ex.bon.normalized - hit.bon).abs() < 1e-9);
+        let response = engine.execute(&idx, &SearchRequest::new(q).with_k(5));
+        assert!(!response.results.is_empty());
+        for hit in &response.results {
+            let ex = engine.explain_score(&idx, q, hit.doc);
+            assert_eq!(ex.total.to_bits(), hit.score.to_bits(), "doc {}", hit.doc.0);
+            assert_eq!(ex.bow.normalized.to_bits(), hit.bow.to_bits(), "doc {}", hit.doc.0);
+            assert_eq!(ex.bon.normalized.to_bits(), hit.bon.to_bits(), "doc {}", hit.doc.0);
         }
     }
 
     #[test]
     fn bon_contributions_show_node_labels() {
         let (g, li) = world();
-        let cfg = NewsLinkConfig::default();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let ex = explain_score(&g, &li, &cfg, &idx, "Taliban in Kunar", DocId(0));
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let idx = engine.index_corpus(DOCS);
+        let ex = engine.explain_score(&idx, "Taliban in Kunar", DocId(0));
         assert!(!ex.bon.contributions.is_empty());
         assert!(
             ex.bon
@@ -288,9 +276,9 @@ mod tests {
     #[test]
     fn display_renders_both_sides() {
         let (g, li) = world();
-        let cfg = NewsLinkConfig::default();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let ex = explain_score(&g, &li, &cfg, &idx, "Pakistan talks", DocId(1));
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let idx = engine.index_corpus(DOCS);
+        let ex = engine.explain_score(&idx, "Pakistan talks", DocId(1));
         let text = ex.to_string();
         assert!(text.contains("BOW"));
         assert!(text.contains("BON"));
@@ -300,9 +288,9 @@ mod tests {
     #[test]
     fn contributions_sorted_descending() {
         let (g, li) = world();
-        let cfg = NewsLinkConfig::default();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let ex = explain_score(&g, &li, &cfg, &idx, "Taliban Kunar Pakistan Khyber", DocId(0));
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let idx = engine.index_corpus(DOCS);
+        let ex = engine.explain_score(&idx, "Taliban Kunar Pakistan Khyber", DocId(0));
         assert!(ex
             .bow
             .contributions
@@ -313,9 +301,9 @@ mod tests {
     #[test]
     fn non_matching_doc_scores_zero() {
         let (g, li) = world();
-        let cfg = NewsLinkConfig::default();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let ex = explain_score(&g, &li, &cfg, &idx, "cricket stadium", DocId(0));
+        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let idx = engine.index_corpus(DOCS);
+        let ex = engine.explain_score(&idx, "cricket stadium", DocId(0));
         assert_eq!(ex.total, 0.0);
         assert!(ex.bow.contributions.is_empty());
         assert!(ex.bon.contributions.is_empty());

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use newslink_embed::{bon_terms, relationship_paths, DocEmbedding, RelationshipPath};
+use newslink_embed::{bon_terms, DocEmbedding};
 use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_text::{Bm25, DocId, PruneStats};
 use newslink_util::{ComponentTimer, FxHashMap, TopK};
@@ -40,15 +40,15 @@ pub struct SearchResult {
 
 /// The artifacts of processing one query (reused for explanations).
 #[derive(Debug)]
-pub struct QueryOutcome {
+pub(crate) struct QueryOutcome {
     /// Ranked results, best first.
     pub results: Vec<SearchResult>,
     /// The query's own subgraph embedding.
     pub embedding: DocEmbedding,
     /// Per-component latency ("nlp", "ne", "ns").
     pub timer: ComponentTimer,
-    /// How the engine's caches served this query (all-false for the
-    /// uncached free-function entry points).
+    /// How the engine's caches served this query (all-false when it
+    /// bypassed them).
     pub cache: QueryCacheInfo,
     /// The deadline expired between pipeline stages; `results` is empty
     /// and `timer` reports only the stages that ran.
@@ -73,19 +73,6 @@ fn max_normalize_parts(parts: &mut [FxHashMap<DocId, f64>]) {
             }
         }
     }
-}
-
-/// Execute a blended NewsLink query (uncached entry point; the engine's
-/// [`crate::NewsLink::execute`] routes through the shared caches).
-pub fn search(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    query_text: &str,
-    k: usize,
-) -> QueryOutcome {
-    run_query(graph, label_index, config, index, None, query_text, k, None, None)
 }
 
 /// The full query path: NLP + NE (through `caches` when provided), then
@@ -278,100 +265,40 @@ pub(crate) fn analyze_query_text(
     }
 }
 
-/// Execute many queries in parallel (scoped threads), preserving input
-/// order. The index and graph are shared read-only; results are identical
-/// to sequential [`search`] calls. `config.threads == 0` sizes the worker
-/// pool to the machine.
-pub fn search_batch<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    queries: &[S],
-    k: usize,
-) -> Vec<QueryOutcome> {
-    run_batch(graph, label_index, config, index, None, queries, k).0
-}
-
-/// [`search_batch`] through the engine caches, additionally aggregating
-/// every per-query component timer into one batch timer with a `"batch"`
-/// entry for the whole call's wall-clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    caches: Option<&EngineCaches>,
-    queries: &[S],
-    k: usize,
-) -> (Vec<QueryOutcome>, ComponentTimer) {
-    let t0 = Instant::now();
-    let threads = config.effective_threads(queries.len());
-    let outcomes = parallel_map(queries, threads, |q| {
-        run_query(graph, label_index, config, index, caches, q.as_ref(), k, None, None)
-    });
-    let mut timer = ComponentTimer::new();
-    for outcome in &outcomes {
-        timer.merge(&outcome.timer);
-    }
-    timer.record("batch", t0.elapsed());
-    (outcomes, timer)
-}
-
 /// Apply `f` to every item on `threads` scoped workers (contiguous
-/// chunks), preserving input order. `threads <= 1` runs inline.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
+/// chunks), preserving input order. `threads <= 1` runs inline. Items are
+/// consumed, so a worker can take ownership of what it maps.
+pub(crate) fn parallel_map<T: Send, R: Send>(
+    items: Vec<T>,
     threads: usize,
-    f: impl Fn(&T) -> R + Sync,
+    f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
     if threads <= 1 || items.len() < 2 {
-        return items.iter().map(f).collect();
+        return items.into_iter().map(f).collect();
     }
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(threads.min(items.len()));
+    let mut items = items.into_iter();
+    let f = &f;
     std::thread::scope(|scope| {
-        let f = &f;
-        let mut slots = out.as_mut_slice();
-        let mut offset = 0usize;
-        while offset < items.len() {
-            let take = chunk.min(items.len() - offset);
-            let (head, rest) = slots.split_at_mut(take);
-            slots = rest;
-            let batch = &items[offset..offset + take];
-            scope.spawn(move || {
-                for (slot, item) in head.iter_mut().zip(batch) {
-                    *slot = Some(f(item));
-                }
-            });
-            offset += take;
-        }
-    });
-    out.into_iter().map(|o| o.expect("all items mapped")).collect()
-}
-
-/// Explain why `doc` matched: relationship paths linking the query's
-/// entities to the result's entities through the overlap of their subgraph
-/// embeddings (§VII-E).
-pub fn explain(
-    index: &NewsLinkIndex,
-    query_embedding: &DocEmbedding,
-    doc: DocId,
-    max_len: usize,
-    max_paths: usize,
-) -> Vec<RelationshipPath> {
-    let Some(result_embedding) = index.embedding(doc) else {
-        return Vec::new();
-    };
-    relationship_paths(query_embedding, result_embedding, max_len, max_paths)
+        let workers: Vec<_> = std::iter::from_fn(|| {
+            let batch: Vec<T> = items.by_ref().take(chunk).collect();
+            (!batch.is_empty())
+                .then(|| scope.spawn(move || batch.into_iter().map(f).collect::<Vec<R>>()))
+        })
+        .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexer::index_corpus;
+    use crate::api::SearchRequest;
+    use crate::pipeline::test_support::{index_corpus, search};
+    use crate::pipeline::NewsLink;
     use newslink_kg::{EntityType, GraphBuilder};
 
     fn world() -> (KnowledgeGraph, LabelIndex) {
@@ -499,7 +426,7 @@ mod tests {
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let out = search(&g, &li, &cfg, &idx, "Taliban strikes in Kunar.", 3);
         let top = out.results.first().expect("has a result");
-        let paths = explain(&idx, &out.embedding, top.doc, 4, 10);
+        let paths = NewsLink::new(&g, &li, cfg).explain(&idx, &out.embedding, top.doc, 4, 10);
         assert!(!paths.is_empty(), "expected relationship-path evidence");
         // All rendered paths mention real labels.
         for p in &paths {
@@ -519,9 +446,11 @@ mod tests {
             "championship crowds",
             "",
         ];
-        let batch = search_batch(&g, &li, &cfg, &idx, &queries, 3);
-        assert_eq!(batch.len(), queries.len());
-        for (q, got) in queries.iter().zip(&batch) {
+        let requests: Vec<_> = queries.iter().map(|q| SearchRequest::new(*q).with_k(3)).collect();
+        let engine = NewsLink::new(&g, &li, cfg.clone().without_cache());
+        let batch = engine.execute_batch(&idx, &requests);
+        assert_eq!(batch.responses.len(), queries.len());
+        for (q, got) in queries.iter().zip(&batch.responses) {
             let want = search(&g, &li, &cfg, &idx, q, 3);
             assert_eq!(got.results.len(), want.results.len(), "query {q}");
             for (x, y) in got.results.iter().zip(&want.results) {
@@ -576,12 +505,13 @@ mod tests {
         let cfg = NewsLinkConfig::default().with_threads(2);
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let queries = ["Taliban in Pakistan", "Explosions near Peshawar", "Kunar"];
-        let (outcomes, timer) = run_batch(&g, &li, &cfg, &idx, None, &queries, 3);
-        assert_eq!(outcomes.len(), 3);
+        let requests: Vec<_> = queries.iter().map(|q| SearchRequest::new(*q).with_k(3)).collect();
+        let batch = NewsLink::new(&g, &li, cfg.without_cache()).execute_batch(&idx, &requests);
+        assert_eq!(batch.responses.len(), 3);
         for c in ["nlp", "ne", "ns"] {
-            assert_eq!(timer.count(c), 3, "component {c}");
+            assert_eq!(batch.timer.count(c), 3, "component {c}");
         }
-        assert_eq!(timer.count("batch"), 1);
+        assert_eq!(batch.timer.count("batch"), 1);
     }
 
     #[test]
@@ -590,8 +520,10 @@ mod tests {
         let cfg = NewsLinkConfig::default().with_auto_threads();
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let queries = ["Taliban in Pakistan", "championship crowds"];
-        let batch = search_batch(&g, &li, &cfg, &idx, &queries, 3);
-        for (q, got) in queries.iter().zip(&batch) {
+        let requests: Vec<_> = queries.iter().map(|q| SearchRequest::new(*q).with_k(3)).collect();
+        let engine = NewsLink::new(&g, &li, cfg.clone().without_cache());
+        let batch = engine.execute_batch(&idx, &requests);
+        for (q, got) in queries.iter().zip(&batch.responses) {
             let want = search(&g, &li, &cfg, &idx, q, 3);
             assert_eq!(got.results, want.results, "query {q}");
         }
@@ -658,6 +590,7 @@ mod tests {
         let cfg = NewsLinkConfig::default();
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let out = search(&g, &li, &cfg, &idx, "Taliban", 1);
-        assert!(explain(&idx, &out.embedding, DocId(99), 4, 10).is_empty());
+        let engine = NewsLink::new(&g, &li, cfg);
+        assert!(engine.explain(&idx, &out.embedding, DocId(99), 4, 10).is_empty());
     }
 }

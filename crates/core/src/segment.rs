@@ -408,8 +408,16 @@ impl NewsLinkIndex {
             .map(|(_, e)| e)
     }
 
-    /// Live document ids, ascending. See [`crate::indexer::doc_ids`] for
-    /// the ordering guarantee.
+    /// Live document ids, in ascending order.
+    ///
+    /// Ordering guarantee: at build time ids are **dense** (`0..doc_count`)
+    /// in corpus order, regardless of `segment_docs` or thread count — ids
+    /// are assigned before the segment-build fan-out. Afterwards ids are
+    /// **stable**: deletion and compaction never renumber a surviving
+    /// document, and reclaimed ids are never reused for new documents (live
+    /// inserts always draw fresh ids from the allocator). The sequence
+    /// therefore stays strictly ascending but may grow gaps once documents
+    /// are deleted.
     pub fn doc_ids(&self) -> impl Iterator<Item = DocId> + '_ {
         self.segments
             .iter()
@@ -887,7 +895,7 @@ impl NewsLinkIndex {
     /// overlay (β pinned, pruned top-1 across the shard's segments; 0.0
     /// when nothing matches). The router takes the max over shards —
     /// `max` over a set is feed-order independent, so the result equals
-    /// the in-process [`Self::side_top1`] over the union. `overlay.norm`
+    /// the in-process `side_top1` over the union. `overlay.norm`
     /// is ignored (the pass computes the divisor's input).
     pub fn side_top1_overlay(
         &self,
@@ -904,7 +912,7 @@ impl NewsLinkIndex {
 
     /// Block-max pruned blended top-k under externally supplied overlays —
     /// the shard-side half of a scatter-gather search. Identical to
-    /// [`Self::blended_topk`] except that collection statistics, document
+    /// `blended_topk` except that collection statistics, document
     /// frequencies and normalization divisors come from the router's
     /// cluster-wide totals, and `floor` seeds the merged-heap threshold
     /// (scores at or below it can never survive the router's final merge,
@@ -984,7 +992,8 @@ struct SideWork<'q> {
 mod tests {
     use super::*;
     use crate::config::NewsLinkConfig;
-    use crate::indexer::index_corpus;
+    use crate::pipeline::test_support::index_corpus;
+    use crate::pipeline::NewsLink;
     use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 
     fn world() -> (KnowledgeGraph, LabelIndex) {
@@ -1198,11 +1207,10 @@ mod tests {
             ["n0", "n1", "n2", "n3"].iter().map(|s| s.to_string()).collect();
         let k = 4;
         for shard_count in [1u32, 2, 3] {
-            let mut mono = index_corpus(&g, &li, &config, DOCS);
+            let engine = NewsLink::new(&g, &li, config.clone().without_cache());
+            let mut mono = engine.index_corpus(DOCS);
             let mut shards: Vec<NewsLinkIndex> = (0..shard_count)
-                .map(|s| {
-                    crate::indexer::index_corpus_sharded(&g, &li, &config, None, DOCS, s, shard_count)
-                })
+                .map(|s| engine.index_corpus_sharded(DOCS, s, shard_count))
                 .collect();
             // Tombstone one document on its owning shard and the oracle.
             assert!(mono.delete(DocId(1)));

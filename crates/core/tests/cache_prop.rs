@@ -70,7 +70,7 @@ proptest! {
             .collect();
 
         for q in &queries {
-            let want = uncached.search(&index_plain, q, k);
+            let want = uncached.execute(&index_plain, &SearchRequest::new(q).with_k(k));
             // Cold, then warm (query-memo hit), then explicit bypass.
             let cold = cached.execute(&index_cached, &SearchRequest::new(q).with_k(k));
             let warm = cached.execute(&index_cached, &SearchRequest::new(q).with_k(k));

@@ -49,7 +49,7 @@ fn concurrent_indexing_and_search_under_eviction_pressure() {
     let ref_index = reference.index_corpus(&docs);
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| reference.search(&ref_index, q, 5).results)
+        .map(|q| reference.execute(&ref_index, &SearchRequest::new(q).with_k(5)).results)
         .collect();
 
     // 4 workers × 3 rounds, each round indexing the corpus (which fans

@@ -20,8 +20,9 @@ use proptest::prelude::*;
 
 use newslink_core::wal::{self, WalRecord, WAL_HEADER_LEN};
 use newslink_core::{
-    doc_ids, read_newslink_index, read_newslink_index_tolerant, segment_byte_spans,
+    read_newslink_index, read_newslink_index_tolerant, segment_byte_spans,
     write_newslink_index, DurableStore, LoadReport, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    SearchRequest,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -57,7 +58,7 @@ const EXTRA_DOCS: &[&str] = &[
 ];
 
 fn ids(index: &NewsLinkIndex) -> Vec<DocId> {
-    doc_ids(index).collect()
+    index.doc_ids().collect()
 }
 
 /// Assert `a` and `b` hold the same documents and rank a spread of
@@ -65,8 +66,8 @@ fn ids(index: &NewsLinkIndex) -> Vec<DocId> {
 fn assert_equivalent(engine: &NewsLink<'_>, a: &NewsLinkIndex, b: &NewsLinkIndex, label: &str) {
     assert_eq!(ids(a), ids(b), "{label}: doc ids");
     for q in ["Taliban near Kunar", "Pakistan trade", "Khyber aid"] {
-        let ra = engine.search(a, q, 10);
-        let rb = engine.search(b, q, 10);
+        let ra = engine.execute(a, &SearchRequest::new(q).with_k(10));
+        let rb = engine.execute(b, &SearchRequest::new(q).with_k(10));
         assert_eq!(ra.results.len(), rb.results.len(), "{label}: query {q}");
         for (x, y) in ra.results.iter().zip(&rb.results) {
             assert_eq!(x.doc, y.doc, "{label}: query {q}");
@@ -125,7 +126,7 @@ fn snapshot_write_crash_at_every_offset_never_panics() {
             );
             assert!(report.degraded(), "budget {budget}: loss must be reported");
             // The survivors still answer queries.
-            let _ = engine.search(&loaded, "Pakistan talks", 5);
+            let _ = engine.execute(&loaded, &SearchRequest::new("Pakistan talks").with_k(5));
         }
     }
     // The full budget writes cleanly and loads cleanly.
@@ -251,7 +252,7 @@ fn degraded_store_serves_survivors_and_replays_wal() {
     assert!(ids(&index).contains(&DocId(0)));
     assert!(!ids(&index).contains(&DocId(1)), "doc 1 was quarantined");
     assert!(ids(&index).contains(&DocId(2)), "WAL insert replayed");
-    let out = engine.search(&index, "Taliban near Kunar", 5);
+    let out = engine.execute(&index, &SearchRequest::new("Taliban near Kunar").with_k(5));
     assert!(out.results.iter().any(|r| r.doc == DocId(0)));
     // Degraded opens never auto-checkpoint (the damaged snapshot is
     // operator evidence): the corrupted bytes are still on disk.

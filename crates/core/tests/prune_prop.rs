@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    index_corpus, search, write_newslink_index, Directory, FsDirectory, NewsLinkConfig,
-    NewsLinkIndex, RamDirectory, StorageBackend,
+    write_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    RamDirectory, SearchRequest, SearchResponse, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -57,6 +57,11 @@ fn query_strategy() -> impl Strategy<Value = String> {
         .prop_map(|ws| ws.into_iter().map(|w| VOCAB[w]).collect::<Vec<_>>().join(" "))
 }
 
+/// One uncached query, so every call runs the full NLP + NE + NS path.
+fn search(engine: &NewsLink<'_>, index: &NewsLinkIndex, query: &str, k: usize) -> SearchResponse {
+    engine.execute(index, &SearchRequest::new(query).with_k(k).without_cache())
+}
+
 /// Regression for the tie-retention class the random corpora are too
 /// small to hit. Which of several *tied* documents a bounded heap keeps
 /// depends on how higher-scoring pushes interleave with the tied ones;
@@ -90,9 +95,11 @@ fn tied_docs_across_segments_match_oracle() {
     .to_vec();
     let pruned_cfg = NewsLinkConfig::default().with_segment_docs(3);
     let oracle_cfg = pruned_cfg.clone().with_prune_topk(false);
-    let idx = index_corpus(&g, &li, &pruned_cfg, &docs);
+    let pruned_engine = NewsLink::new(&g, &li, pruned_cfg);
+    let oracle_engine = NewsLink::new(&g, &li, oracle_cfg);
+    let idx = pruned_engine.index_corpus(&docs);
 
-    let oracle = search(&g, &li, &oracle_cfg, &idx, "Pakistan talks", 3);
+    let oracle = search(&oracle_engine, &idx, "Pakistan talks", 3);
     // Precondition: the corpus really produces the P > Q > tie shape the
     // regression needs (fails loudly if scorer changes perturb it).
     assert_eq!(oracle.results.len(), 3);
@@ -105,8 +112,8 @@ fn tied_docs_across_segments_match_oracle() {
     assert_eq!(oracle.results[2].doc, DocId(1), "the tie group keeps its lowest id");
 
     for k in [1usize, 2, 3, 4, 6, 100] {
-        let pruned = search(&g, &li, &pruned_cfg, &idx, "Pakistan talks", k);
-        let oracle = search(&g, &li, &oracle_cfg, &idx, "Pakistan talks", k);
+        let pruned = search(&pruned_engine, &idx, "Pakistan talks", k);
+        let oracle = search(&oracle_engine, &idx, "Pakistan talks", k);
         assert_eq!(pruned.results.len(), oracle.results.len(), "k={k}");
         for (x, y) in pruned.results.iter().zip(&oracle.results) {
             assert_eq!(x.doc, y.doc, "tied-doc retention (k={k})");
@@ -175,8 +182,11 @@ proptest! {
         }
         prop_assert!(pruned_cfg.prune_topk, "pruning must be the default");
         let oracle_cfg = pruned_cfg.clone().with_prune_topk(false);
+        let threads = pruned_cfg.threads;
+        let pruned_engine = NewsLink::new(&g, &li, pruned_cfg);
+        let oracle_engine = NewsLink::new(&g, &li, oracle_cfg);
 
-        let mut idx = index_corpus(&g, &li, &pruned_cfg, &docs);
+        let mut idx = pruned_engine.index_corpus(&docs);
         if do_delete {
             // Delete a pseudo-random subset, keeping at least one doc.
             let mut live = docs.len();
@@ -188,13 +198,13 @@ proptest! {
             }
         }
 
-        let pruned = search(&g, &li, &pruned_cfg, &idx, &query, k);
-        let oracle = search(&g, &li, &oracle_cfg, &idx, &query, k);
+        let pruned = search(&pruned_engine, &idx, &query, k);
+        let oracle = search(&oracle_engine, &idx, &query, k);
         prop_assert_eq!(
             pruned.results.len(),
             oracle.results.len(),
             "result count (β={} k={} threads={} segdocs={})",
-            beta, k, pruned_cfg.threads, segment_docs
+            beta, k, threads, segment_docs
         );
         for (x, y) in pruned.results.iter().zip(&oracle.results) {
             prop_assert_eq!(x.doc, y.doc, "doc order for β={} k={}", beta, k);
@@ -202,7 +212,7 @@ proptest! {
                 x.score.to_bits(),
                 y.score.to_bits(),
                 "score bits for doc {} (β={} k={} threads={} segdocs={})",
-                x.doc.0, beta, k, pruned_cfg.threads, segment_docs
+                x.doc.0, beta, k, threads, segment_docs
             );
             prop_assert_eq!(x.bow.to_bits(), y.bow.to_bits(), "bow bits for doc {}", x.doc.0);
             prop_assert_eq!(x.bon.to_bits(), y.bon.to_bits(), "bon bits for doc {}", x.doc.0);
@@ -213,7 +223,7 @@ proptest! {
         // or straight in a file mapping.
         let (heap_idx, mmap_idx) = round_trip_both_backends(&g, &idx, "pruned");
         for (reloaded, label) in [(&heap_idx, "heap"), (&mmap_idx, "mmap")] {
-            let again = search(&g, &li, &pruned_cfg, reloaded, &query, k);
+            let again = search(&pruned_engine, reloaded, &query, k);
             prop_assert_eq!(again.results.len(), pruned.results.len(), "{} reload", label);
             for (x, y) in again.results.iter().zip(&pruned.results) {
                 prop_assert_eq!(x.doc, y.doc, "{} reload doc order", label);
@@ -234,14 +244,15 @@ proptest! {
         query in query_strategy(),
     ) {
         let (g, li) = world();
-        let pruned_cfg = NewsLinkConfig::default();
-        let oracle_cfg = NewsLinkConfig::default().with_prune_topk(false);
-        let idx = index_corpus(&g, &li, &pruned_cfg, &docs);
-        let oracle = search(&g, &li, &oracle_cfg, &idx, &query, 5);
+        let pruned_engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let oracle_engine =
+            NewsLink::new(&g, &li, NewsLinkConfig::default().with_prune_topk(false));
+        let idx = pruned_engine.index_corpus(&docs);
+        let oracle = search(&oracle_engine, &idx, &query, 5);
         prop_assert_eq!(oracle.prune.candidates, 0);
         prop_assert_eq!(oracle.prune.scored, 0);
         prop_assert_eq!(oracle.prune.blocks_skipped, 0);
-        let pruned = search(&g, &li, &pruned_cfg, &idx, &query, 5);
+        let pruned = search(&pruned_engine, &idx, &query, 5);
         if !pruned.results.is_empty() {
             prop_assert!(pruned.prune.candidates > 0, "matches imply candidates");
             prop_assert!(pruned.prune.scored > 0, "results imply scored docs");

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    index_corpus, search, write_newslink_index, Directory, FsDirectory, NewsLink,
-    NewsLinkConfig, NewsLinkIndex, RamDirectory, StorageBackend,
+    write_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    RamDirectory, SearchRequest, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -55,20 +55,19 @@ fn query_strategy() -> impl Strategy<Value = String> {
         .prop_map(|ws| ws.into_iter().map(|w| VOCAB[w]).collect::<Vec<_>>().join(" "))
 }
 
-/// Assert two indexes rank `query` bit-identically.
-#[allow(clippy::too_many_arguments)]
+/// Assert two indexes rank `query` bit-identically (uncached, so each
+/// side runs the full NLP + NE + NS path).
 fn assert_same_ranking(
-    g: &KnowledgeGraph,
-    li: &LabelIndex,
-    cfg: &NewsLinkConfig,
+    engine: &NewsLink<'_>,
     a: &NewsLinkIndex,
     b: &NewsLinkIndex,
     query: &str,
     k: usize,
     label: &str,
 ) {
-    let ra = search(g, li, cfg, a, query, k);
-    let rb = search(g, li, cfg, b, query, k);
+    let request = SearchRequest::new(query).with_k(k).without_cache();
+    let ra = engine.execute(a, &request);
+    let rb = engine.execute(b, &request);
     assert_eq!(ra.results.len(), rb.results.len(), "{label}: result count");
     for (x, y) in ra.results.iter().zip(&rb.results) {
         assert_eq!(x.doc, y.doc, "{label}: doc order");
@@ -135,29 +134,30 @@ proptest! {
         threads in 1usize..4,
     ) {
         let (g, li) = world();
-        let mono_cfg = NewsLinkConfig::default();
-        let mono = index_corpus(&g, &li, &mono_cfg, &docs);
+        let mono_engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let mono = mono_engine.index_corpus(&docs);
         let seg_cfg = NewsLinkConfig::default()
             .with_segment_docs(segment_docs)
             .with_threads(threads);
-        let seg = index_corpus(&g, &li, &seg_cfg, &docs);
+        let seg_engine = NewsLink::new(&g, &li, seg_cfg);
+        let seg = seg_engine.index_corpus(&docs);
         if segment_docs < docs.len() {
             prop_assert!(seg.segment_count() > 1, "sharding must actually happen");
         }
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &seg, &query, k, "sharded build");
+        assert_same_ranking(&mono_engine, &mono, &seg, &query, k, "sharded build");
 
         // Compaction back to one segment converges on the monolithic
         // layout and, again, the same bits.
-        let mut compacted = index_corpus(&g, &li, &seg_cfg, &docs);
+        let mut compacted = seg_engine.index_corpus(&docs);
         compacted.compact();
         prop_assert_eq!(compacted.segment_count(), 1);
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &compacted, &query, k, "compacted");
+        assert_same_ranking(&mono_engine, &mono, &compacted, &query, k, "compacted");
 
         // A v4 snapshot round-trip through either storage backend
         // reproduces the segmented ranking bit for bit.
         let (heap, mmap) = round_trip_both_backends(&g, &seg, "build");
-        assert_same_ranking(&g, &li, &seg_cfg, &seg, &heap, &query, k, "heap reload");
-        assert_same_ranking(&g, &li, &seg_cfg, &seg, &mmap, &query, k, "mmap reload");
+        assert_same_ranking(&seg_engine, &seg, &heap, &query, k, "heap reload");
+        assert_same_ranking(&seg_engine, &seg, &mmap, &query, k, "mmap reload");
     }
 
     /// Deletions behave identically however the index is laid out — a
@@ -173,10 +173,10 @@ proptest! {
         max_segments in 1usize..4,
     ) {
         let (g, li) = world();
-        let mono_cfg = NewsLinkConfig::default();
-        let seg_cfg = NewsLinkConfig::default().with_segment_docs(2);
-        let mut mono = index_corpus(&g, &li, &mono_cfg, &docs);
-        let mut seg = index_corpus(&g, &li, &seg_cfg, &docs);
+        let mono_engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
+        let seg_engine = NewsLink::new(&g, &li, NewsLinkConfig::default().with_segment_docs(2));
+        let mut mono = mono_engine.index_corpus(&docs);
+        let mut seg = seg_engine.index_corpus(&docs);
         let engine = NewsLink::new(
             &g,
             &li,
@@ -201,20 +201,20 @@ proptest! {
         prop_assert_eq!(seg.doc_count(), live);
         prop_assert_eq!(inc.doc_count(), live);
         prop_assert!(inc.segment_count() <= max_segments);
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &seg, &query, k, "tombstoned");
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &inc, &query, k, "inserted");
+        assert_same_ranking(&mono_engine, &mono, &seg, &query, k, "tombstoned");
+        assert_same_ranking(&mono_engine, &mono, &inc, &query, k, "inserted");
 
         // Tombstones persist through the v4 round-trip on both backends.
         let (heap, mmap) = round_trip_both_backends(&g, &seg, "tombstoned");
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &heap, &query, k, "tombstoned heap");
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &mmap, &query, k, "tombstoned mmap");
+        assert_same_ranking(&mono_engine, &mono, &heap, &query, k, "tombstoned heap");
+        assert_same_ranking(&mono_engine, &mono, &mmap, &query, k, "tombstoned mmap");
 
         // Compacting the segmented index expunges its tombstones but
         // must not change what a search returns.
         seg.compact();
         prop_assert_eq!(seg.segment_count(), 1);
         prop_assert_eq!(seg.tombstone_count(), 0, "compaction expunges");
-        assert_same_ranking(&g, &li, &mono_cfg, &mono, &seg, &query, k, "expunged");
+        assert_same_ranking(&mono_engine, &mono, &seg, &query, k, "expunged");
 
         // Surviving ids are stable: every live doc keeps its identity.
         let mono_ids: Vec<u32> = mono.doc_ids().map(|d| d.0).collect();

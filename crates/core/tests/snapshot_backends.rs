@@ -18,8 +18,8 @@
 //! [`LoadReport`]: newslink_core::LoadReport
 
 use newslink_core::{
-    doc_ids, segment_byte_spans, DurableStore, FsDirectory, MmapSegmentReader, NewsLink,
-    NewsLinkConfig, NewsLinkIndex, PersistError, SegmentReader, StorageBackend,
+    segment_byte_spans, DurableStore, FsDirectory, MmapSegmentReader, NewsLink,
+    NewsLinkConfig, NewsLinkIndex, PersistError, SearchRequest, SegmentReader, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -47,7 +47,7 @@ const DOCS: &[&str] = &[
 ];
 
 fn ids(index: &NewsLinkIndex) -> Vec<DocId> {
-    doc_ids(index).collect()
+    index.doc_ids().collect()
 }
 
 fn assert_bit_identical(
@@ -58,8 +58,8 @@ fn assert_bit_identical(
 ) {
     assert_eq!(ids(a), ids(b), "{label}: doc ids");
     for q in ["Taliban near Kunar", "Pakistan trade", "Khyber summit"] {
-        let ra = engine.search(a, q, 10);
-        let rb = engine.search(b, q, 10);
+        let ra = engine.execute(a, &SearchRequest::new(q).with_k(10));
+        let rb = engine.execute(b, &SearchRequest::new(q).with_k(10));
         assert_eq!(ra.results.len(), rb.results.len(), "{label}: query {q}");
         for (x, y) in ra.results.iter().zip(&rb.results) {
             assert_eq!(x.doc, y.doc, "{label}: query {q}");
@@ -156,7 +156,7 @@ fn every_mapped_section_byte_flip_quarantines_without_panic() {
                 .filter(|d| d.index() != si)
                 .collect();
             assert_eq!(survivors, expected, "section {si} byte {at}");
-            let out = engine.search(&index, "Pakistan trade", 10);
+            let out = engine.execute(&index, &SearchRequest::new("Pakistan trade").with_k(10));
             for hit in &out.results {
                 assert_ne!(hit.doc.index(), si, "quarantined doc must not rank");
             }

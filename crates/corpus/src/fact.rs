@@ -42,7 +42,7 @@ impl FactCorpusConfig {
 pub struct FactDoc {
     /// Dense id within the corpus.
     pub id: usize,
-    /// Headline ("Profile: <label>").
+    /// Headline (`"Profile: <label>"`).
     pub title: String,
     /// Full text (headline + fact sentences).
     pub text: String,

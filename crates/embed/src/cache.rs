@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
-use newslink_kg::{KnowledgeGraph, LabelIndex, ShardedCache};
-use newslink_util::CacheStats;
+use newslink_kg::{KnowledgeGraph, LabelIndex};
+use newslink_util::{CacheStats, ShardedCache};
 
 use crate::algo::{find_lcag, EmbedError, SearchConfig};
 use crate::model::CommonAncestorGraph;
@@ -88,11 +88,6 @@ impl EmbeddingCache {
     /// Group-memo counters.
     pub fn group_stats(&self) -> CacheStats {
         self.groups.stats()
-    }
-
-    /// Drop every memoized group (needed only when the graph is replaced).
-    pub fn clear(&self) {
-        self.groups.clear();
     }
 }
 
@@ -223,22 +218,5 @@ mod tests {
             .embed_group(&g, &idx, &l, &cfg, CachedModel::Lcag)
             .unwrap();
         assert!(lcag.node_count() >= want.node_count());
-    }
-
-    #[test]
-    fn clear_invalidates_the_memo() {
-        let (g, idx) = figure1();
-        let cfg = SearchConfig::default();
-        let cache = EmbeddingCache::new(16, 16);
-        let l = labels(&["taliban", "pakistan"]);
-        cache
-            .embed_group(&g, &idx, &l, &cfg, CachedModel::Lcag)
-            .unwrap();
-        cache.clear();
-        cache
-            .embed_group(&g, &idx, &l, &cfg, CachedModel::Lcag)
-            .unwrap();
-        assert_eq!(cache.group_stats().hits, 0);
-        assert_eq!(cache.group_stats().misses, 2);
     }
 }

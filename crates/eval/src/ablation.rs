@@ -8,7 +8,7 @@ use serde::Serialize;
 use newslink_core::{EmbeddingModel, NewsLinkConfig, NewsLinkIndex};
 use newslink_corpus::QueryStrategy;
 use newslink_embed::SearchConfig;
-use newslink_kg::{reweight_by_predicate_rarity, KnowledgeGraph, LabelIndex};
+use newslink_kg::{reweight_by_predicate_rarity, LabelIndex};
 
 use crate::context::EvalContext;
 use crate::methods::{NewsLinkMethod, SearchMethod};
@@ -77,28 +77,6 @@ pub fn run_ablation_coverage(ctx: &EvalContext) -> AblationResult {
     result
 }
 
-/// NewsLink over an explicit (possibly reweighted) graph.
-struct WeightedMethod<'a> {
-    graph: &'a KnowledgeGraph,
-    labels: &'a LabelIndex,
-    config: NewsLinkConfig,
-    index: NewsLinkIndex,
-}
-
-impl SearchMethod for WeightedMethod<'_> {
-    fn name(&self) -> String {
-        format!("NewsLink({})", self.config.beta)
-    }
-
-    fn rank(&self, query: &str, k: usize) -> Vec<usize> {
-        newslink_core::search(self.graph, self.labels, &self.config, &self.index, query, k)
-            .results
-            .into_iter()
-            .map(|r| r.doc.index())
-            .collect()
-    }
-}
-
 /// Does edge weighting matter? The model is defined over weighted KGs
 /// but the paper evaluates unit weights. This compares, on identical
 /// topology, unit weights against predicate-rarity weights where common
@@ -114,16 +92,11 @@ pub fn run_ablation_weights(ctx: &EvalContext) -> AblationResult {
         ("unit weights", &ctx.world.graph, &ctx.label_index),
         ("rarity weights", &reweighted, &reweighted_labels),
     ] {
-        let index = newslink_core::index_corpus(graph, labels, &config, &ctx.texts);
-        result
-            .nodes_per_doc
-            .push((label.to_string(), nodes_per_doc(&index, ctx.texts.len())));
-        let method = WeightedMethod {
-            graph,
-            labels,
-            config: config.clone(),
-            index,
-        };
+        let method = NewsLinkMethod::over(graph, labels, &ctx.texts, config.clone());
+        result.nodes_per_doc.push((
+            label.to_string(),
+            nodes_per_doc(method.index(), ctx.texts.len()),
+        ));
         score_variant(ctx, &method, label, &vectors, &mut result.scores);
     }
     result

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::Serialize;
 
-use newslink_core::{EmbeddingModel, NewsLinkConfig};
+use newslink_core::{EmbeddingModel, NewsLink, NewsLinkConfig, SearchRequest};
 use newslink_corpus::QueryStrategy;
 use newslink_embed::{overlap_to_dot, relationship_paths};
 use newslink_nlp::NlpPipeline;
@@ -57,19 +57,12 @@ pub fn run_case_study(ctx: &EvalContext) -> Option<CaseStudy> {
         .with_beta(1.0)
         .with_model(EmbeddingModel::Lcag)
         .with_auto_threads();
-    let index =
-        newslink_core::index_corpus(&ctx.world.graph, &ctx.label_index, &config, &ctx.texts);
+    let engine = NewsLink::new(&ctx.world.graph, &ctx.label_index, config);
+    let index = engine.index_corpus(&ctx.texts);
     let nlp = NlpPipeline::new(&ctx.world.graph, &ctx.label_index);
 
     for case in ctx.queries(QueryStrategy::LargestEntityDensity) {
-        let outcome = newslink_core::search(
-            &ctx.world.graph,
-            &ctx.label_index,
-            &config,
-            &index,
-            &case.query,
-            5,
-        );
+        let outcome = engine.execute(&index, &SearchRequest::new(&case.query).with_k(5));
         let Some(hit) = outcome.results.iter().find(|r| r.doc.index() != case.doc) else {
             continue;
         };

@@ -5,7 +5,8 @@ use newslink_baselines::vector::cosine;
 use newslink_baselines::{
     Doc2Vec, Doc2VecConfig, Lda, LdaConfig, Qeprf, QeprfConfig, SbertEmbedder,
 };
-use newslink_core::{EmbeddingModel, NewsLinkConfig, NewsLinkIndex};
+use newslink_core::{EmbeddingModel, NewsLink, NewsLinkConfig, NewsLinkIndex, SearchRequest};
+use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_nlp::analyze;
 use newslink_text::{Bm25, Searcher};
 use newslink_util::TopK;
@@ -196,16 +197,15 @@ impl SearchMethod for LdaMethod {
 // ---------------------------------------------------------------------------
 
 /// NewsLink(β), optionally with the TreeEmb model (the paper's
-/// `TreeEmb(β)` rows of Table VII).
-pub struct NewsLinkMethod<'c> {
-    ctx: &'c EvalContext,
-    config: NewsLinkConfig,
+/// `TreeEmb(β)` rows of Table VII): one engine and the index it built.
+pub struct NewsLinkMethod<'g> {
+    engine: NewsLink<'g>,
     index: NewsLinkIndex,
 }
 
-impl<'c> NewsLinkMethod<'c> {
+impl<'g> NewsLinkMethod<'g> {
     /// Embed and index the fixture's corpus under `model` with weight β.
-    pub fn new(ctx: &'c EvalContext, beta: f64, model: EmbeddingModel) -> Self {
+    pub fn new(ctx: &'g EvalContext, beta: f64, model: EmbeddingModel) -> Self {
         let config = NewsLinkConfig::default()
             .with_beta(beta)
             .with_model(model)
@@ -215,14 +215,21 @@ impl<'c> NewsLinkMethod<'c> {
 
     /// Embed and index under an explicit configuration (used by the
     /// ablations, e.g. the `single_path` width ablation).
-    pub fn with_config(ctx: &'c EvalContext, config: NewsLinkConfig) -> Self {
-        let index = newslink_core::index_corpus(
-            &ctx.world.graph,
-            &ctx.label_index,
-            &config,
-            &ctx.texts,
-        );
-        Self { ctx, config, index }
+    pub fn with_config(ctx: &'g EvalContext, config: NewsLinkConfig) -> Self {
+        Self::over(&ctx.world.graph, &ctx.label_index, &ctx.texts, config)
+    }
+
+    /// Embed and index `texts` over an explicit graph (used by the
+    /// edge-weight ablation's reweighted graph).
+    pub fn over(
+        graph: &'g KnowledgeGraph,
+        labels: &'g LabelIndex,
+        texts: &[String],
+        config: NewsLinkConfig,
+    ) -> Self {
+        let engine = NewsLink::new(graph, labels, config);
+        let index = engine.index_corpus(texts);
+        Self { engine, index }
     }
 
     /// The built index (reused by timing experiments).
@@ -230,30 +237,24 @@ impl<'c> NewsLinkMethod<'c> {
         &self.index
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &NewsLinkConfig {
-        &self.config
+    /// The engine that built the index.
+    pub fn engine(&self) -> &NewsLink<'g> {
+        &self.engine
     }
 }
 
 impl SearchMethod for NewsLinkMethod<'_> {
     fn name(&self) -> String {
-        match self.config.model {
-            EmbeddingModel::Lcag => format!("NewsLink({})", self.config.beta),
-            EmbeddingModel::Tree => format!("TreeEmb({})", self.config.beta),
+        let config = self.engine.config();
+        match config.model {
+            EmbeddingModel::Lcag => format!("NewsLink({})", config.beta),
+            EmbeddingModel::Tree => format!("TreeEmb({})", config.beta),
         }
     }
 
     fn rank(&self, query: &str, k: usize) -> Vec<usize> {
-        let outcome = newslink_core::search(
-            &self.ctx.world.graph,
-            &self.ctx.label_index,
-            &self.config,
-            &self.index,
-            query,
-            k,
-        );
-        outcome.results.into_iter().map(|r| r.doc.index()).collect()
+        let response = self.engine.execute(&self.index, &SearchRequest::new(query).with_k(k));
+        response.results.into_iter().map(|r| r.doc.index()).collect()
     }
 }
 

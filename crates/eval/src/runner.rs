@@ -3,7 +3,7 @@
 use serde::Serialize;
 
 use newslink_baselines::FastTextEmbedder;
-use newslink_core::EmbeddingModel;
+use newslink_core::{EmbeddingModel, NewsLink, NewsLinkConfig, SearchRequest};
 use newslink_corpus::QueryStrategy;
 use newslink_nlp::NlpPipeline;
 
@@ -177,14 +177,9 @@ pub fn run_table_viii(ctx: &EvalContext, method: &NewsLinkMethod<'_>) -> QueryTi
     let mut ne = 0.0;
     let mut ns = 0.0;
     for c in &cases {
-        let outcome = newslink_core::search(
-            &ctx.world.graph,
-            &ctx.label_index,
-            method.config(),
-            method.index(),
-            &c.query,
-            20,
-        );
+        // Uncached, so every query pays the full NLP + NE + NS cost.
+        let request = SearchRequest::new(&c.query).with_k(20).without_cache();
+        let outcome = method.engine().execute(method.index(), &request);
         nlp += outcome.timer.total("nlp").as_secs_f64() * 1e3;
         ne += outcome.timer.total("ne").as_secs_f64() * 1e3;
         ns += outcome.timer.total("ns").as_secs_f64() * 1e3;
@@ -215,13 +210,9 @@ pub fn run_fig7(ctx: &EvalContext) -> EmbeddingTiming {
         ("NewsLink", EmbeddingModel::Lcag),
         ("TreeEmb", EmbeddingModel::Tree),
     ] {
-        let config = newslink_core::NewsLinkConfig::default().with_model(model);
-        let index = newslink_core::index_corpus(
-            &ctx.world.graph,
-            &ctx.label_index,
-            &config,
-            &ctx.texts,
-        );
+        let config = NewsLinkConfig::default().with_model(model);
+        let engine = NewsLink::new(&ctx.world.graph, &ctx.label_index, config);
+        let index = engine.index_corpus(&ctx.texts);
         let n = ctx.texts.len().max(1) as f64;
         rows.push((
             name.to_string(),

@@ -16,7 +16,7 @@
 
 use serde::Serialize;
 
-use newslink_core::{EmbeddingModel, NewsLinkConfig};
+use newslink_core::{EmbeddingModel, NewsLink, NewsLinkConfig, SearchRequest};
 use newslink_corpus::QueryStrategy;
 use newslink_embed::relationship_paths;
 use newslink_util::DetRng;
@@ -121,21 +121,14 @@ pub fn build_pairs(ctx: &EvalContext, n_pairs: usize) -> Vec<PairFeatures> {
         .with_beta(1.0)
         .with_model(EmbeddingModel::Lcag)
         .with_auto_threads();
-    let index =
-        newslink_core::index_corpus(&ctx.world.graph, &ctx.label_index, &config, &ctx.texts);
+    let engine = NewsLink::new(&ctx.world.graph, &ctx.label_index, config);
+    let index = engine.index_corpus(&ctx.texts);
     let mut pairs = Vec::new();
     for case in ctx.queries(QueryStrategy::LargestEntityDensity) {
         if pairs.len() == n_pairs {
             break;
         }
-        let outcome = newslink_core::search(
-            &ctx.world.graph,
-            &ctx.label_index,
-            &config,
-            &index,
-            &case.query,
-            5,
-        );
+        let outcome = engine.execute(&index, &SearchRequest::new(&case.query).with_k(5));
         // Top result that is not the query's own document.
         let Some(hit) = outcome.results.iter().find(|r| r.doc.index() != case.doc) else {
             continue;

@@ -10,8 +10,6 @@
 //!   paper's `S(l)`;
 //! - [`synth`] — a deterministic Wikidata-like world generator (the offline
 //!   stand-in for the paper's Wikidata dump; see DESIGN.md §6.1);
-//! - [`cache`] — [`cache::ShardedCache`], the concurrent bounded map
-//!   behind the embedding group memo and the engine's query memo;
 //! - [`triples`] — plain-text persistence;
 //! - [`describe`] — derived entity descriptions (consumed by the QEPRF
 //!   baseline);
@@ -20,7 +18,6 @@
 #![deny(unsafe_code)]
 
 pub mod builder;
-pub mod cache;
 pub mod describe;
 pub mod fst_index;
 pub mod graph;
@@ -35,7 +32,6 @@ pub mod traverse;
 pub mod triples;
 
 pub use builder::GraphBuilder;
-pub use cache::ShardedCache;
 pub use graph::{Edge, EntityType, KnowledgeGraph, NodeId};
 pub use interner::{StringInterner, Symbol};
 pub use fst_index::{FstIndexError, FstLabelIndex, NodeMeta};

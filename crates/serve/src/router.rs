@@ -686,10 +686,11 @@ pub(crate) fn apply_deadline(
 }
 
 /// Build a [`SearchRequest`] from user JSON: must be an object with a
-/// string `"query"`; all other fields are optional and unknown fields
-/// are rejected. Omitted fields fall back to [`SearchRequest::new`]'s
-/// defaults by merging the user object over the serialized default
-/// request, keeping the derived serde impl as the single wire format.
+/// string `"query"`; all other fields are optional. Omitted fields fall
+/// back to [`SearchRequest::new`]'s defaults by merging the user object
+/// over the serialized default request, keeping the derived serde impl
+/// as the single wire format: a field that request does not serialize
+/// is unknown and rejected.
 ///
 /// Numeric fields are validated here, at the protocol boundary, so the
 /// engine never sees a non-finite β or an unbounded `k`: the JSON
@@ -697,15 +698,9 @@ pub(crate) fn apply_deadline(
 /// infinities (`1e999`), and those must die with a clear `400`, not a
 /// poisoned score.
 pub fn request_from_value(v: &Value) -> Result<SearchRequest, RequestError> {
-    const KNOWN: [&str; 6] = ["query", "k", "beta", "explain", "use_cache", "timeout_ms"];
     let obj = v
         .as_object()
         .ok_or_else(|| bad("request must be a JSON object"))?;
-    for (key, _) in obj {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(bad(format!("unknown field {key:?}")));
-        }
-    }
     let query = v
         .get("query")
         .and_then(|q| q.as_str())
@@ -720,14 +715,14 @@ pub fn request_from_value(v: &Value) -> Result<SearchRequest, RequestError> {
         if key == "query" {
             continue;
         }
-        let value = if key == "explain" {
+        let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) else {
+            return Err(bad(format!("unknown field {key:?}")));
+        };
+        slot.1 = if key == "explain" {
             explain_value(user_value)?
         } else {
             user_value.clone()
         };
-        if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        }
     }
     let request = SearchRequest::deserialize_value(&merged).map_err(|e| bad(e.to_string()))?;
     if let Some(beta) = request.beta {

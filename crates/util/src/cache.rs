@@ -8,15 +8,19 @@
 //! - [`ClockCache`] — a bounded map with CLOCK (second-chance) eviction,
 //!   an LRU approximation whose `get` needs no mutation beyond an atomic
 //!   reference bit, so reads can run under a shared lock;
+//! - [`ShardedCache`] — the concurrent map behind the engine's memo tiers
+//!   (the `newslink-embed` group memo and the `newslink-core` query
+//!   memo): lock-striped [`ClockCache`] shards;
 //! - [`CacheCounters`] — lock-free hit/miss/eviction counters;
 //! - [`CacheStats`] — a plain snapshot of those counters for reporting,
 //!   in the same spirit as [`crate::timer::ComponentTimer`] breakdowns.
 
 use std::borrow::Borrow;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 
-use crate::FxHashMap;
+use crate::{FxHashMap, FxHasher};
 
 /// A snapshot of cache activity, cheap to copy and to difference.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,12 +258,110 @@ impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
         }
         Some(slot.value)
     }
+}
 
-    /// Drop every entry (counters are preserved).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.hand = 0;
+/// A concurrent, capacity-bounded cache: `RwLock` shards over
+/// [`ClockCache`]s, with lock-free hit/miss/eviction counters.
+///
+/// Reads take a shard's shared lock (the CLOCK reference bit is atomic, so
+/// `get` never upgrades); only inserts take the exclusive lock. Values are
+/// cloned out, so `V` is typically an `Arc`. The memos it backs key on
+/// frozen-graph state, so an entry never goes stale and there is no
+/// invalidation API. Shard locks ignore poisoning, as `parking_lot`'s do.
+#[derive(Debug)]
+pub struct ShardedCache<K, V> {
+    shards: Box<[RwLock<ClockCache<K, V>>]>,
+    counters: CacheCounters,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
+    /// A cache bounded to roughly `capacity` total entries, spread over 16
+    /// shards. Capacity zero disables caching (all lookups miss).
+    pub fn new(capacity: usize) -> Self {
+        Self::with_shards(capacity, 16)
+    }
+
+    /// A cache with an explicit shard count (rounded up to a power of two).
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+        let shards = shards.max(1).next_power_of_two();
+        let per_shard = if capacity == 0 {
+            0
+        } else {
+            capacity.div_ceil(shards)
+        };
+        Self {
+            shards: (0..shards)
+                .map(|_| RwLock::new(ClockCache::new(per_shard)))
+                .collect(),
+            counters: CacheCounters::default(),
+        }
+    }
+
+    #[inline]
+    fn shard<Q>(&self, key: &Q) -> &RwLock<ClockCache<K, V>>
+    where
+        Q: Hash + ?Sized,
+    {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        &self.shards[h.finish() as usize & (self.shards.len() - 1)]
+    }
+
+    /// Look up `key`, counting a hit or miss. Accepts any borrowed form
+    /// of the key (e.g. `&str` for `String` keys): the `Borrow` contract
+    /// guarantees the borrowed form hashes identically, so the probe
+    /// lands on the same shard without building an owned key.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let found = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned();
+        match found {
+            Some(v) => {
+                self.counters.hit();
+                Some(v)
+            }
+            None => {
+                self.counters.miss();
+                None
+            }
+        }
+    }
+
+    /// Insert or replace `key`, counting any eviction.
+    pub fn insert(&self, key: K, value: V) {
+        let evicted = self
+            .shard(&key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, value);
+        if evicted.is_some() {
+            self.counters.evict();
+        }
+    }
+
+    /// Total live entries across shards.
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
+    }
+
+    /// True when no shard holds an entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Counter snapshot including the live entry count.
+    pub fn stats(&self) -> CacheStats {
+        self.counters.snapshot(self.len())
     }
 }
 
@@ -327,16 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_working() {
-        let mut c = ClockCache::new(2);
-        c.insert(1, 1);
-        c.clear();
-        assert!(c.is_empty());
-        c.insert(2, 2);
-        assert_eq!(c.get(&2), Some(&2));
-    }
-
-    #[test]
     fn remove_drops_one_entry_and_keeps_the_rest_reachable() {
         let mut c = ClockCache::new(3);
         c.insert(1, 10);
@@ -388,6 +480,28 @@ mod tests {
         let m = a.merged(&d);
         assert_eq!(m.hits, 3);
         assert_eq!(m.entries, 11);
+    }
+
+    #[test]
+    fn sharded_cache_bounds_and_counts() {
+        let c: ShardedCache<u32, u32> = ShardedCache::with_shards(8, 4);
+        for i in 0..100 {
+            c.insert(i, i);
+        }
+        assert!(c.len() <= 8);
+        let s = c.stats();
+        assert!(s.evictions > 0);
+        c.insert(7, 700);
+        assert_eq!(c.get(&7), Some(700), "a fresh insert must be readable");
+        assert_eq!(c.stats().hits, 1);
+    }
+
+    #[test]
+    fn zero_capacity_sharded_cache_never_stores() {
+        let c: ShardedCache<u32, u32> = ShardedCache::new(0);
+        c.insert(1, 1);
+        assert!(c.get(&1).is_none());
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   retrieval primitive used by every ranking component.
 //! - [`timer`] — a component stopwatch used to reproduce the paper's
 //!   per-component time breakdowns (Table VIII, Figure 7).
-//! - [`cache`] — capacity-bounded CLOCK caches and hit/miss counters, the
-//!   building blocks of the traversal/embedding caches on the hot path.
+//! - [`cache`] — capacity-bounded CLOCK caches, their sharded concurrent
+//!   wrapper and hit/miss counters: the memo tiers on the hot path.
 //! - [`histogram`] — log2-bucketed value histograms for latency
 //!   reporting (merge-friendly, quantiles from bucket bounds).
 //! - [`shutdown`] — a cloneable one-way stop bit for cooperative
 //!   drain-and-exit across worker pools.
-//! - [`crc32`] — table-driven CRC-32 (IEEE) for frame checksums in the
+//! - [`crc32`](mod@crc32) — table-driven CRC-32 (IEEE) for frame checksums in the
 //!   persistence and write-ahead-log formats.
 //! - [`failpoint`] — deterministic fail-at-byte-N / short-write / lost
 //!   unsynced-tail I/O wrappers that drive the crash-recovery test
@@ -57,7 +57,7 @@ pub mod varint;
 pub mod xxh64;
 
 pub use bytes::Bytes;
-pub use cache::{CacheCounters, CacheStats, ClockCache};
+pub use cache::{CacheCounters, CacheStats, ClockCache, ShardedCache};
 pub use chaos::{ChaosProxy, ChaosStats, Fault, FaultPlan};
 pub use crc32::{crc32, Crc32};
 pub use fst::{Fst, FstBuilder};

@@ -1,6 +1,6 @@
 //! XXH64 — the 64-bit xxHash, the workspace's *bulk payload* checksum.
 //!
-//! [`crate::crc32`] guards the small frames: WAL records, snapshot
+//! [`crate::crc32`](mod@crate::crc32) guards the small frames: WAL records, snapshot
 //! headers, the v4 section directory. Its table-driven fold tops out
 //! near 2 GB/s on one core, and a snapshot open must checksum *every*
 //! payload byte before serving — so on the memory-mapped fast path the

@@ -46,13 +46,15 @@ fn main() {
         index.segment_count()
     );
     assert!(index.segment_count() <= 3);
-    let hits = live.search(&index, "khyber attack", 3).results;
+    let hits = live.execute(&index, &SearchRequest::new("khyber attack").with_k(3)).results;
     println!("top hits for 'khyber attack':");
     for hit in &hits {
         println!("  doc {} score {:.3}", hit.doc.0, hit.score);
     }
     assert_eq!(hits[0].doc, id_a);
-    let everything = live.search(&index, "election results capital khyber", 10).results;
+    let everything = live
+        .execute(&index, &SearchRequest::new("election results capital khyber").with_k(10))
+        .results;
     assert!(everything.iter().all(|h| h.doc != id_b), "retracted doc ranked");
 
     // --- Part 2: persist a full NewsLink index ---------------------------

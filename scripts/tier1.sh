@@ -15,6 +15,8 @@ cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo test --release --offline --manifest-path perf/Cargo.toml
 # Lint gate: the workspace (and its vendored shims) must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc gate: an intra-doc link to a deleted or private item fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Unsafe containment: the single audited `unsafe` module is
 # crates/util/src/mmap.rs (the storage layer's zero-copy foundation).
 # Any unsafe fn/impl/block anywhere else in the tree fails the gate,

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full NewsLink pipeline over the
 //! synthetic world, exercised through the facade crate's public API.
 
-use newslink::core::{EmbeddingModel, NewsLink, NewsLinkConfig};
+use newslink::core::{EmbeddingModel, NewsLink, NewsLinkConfig, SearchRequest};
 use newslink::corpus::{generate_corpus, CorpusConfig, CorpusFlavor, Split};
 use newslink::kg::{synth, LabelIndex, SynthConfig};
 use newslink::nlp::NlpPipeline;
@@ -27,7 +27,7 @@ fn pipeline_indexes_and_searches() {
     let mut hits = 0;
     for (i, text) in texts.iter().enumerate().take(20) {
         let first = text.split('.').next().unwrap();
-        let outcome = engine.search(&index, first, 5);
+        let outcome = engine.execute(&index, &SearchRequest::new(first).with_k(5));
         if outcome.results.iter().any(|r| r.doc.index() == i) {
             hits += 1;
         }
@@ -47,7 +47,7 @@ fn explanations_reference_real_graph_labels() {
     let mut explained = 0;
     for text in texts.iter().take(10) {
         let first = text.split('.').next().unwrap();
-        let outcome = engine.search(&index, first, 3);
+        let outcome = engine.execute(&index, &SearchRequest::new(first).with_k(3));
         for hit in &outcome.results {
             for path in engine.explain(&index, &outcome.embedding, hit.doc, 5, 5) {
                 let rendered = path.render(&world.graph);
@@ -74,7 +74,8 @@ fn beta_sweep_is_monotone_in_components() {
             NewsLinkConfig::default().with_beta(beta),
         );
         let index = engine.index_corpus(&texts);
-        let outcome = engine.search(&index, texts[0].split('.').next().unwrap(), 5);
+        let first = texts[0].split('.').next().unwrap();
+        let outcome = engine.execute(&index, &SearchRequest::new(first).with_k(5));
         for r in &outcome.results {
             if check_bow_zero {
                 assert_eq!(r.bow, 0.0);
@@ -137,7 +138,10 @@ fn deterministic_end_to_end() {
     let index1 = engine.index_corpus(&texts);
     let index2 = engine.index_corpus(&texts);
     let q = texts[3].split('.').next().unwrap();
-    let r1: Vec<u32> = engine.search(&index1, q, 10).results.iter().map(|r| r.doc.0).collect();
-    let r2: Vec<u32> = engine.search(&index2, q, 10).results.iter().map(|r| r.doc.0).collect();
+    let request = SearchRequest::new(q).with_k(10);
+    let ids = |index| -> Vec<u32> {
+        engine.execute(index, &request).results.iter().map(|r| r.doc.0).collect()
+    };
+    let (r1, r2) = (ids(&index1), ids(&index2));
     assert_eq!(r1, r2);
 }

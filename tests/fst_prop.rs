@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use newslink::core::{NewsLink, NewsLinkConfig};
+use newslink::core::{NewsLink, NewsLinkConfig, SearchRequest};
 use newslink::kg::{
     normalize_label, synth, EntityType, FstLabelIndex, GraphBuilder, KnowledgeGraph, LabelIndex,
     SynthConfig,
@@ -169,9 +169,10 @@ proptest! {
         let ih = eh.index_corpus(&texts);
         let if_ = ef.index_corpus(&texts);
 
-        for query in texts.iter().take(4) {
-            let rh = eh.search(&ih, query, k);
-            let rf = ef.search(&if_, query, k);
+        for &query in texts.iter().take(4) {
+            let request = SearchRequest::new(query).with_k(k);
+            let rh = eh.execute(&ih, &request);
+            let rf = ef.execute(&if_, &request);
             prop_assert_eq!(rh.results.len(), rf.results.len());
             for (a, b) in rh.results.iter().zip(rf.results.iter()) {
                 prop_assert_eq!(a.doc, b.doc);
