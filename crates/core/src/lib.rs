@@ -48,7 +48,7 @@ pub use api::{
 pub use cache::EngineCacheStats;
 pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
 pub use indexer::NewsLinkIndex;
-pub use pipeline::{NewsLink, QueryAnalysis};
+pub use pipeline::{InstalledInsert, NewsLink, PreparedInsert, QueryAnalysis};
 pub use score_explain::{ScoreExplanation, SideExplanation, TermContribution};
 pub use searcher::SearchResult;
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};

@@ -19,10 +19,11 @@
 //! }
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use newslink_embed::{bon_terms, relationship_paths, DocEmbedding, RelationshipPath};
 use newslink_kg::{KnowledgeGraph, LabelIndex};
+use newslink_nlp::MatchStats;
 use newslink_text::DocId;
 use newslink_util::ComponentTimer;
 
@@ -34,7 +35,7 @@ use crate::config::NewsLinkConfig;
 use crate::indexer::{build_stripe, embed_one_with, NewsLinkIndex};
 use crate::persist::PersistError;
 use crate::searcher::{analyze_query_text, parallel_map, run_query};
-use crate::segment::IndexSegment;
+use crate::segment::{CompactionPlan, IndexSegment};
 
 /// The query-side artifacts a scatter-gather router needs: the analyzed
 /// BOW terms, the BON node terms derived from the query embedding, and
@@ -55,6 +56,51 @@ pub struct QueryAnalysis {
     pub timer: ComponentTimer,
     /// How the engine's caches served the analysis.
     pub cache: QueryCacheInfo,
+}
+
+/// A document insert computed by [`NewsLink::prepare_insert`] under
+/// shared access to an index and published by
+/// [`NewsLink::install_insert`] under exclusive access: the sealed
+/// one-document segment, the id it will be installed under, and every
+/// merge the follow-up compaction runs.
+#[derive(Debug)]
+pub struct PreparedInsert {
+    id: DocId,
+    /// `(generation, compactions)` of the index the plan was made from.
+    basis: (u64, u64),
+    segment: IndexSegment,
+    compaction: CompactionPlan,
+    nlp: Duration,
+    ne: Duration,
+    match_stats: MatchStats,
+    embedded: bool,
+}
+
+impl PreparedInsert {
+    /// The id the document will be installed under — what a write-ahead
+    /// log must record before the install.
+    pub fn id(&self) -> DocId {
+        self.id
+    }
+}
+
+/// What [`NewsLink::install_insert`] hands back: the id the document was
+/// installed under, plus the segments its merges replaced. Freeing those
+/// is the one costly part of an install (every merged-away posting list
+/// and dictionary), so it happens when this value drops — after the
+/// caller has released the index's write lock.
+#[derive(Debug)]
+#[must_use = "dropping it frees the replaced segments: drop it after releasing the index lock"]
+pub struct InstalledInsert {
+    id: DocId,
+    _retired: Vec<IndexSegment>,
+}
+
+impl InstalledInsert {
+    /// The installed document's id.
+    pub fn id(&self) -> DocId {
+        self.id
+    }
 }
 
 /// The NewsLink engine: borrow a KG and its label index, hold a config
@@ -163,7 +209,22 @@ impl<'g> NewsLink<'g> {
     /// back under `config.max_segments`. Returns the new document's
     /// stable id (never a reused one). Results afterwards are
     /// bit-identical to rebuilding the index over the enlarged corpus.
+    ///
+    /// This is [`prepare_insert`](Self::prepare_insert) followed by
+    /// [`install_insert`](Self::install_insert); a server that must keep
+    /// answering searches calls the two halves around its lock instead.
     pub fn insert_document(&self, index: &mut NewsLinkIndex, text: &str) -> DocId {
+        let prepared = self.prepare_insert(index, text);
+        self.install_insert(index, prepared).id()
+    }
+
+    /// The expensive half of [`insert_document`](Self::insert_document),
+    /// under shared access: embed `text`, seal it as a one-document
+    /// segment under the id `index` will mint next, and build every merge
+    /// the compaction after installing it will run. Nothing in `index`
+    /// changes; the result is valid for [`install_insert`](Self::install_insert)
+    /// only while `index` stays exactly as it is now.
+    pub fn prepare_insert(&self, index: &NewsLinkIndex, text: &str) -> PreparedInsert {
         let artifacts = embed_one_with(
             self.graph,
             self.label_index,
@@ -171,22 +232,65 @@ impl<'g> NewsLink<'g> {
             self.caches.as_ref().map(|c| &c.embed),
             text,
         );
-        index
-            .timer
-            .record("nlp", std::time::Duration::from_nanos(artifacts.nlp_nanos));
-        index
-            .timer
-            .record("ne", std::time::Duration::from_nanos(artifacts.ne_nanos));
-        index.match_stats.identified += artifacts.analysis.stats.identified;
-        index.match_stats.matched += artifacts.analysis.stats.matched;
-        if !artifacts.embedding.is_empty() {
+        let id = DocId(index.next_id);
+        let nlp = Duration::from_nanos(artifacts.nlp_nanos);
+        let ne = Duration::from_nanos(artifacts.ne_nanos);
+        let match_stats = artifacts.analysis.stats;
+        let embedded = !artifacts.embedding.is_empty();
+        let segment = IndexSegment::build(vec![(id.0, artifacts)]);
+        let compaction = index.plan_compaction(Some(&segment), self.config.max_segments);
+        PreparedInsert {
+            id,
+            basis: (index.generation, index.compactions),
+            segment,
+            compaction,
+            nlp,
+            ne,
+            match_stats,
+            embedded,
+        }
+    }
+
+    /// The publishing half of [`insert_document`](Self::insert_document),
+    /// under exclusive access: reserve the prepared id, append the sealed
+    /// segment, splice in the planned merges, drop the tombstones they
+    /// expunge and bump the generation. Returns the prepared id together
+    /// with the segments the merges replaced, whose memory is freed when
+    /// the returned value drops — outside the caller's lock, if it holds
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// When `index` changed since `prepared` was made (another mutation,
+    /// compaction or id-stripe change ran in between, or the plan came
+    /// from a different index). The check runs before anything is
+    /// touched, so a refused plan leaves `index` as it was and never
+    /// lands under an id other than [`PreparedInsert::id`] — the id a
+    /// write-ahead log recorded. Callers hold one lock across both halves,
+    /// which makes this unreachable.
+    pub fn install_insert(
+        &self,
+        index: &mut NewsLinkIndex,
+        prepared: PreparedInsert,
+    ) -> InstalledInsert {
+        assert!(
+            prepared.basis == (index.generation, index.compactions)
+                && prepared.id.0 == index.next_id,
+            "stale insert plan: the index changed between prepare_insert and install_insert"
+        );
+        index.timer.record("nlp", prepared.nlp);
+        index.timer.record("ne", prepared.ne);
+        index.match_stats.identified += prepared.match_stats.identified;
+        index.match_stats.matched += prepared.match_stats.matched;
+        if prepared.embedded {
             index.embedded_docs += 1;
         }
         let id = index.reserve_id();
-        let segment = IndexSegment::build(vec![(id.0, artifacts)]);
-        index.install_segment(segment);
-        index.compact_to(self.config.max_segments);
-        id
+        index.install_segment(prepared.segment);
+        InstalledInsert {
+            id,
+            _retired: index.apply_compaction(prepared.compaction),
+        }
     }
 
     /// Tombstone one document in a built index (physically expunged by a
@@ -250,7 +354,7 @@ impl<'g> NewsLink<'g> {
     pub fn execute(&self, index: &NewsLinkIndex, request: &SearchRequest) -> SearchResponse {
         let deadline = request
             .timeout_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let caches = if request.use_cache {
             self.caches.as_ref()
         } else {
@@ -567,6 +671,187 @@ mod tests {
         for (x, y) in compacted.iter().zip(&baseline) {
             assert_eq!(x.doc, y.doc);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
+        }
+    }
+
+    /// Everything an insert or delete can change about an index's shape:
+    /// per-segment ids, sorted tombstones, merges, the id allocator and
+    /// the indexing statistics.
+    fn shape(index: &NewsLinkIndex) -> (Vec<Vec<u32>>, Vec<u32>, u64, u32, usize, MatchStats) {
+        let mut tombstones: Vec<u32> = index.tombstones.iter().copied().collect();
+        tombstones.sort_unstable();
+        (
+            index
+                .segments()
+                .iter()
+                .map(|s| s.globals().to_vec())
+                .collect(),
+            tombstones,
+            index.compactions(),
+            index.next_id,
+            index.embedded_docs,
+            index.match_stats,
+        )
+    }
+
+    /// The unsplit insert: reserve, seal, install, then let `compact`
+    /// bring the segment count back under `max_segments` in place.
+    fn insert_in_place(
+        engine: &NewsLink<'_>,
+        index: &mut NewsLinkIndex,
+        text: &str,
+        compact: fn(&mut NewsLinkIndex, usize),
+    ) -> DocId {
+        let a = embed_one_with(
+            engine.graph,
+            engine.label_index,
+            &engine.config,
+            engine.caches.as_ref().map(|c| &c.embed),
+            text,
+        );
+        index.match_stats.identified += a.analysis.stats.identified;
+        index.match_stats.matched += a.analysis.stats.matched;
+        if !a.embedding.is_empty() {
+            index.embedded_docs += 1;
+        }
+        let id = index.reserve_id();
+        index.install_segment(IndexSegment::build(vec![(id.0, a)]));
+        compact(index, engine.config.max_segments);
+        id
+    }
+
+    /// Compaction as one merge at a time in place: the adjacent pair with
+    /// the fewest live documents (first such pair on ties), expunging its
+    /// tombstones, until at most `max` segments remain.
+    fn compact_by_pairs(index: &mut NewsLinkIndex, max: usize) {
+        while index.segments.len() > max.max(1) {
+            let live = |i: usize| index.segments[i].live_count(&index.tombstones);
+            let best = (0..index.segments.len() - 1)
+                .min_by_key(|&i| live(i) + live(i + 1))
+                .expect("two segments");
+            let b = index.segments.remove(best + 1);
+            let a = index.segments.remove(best);
+            let merged = IndexSegment::merge(&a, &b, &index.tombstones);
+            for g in a.globals().iter().chain(b.globals()) {
+                index.tombstones.remove(g);
+            }
+            if !merged.is_empty() {
+                index.segments.insert(best, merged);
+            }
+            index.compactions += 1;
+        }
+    }
+
+    /// Prepare-then-install is the in-place insert: after every step of
+    /// one insert/delete sequence, `insert_document` (prepare + install)
+    /// leaves the same segments, tombstones and merge count as
+    /// `install_segment` + `compact_to`, and as one-pair-at-a-time
+    /// compaction.
+    #[test]
+    fn prepared_insert_matches_insert_then_compact() {
+        let world = synth::generate(&SynthConfig::small(8));
+        let labels = LabelIndex::build(&world.graph);
+        let country = world.graph.label(world.countries[0]);
+        let city = world.graph.label(world.cities[0]);
+        let texts: Vec<String> = (0..9)
+            .map(|i| match i % 3 {
+                0 => format!("Officials from {country} met in {city}, report {i}."),
+                1 => format!("A festival in {city} drew crowds, day {i}."),
+                _ => format!("Unrelated filler story number {i}."),
+            })
+            .collect();
+        for max_segments in [1, 3] {
+            let config = NewsLinkConfig::default()
+                .with_segment_docs(2)
+                .with_max_segments(max_segments);
+            let engine = NewsLink::new(&world.graph, &labels, config);
+            let mut split = engine.index_corpus(&texts[..4]);
+            let mut in_place = engine.index_corpus(&texts[..4]);
+            let mut by_pairs = engine.index_corpus(&texts[..4]);
+            let mut inserted = Vec::new();
+            for (step, text) in texts[4..].iter().enumerate() {
+                let id = engine.insert_document(&mut split, text);
+                let compact_to = |i: &mut NewsLinkIndex, max| {
+                    i.compact_to(max);
+                };
+                assert_eq!(
+                    insert_in_place(&engine, &mut in_place, text, compact_to),
+                    id
+                );
+                assert_eq!(
+                    insert_in_place(&engine, &mut by_pairs, text, compact_by_pairs),
+                    id
+                );
+                inserted.push(id);
+                // Every other step, retract an older document: one from
+                // the initial build, then the previous insert.
+                let victim = match step % 4 {
+                    1 => Some(DocId(step as u32 / 4)),
+                    3 => Some(inserted[step - 1]),
+                    _ => None,
+                };
+                if let Some(victim) = victim {
+                    for index in [&mut split, &mut in_place, &mut by_pairs] {
+                        assert!(engine.delete_document(index, victim), "step {step}");
+                    }
+                }
+                let want = shape(&split);
+                assert_eq!(shape(&in_place), want, "max {max_segments} step {step}");
+                assert_eq!(shape(&by_pairs), want, "max {max_segments} step {step}");
+            }
+            assert!(split.compactions() > 0, "the sequence must exercise merges");
+            let q = format!("news from {city} in {country}");
+            let a = search(&engine, &split, &q, 5);
+            let b = search(&engine, &by_pairs, &q, 5);
+            assert!(!a.is_empty());
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!((x.doc, x.score.to_bits()), (y.doc, y.score.to_bits()));
+            }
+        }
+    }
+
+    /// A plan made before another mutation is refused before it touches
+    /// anything — whether the index gained a tombstone, a document or
+    /// only a compaction in between.
+    #[test]
+    fn stale_prepared_insert_is_refused() {
+        let world = synth::generate(&SynthConfig::small(8));
+        let labels = LabelIndex::build(&world.graph);
+        let country = world.graph.label(world.countries[0]);
+        let engine = NewsLink::new(
+            &world.graph,
+            &labels,
+            NewsLinkConfig::default().with_segment_docs(1),
+        );
+        let docs: Vec<String> = (0..4)
+            .map(|i| format!("Report {i} from {country}."))
+            .collect();
+        let text = format!("Late news from {country}.");
+        let interleaved: [fn(&NewsLink<'_>, &mut NewsLinkIndex); 3] = [
+            |e, i| assert!(e.delete_document(i, DocId(1))),
+            |e, i| {
+                e.insert_document(i, "An unrelated insert.");
+            },
+            |_, i| assert!(i.compact_to(1) > 0),
+        ];
+        for mutate in interleaved {
+            let mut index = engine.index_corpus(&docs);
+            let prepared = engine.prepare_insert(&index, &text);
+            assert_eq!(prepared.id(), DocId(4));
+            mutate(&engine, &mut index);
+            let (before, generation) = (shape(&index), index.generation());
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.install_insert(&mut index, prepared)
+            }));
+            assert!(refused.is_err(), "a stale plan must be refused");
+            assert_eq!(shape(&index), before, "a refused plan changes nothing");
+            assert_eq!(index.generation(), generation);
+            // A fresh plan against the mutated index installs normally.
+            let fresh = engine.prepare_insert(&index, &text);
+            let id = fresh.id();
+            assert_eq!(engine.install_insert(&mut index, fresh).id(), id);
+            assert!(index.is_live(id));
         }
     }
 

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 use newslink_embed::{bon_term_counts, codec as embed_codec, DocEmbedding};
 use newslink_text::{
     blended_scan, maxscore_search_with, query_tf, score_segment, Bm25, CollectionStats, DocId,
-    IndexBuilder, InvertedIndex, PruneStats, SideSpec, TermId,
+    IndexBuilder, InvertedIndex, PruneStats, SideSpec,
 };
 use newslink_util::{Bytes, FxHashMap, FxHashSet, TopK};
 
@@ -215,34 +215,29 @@ impl IndexSegment {
     /// documents (Lucene's expunge-on-merge). `a` must precede `b` in
     /// global-id order; the result preserves it.
     ///
-    /// Documents are replayed from posting lists as `(term, tf)` counts —
-    /// term frequencies, document frequencies and document lengths are
-    /// reconstructed exactly, so overlay scoring is unchanged by the
-    /// merge.
+    /// Both sides concatenate the inputs' posting lists under renumbered
+    /// doc ids ([`InvertedIndex::merge`]); term frequencies, document
+    /// frequencies and document lengths carry over exactly, so overlay
+    /// scoring is unchanged by the merge.
     pub(crate) fn merge(a: &IndexSegment, b: &IndexSegment, tombstones: &FxHashSet<u32>) -> Self {
-        let mut bow = IndexBuilder::new();
-        let mut bon = IndexBuilder::new();
+        let keep = |seg: &IndexSegment| -> Vec<bool> {
+            seg.globals
+                .iter()
+                .map(|g| !tombstones.contains(g))
+                .collect()
+        };
+        let (keep_a, keep_b) = (keep(a), keep(b));
         let mut embeddings = Vec::new();
         let mut globals = Vec::new();
-        for seg in [a, b] {
-            let bow_docs = doc_term_counts(&seg.bow);
-            let bon_docs = doc_term_counts(&seg.bon);
-            for (local, (bow_counts, bon_counts)) in
-                bow_docs.into_iter().zip(bon_docs).enumerate()
-            {
-                let global = seg.globals[local];
-                if tombstones.contains(&global) {
-                    continue;
-                }
-                bow.add_document_counts(&bow_counts);
-                bon.add_document_counts(&bon_counts);
+        for (seg, keep) in [(a, &keep_a), (b, &keep_b)] {
+            for (local, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
                 embeddings.push(seg.docs.get(local).expect("local id in range").clone());
-                globals.push(global);
+                globals.push(seg.globals[local]);
             }
         }
         Self {
-            bow: bow.build(),
-            bon: bon.build(),
+            bow: InvertedIndex::merge(&[(&a.bow, &keep_a), (&b.bow, &keep_b)]),
+            bon: InvertedIndex::merge(&[(&a.bon, &keep_a), (&b.bon, &keep_b)]),
             docs: DocStore::Eager(embeddings),
             globals,
         }
@@ -320,20 +315,53 @@ impl IndexSegment {
     }
 }
 
-/// Per-document `(term, tf)` lists of one inverted index, reconstructed
-/// from its posting lists (term order = ascending source `TermId`).
-fn doc_term_counts(index: &InvertedIndex) -> Vec<Vec<(String, u32)>> {
-    let dict = index.dictionary();
-    let mut per_doc: Vec<Vec<(String, u32)>> = Vec::new();
-    per_doc.resize_with(index.doc_count(), Vec::new);
-    for t in 0..dict.len() {
-        let term = TermId(t as u32);
-        let text = dict.term(term);
-        for p in index.postings(term) {
-            per_doc[p.doc.index()].push((text.to_string(), p.tf));
+/// A compaction built ahead of time by
+/// [`NewsLinkIndex::plan_compaction`] and spliced in by
+/// [`NewsLinkIndex::apply_compaction`].
+#[derive(Debug)]
+pub(crate) struct CompactionPlan {
+    /// The segment list after every merge, in order.
+    layout: Vec<Planned>,
+    /// Tombstoned ids the merges physically drop.
+    expunged: Vec<u32>,
+    /// Merges performed.
+    merges: usize,
+}
+
+/// One segment of a planned layout.
+#[derive(Debug)]
+enum Planned {
+    /// The segment at this position of the pre-compaction list.
+    Keep(usize),
+    /// A segment the plan merged.
+    Merged(Box<IndexSegment>),
+}
+
+/// A segment as the planner sees it while simulating merges.
+enum Slot<'a> {
+    /// Position and contents of a segment in the pre-compaction list.
+    Stored(usize, &'a IndexSegment),
+    /// A merge result.
+    Built(Box<IndexSegment>),
+}
+
+impl Slot<'_> {
+    fn segment(&self) -> &IndexSegment {
+        match self {
+            Slot::Stored(_, seg) => seg,
+            Slot::Built(seg) => seg,
         }
     }
-    per_doc
+
+    /// The tombstoned ids a merge of this slot expunges (a merge result
+    /// holds none).
+    fn tombstoned<'s>(&'s self, tombstones: &'s FxHashSet<u32>) -> impl Iterator<Item = u32> + 's {
+        let globals: &[u32] = match self {
+            Slot::Stored(_, seg) if !tombstones.is_empty() => &seg.globals,
+            _ => &[],
+        };
+        globals.iter().copied().filter(|g| tombstones.contains(g))
+    }
 }
 
 /// Gauge snapshot of a segmented index (exposed by `/metrics`).
@@ -489,28 +517,9 @@ impl NewsLinkIndex {
     /// and their ids leave the tombstone set. Returns the number of
     /// merges performed.
     pub fn compact_to(&mut self, max_segments: usize) -> usize {
-        let max = max_segments.max(1);
-        let mut merges = 0usize;
-        while self.segments.len() > max {
-            self.merge_adjacent_pair();
-            merges += 1;
-        }
-        // Force-merge semantics: compacting all the way down to one
-        // segment also rewrites a lone segment that still carries
-        // tombstones (as Lucene's forceMerge(1) expunges deletes even
-        // when there is no merge partner).
-        if max == 1 && !self.tombstones.is_empty() && self.segments.len() == 1 {
-            let seg = self.segments.pop().expect("one segment");
-            let rewritten = IndexSegment::merge(&seg, &IndexSegment::build(Vec::new()), &self.tombstones);
-            for g in seg.globals() {
-                self.tombstones.remove(g);
-            }
-            if !rewritten.is_empty() {
-                self.segments.push(rewritten);
-            }
-            self.compactions += 1;
-            merges += 1;
-        }
+        let plan = self.plan_compaction(None, max_segments);
+        let merges = plan.merges;
+        self.apply_compaction(plan);
         merges
     }
 
@@ -520,28 +529,104 @@ impl NewsLinkIndex {
         self.compact_to(1)
     }
 
-    fn merge_adjacent_pair(&mut self) {
-        debug_assert!(self.segments.len() >= 2);
-        let mut best = 0usize;
-        let mut best_cost = usize::MAX;
-        for i in 0..self.segments.len() - 1 {
-            let cost = self.segments[i].live_count(&self.tombstones)
-                + self.segments[i + 1].live_count(&self.tombstones);
-            if cost < best_cost {
-                best_cost = cost;
-                best = i;
+    /// Build every merge [`compact_to`](Self::compact_to) would run on
+    /// this index — with `incoming` appended first, when given — without
+    /// touching the index. Only shared access is needed, so the expensive
+    /// part of a compaction can run while searches continue;
+    /// [`apply_compaction`](Self::apply_compaction) then splices the
+    /// result in, and is valid only while the index is unchanged.
+    pub(crate) fn plan_compaction(
+        &self,
+        incoming: Option<&IndexSegment>,
+        max_segments: usize,
+    ) -> CompactionPlan {
+        let max = max_segments.max(1);
+        let mut slots: Vec<Slot<'_>> = self
+            .segments
+            .iter()
+            .chain(incoming)
+            .enumerate()
+            .map(|(i, seg)| Slot::Stored(i, seg))
+            .collect();
+        let mut expunged = Vec::new();
+        let mut merges = 0usize;
+        // Merged segments hold no tombstoned document, so scoring every
+        // slot against the unchanged tombstone set is exact.
+        while slots.len() > max {
+            let best = (0..slots.len() - 1)
+                .min_by_key(|&i| {
+                    slots[i].segment().live_count(&self.tombstones)
+                        + slots[i + 1].segment().live_count(&self.tombstones)
+                })
+                .expect("at least two slots");
+            let b = slots.remove(best + 1);
+            let a = slots.remove(best);
+            let merged = IndexSegment::merge(a.segment(), b.segment(), &self.tombstones);
+            expunged.extend(a.tombstoned(&self.tombstones));
+            expunged.extend(b.tombstoned(&self.tombstones));
+            if !merged.is_empty() {
+                slots.insert(best, Slot::Built(Box::new(merged)));
             }
+            merges += 1;
         }
-        let b = self.segments.remove(best + 1);
-        let a = self.segments.remove(best);
-        let merged = IndexSegment::merge(&a, &b, &self.tombstones);
-        for g in a.globals.iter().chain(&b.globals) {
+        // Force-merge semantics: compacting all the way down to one
+        // segment also rewrites a lone segment that still carries
+        // tombstones (as Lucene's forceMerge(1) expunges deletes even
+        // when there is no merge partner).
+        if max == 1 && slots.len() == 1 && self.tombstones.len() > expunged.len() {
+            let lone = slots.pop().expect("one slot");
+            let rewritten = IndexSegment::merge(
+                lone.segment(),
+                &IndexSegment::build(Vec::new()),
+                &self.tombstones,
+            );
+            expunged.extend(lone.tombstoned(&self.tombstones));
+            if !rewritten.is_empty() {
+                slots.push(Slot::Built(Box::new(rewritten)));
+            }
+            merges += 1;
+        }
+        let layout = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Stored(i, _) => Planned::Keep(i),
+                Slot::Built(seg) => Planned::Merged(seg),
+            })
+            .collect();
+        CompactionPlan {
+            layout,
+            expunged,
+            merges,
+        }
+    }
+
+    /// Splice a [`plan_compaction`](Self::plan_compaction) result in:
+    /// move the kept segments into the planned layout, drop the
+    /// expunged tombstones and count the merges. Returns the segments the
+    /// merges replaced, so the caller decides where their memory is
+    /// freed. The caller guarantees the index has not changed since the
+    /// plan was made (plus the `incoming` segment, pushed last).
+    pub(crate) fn apply_compaction(&mut self, plan: CompactionPlan) -> Vec<IndexSegment> {
+        if plan.merges == 0 {
+            return Vec::new();
+        }
+        let mut stored: Vec<Option<IndexSegment>> = std::mem::take(&mut self.segments)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.segments = plan
+            .layout
+            .into_iter()
+            .map(|p| match p {
+                Planned::Keep(i) => stored[i].take().expect("a planned slot is kept once"),
+                Planned::Merged(seg) => *seg,
+            })
+            .collect();
+        for g in &plan.expunged {
             self.tombstones.remove(g);
         }
-        if !merged.is_empty() {
-            self.segments.insert(best, merged);
-        }
-        self.compactions += 1;
+        self.compactions += plan.merges as u64;
+        stored.into_iter().flatten().collect()
     }
 
     /// Collection-wide BM25 statistics for one side, over live documents
@@ -1084,6 +1169,128 @@ mod tests {
         // Surviving ids are unchanged (stable across compaction).
         let ids: Vec<u32> = idx.doc_ids().map(|d| d.0).collect();
         assert_eq!(ids, vec![0, 2, 3, 4]);
+    }
+
+    /// Per-document `(term, tf)` lists of one inverted index, replayed
+    /// from its posting lists in ascending source term id order.
+    fn doc_term_counts(index: &InvertedIndex) -> Vec<Vec<(String, u32)>> {
+        let dict = index.dictionary();
+        let mut per_doc: Vec<Vec<(String, u32)>> = vec![Vec::new(); index.doc_count()];
+        for t in 0..dict.len() {
+            let term = newslink_text::TermId(t as u32);
+            for p in index.postings(term) {
+                per_doc[p.doc.index()].push((dict.term(term).to_string(), p.tf));
+            }
+        }
+        per_doc
+    }
+
+    /// The string-replay merge: every kept document re-added through
+    /// the builder as `(term, tf)` counts. Oracle for the posting merge.
+    fn merge_by_replay(
+        a: &IndexSegment,
+        b: &IndexSegment,
+        tombstones: &FxHashSet<u32>,
+    ) -> [InvertedIndex; 2] {
+        let mut bow = IndexBuilder::new();
+        let mut bon = IndexBuilder::new();
+        for seg in [a, b] {
+            let docs = doc_term_counts(&seg.bow)
+                .into_iter()
+                .zip(doc_term_counts(&seg.bon));
+            for (local, (bow_counts, bon_counts)) in docs.enumerate() {
+                if !tombstones.contains(&seg.globals[local]) {
+                    bow.add_document_counts(&bow_counts);
+                    bon.add_document_counts(&bon_counts);
+                }
+            }
+        }
+        [bow.build(), bon.build()]
+    }
+
+    fn assert_same_index(got: &InvertedIndex, want: &InvertedIndex, what: &str) {
+        assert_eq!(got.doc_count(), want.doc_count(), "{what}: docs");
+        assert_eq!(got.term_count(), want.term_count(), "{what}: terms");
+        for t in 0..want.term_count() {
+            let id = newslink_text::TermId(t as u32);
+            assert_eq!(
+                got.dictionary().term(id),
+                want.dictionary().term(id),
+                "{what}: term {t}"
+            );
+            assert_eq!(got.doc_freq(id), want.doc_freq(id), "{what}: df {t}");
+            assert_eq!(got.postings(id), want.postings(id), "{what}: postings {t}");
+        }
+        for d in 0..want.doc_count() as u32 {
+            assert_eq!(
+                got.doc_len(DocId(d)),
+                want.doc_len(DocId(d)),
+                "{what}: len {d}"
+            );
+        }
+        assert_eq!(
+            got.avg_doc_len().to_bits(),
+            want.avg_doc_len().to_bits(),
+            "{what}: avg"
+        );
+    }
+
+    /// Merging by posting concatenation builds exactly the dictionaries,
+    /// postings and lengths the string replay builds — over tombstoned
+    /// segments built live, loaded onto the heap and memory-mapped.
+    #[test]
+    fn posting_merge_matches_string_replay() {
+        let (g, li) = world();
+        let docs: Vec<&str> = DOCS.iter().chain(DOCS.iter().rev()).copied().collect();
+        let mut live = index_corpus(
+            &g,
+            &li,
+            &NewsLinkConfig::default().with_segment_docs(3),
+            &docs,
+        );
+        for victim in [1, 3, 4, 8] {
+            assert!(live.delete(DocId(victim)));
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "newslink_segment_merge_oracle_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.nlnk");
+        crate::persist::save_newslink_index(&live, &g, &path).unwrap();
+        let heap_bytes = Bytes::from_vec(std::fs::read(&path).unwrap());
+        let (heap, _) = crate::persist::read_newslink_index_bytes(&g, &heap_bytes, false).unwrap();
+        let map = std::sync::Arc::new(
+            newslink_util::Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap(),
+        );
+        let (mapped, _) =
+            crate::persist::read_newslink_index_bytes(&g, &Bytes::from_mmap(map), false).unwrap();
+        let empty = IndexSegment::build(Vec::new());
+        for (name, index) in [("live", &live), ("heap", &heap), ("mmap", &mapped)] {
+            assert_eq!(index.tombstone_count(), 4, "{name}");
+            let segs = &index.segments;
+            assert!(segs.len() >= 3, "{name}");
+            let pairs = segs
+                .windows(2)
+                .map(|w| (&w[0], &w[1]))
+                .chain([(&segs[0], &empty)]);
+            for (i, (a, b)) in pairs.enumerate() {
+                let merged = IndexSegment::merge(a, b, &index.tombstones);
+                let [bow, bon] = merge_by_replay(a, b, &index.tombstones);
+                assert_same_index(merged.bow(), &bow, &format!("{name} pair {i} bow"));
+                assert_same_index(merged.bon(), &bon, &format!("{name} pair {i} bon"));
+                let kept: Vec<u32> = a
+                    .globals()
+                    .iter()
+                    .chain(b.globals())
+                    .copied()
+                    .filter(|g| !index.tombstones.contains(g))
+                    .collect();
+                assert_eq!(merged.globals(), kept.as_slice(), "{name} pair {i}");
+                assert_eq!(merged.len(), bow.doc_count());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -170,8 +170,10 @@ impl DurableStore {
     }
 
     /// Write a crash-atomic snapshot of `index`, then reset the WAL.
-    /// `index` must reflect every record currently in the log (it does,
-    /// whenever mutations go through the apply-then-log discipline).
+    /// `index` must reflect every record currently in the log (it does
+    /// whenever mutations log, then install, and the checkpoint excludes
+    /// mutations from the first append to the last install — the serve
+    /// layer holds the index's upgradable lock for both).
     pub fn checkpoint(
         &mut self,
         index: &NewsLinkIndex,

@@ -684,7 +684,7 @@ mod tests {
     /// The subtle case: the frame is *fully written* but the fsync
     /// fails. The record was never acknowledged, so the repair must
     /// remove it — otherwise a crash-free continuation (or a replay)
-    /// would resurrect a mutation the caller rolled back.
+    /// would resurrect a mutation the caller never applied.
     #[test]
     fn failed_fsync_rolls_the_unacknowledged_frame_back() {
         let records = sample_records();

@@ -2,10 +2,14 @@
 //! plus the recovery report and checkpoint counters the observability
 //! endpoints surface.
 //!
-//! The store mutex serializes WAL appends and checkpoints; the index's
-//! reader-writer lock stays the outer lock everywhere (`index` first,
-//! then `store`), so a checkpoint holding the index read lock can never
-//! deadlock against a mutation holding the write lock.
+//! Mutations log, then install: each one holds the index's upgradable
+//! read lock while it prepares and appends its WAL record, and upgrades
+//! to the write lock only to publish — so WAL order is install order,
+//! and a checkpoint (which takes the same upgradable lock) never falls
+//! between a record and its install. The store mutex serializes WAL
+//! appends and checkpoints; the index lock stays the outer lock
+//! everywhere (the upgradable gate, then `index`, then `store`), so no
+//! two paths can deadlock.
 //!
 //! The [`LoadReport`] captured at construction is immutable: it
 //! describes what *this process's* open recovered (and lost), which
@@ -51,7 +55,7 @@ impl DurableState {
     }
 
     /// Lock the store for an append or a checkpoint. Callers must
-    /// already hold the index lock (read or write) — never acquire it
+    /// already hold the index's upgradable read lock — never acquire it
     /// the other way around.
     pub(crate) fn store(&self) -> MutexGuard<'_, DurableStore> {
         self.store.lock()

@@ -12,21 +12,23 @@
 //! queued behind the worker pool eats into it. A request that also
 //! carries its own `timeout_ms` gets the tighter of the two.
 //!
-//! When the server runs with a data directory, `/docs` mutations are
-//! write-ahead logged before they are acknowledged: inserts apply to the
-//! in-memory index first (that mints the id), then append; a failed
-//! append rolls the insert back and answers `500`, so the client's
-//! error means "not durable, not applied". Deletes log *before*
-//! applying, so an acknowledged delete is always on disk; a logged
-//! delete of a document that turns out not to exist is a harmless no-op
-//! on replay.
+//! `/docs` mutations prepare under the index's *upgradable* read lock
+//! — shared with searches, exclusive against other mutations — and take
+//! the write lock only to publish: an insert embeds, seals and builds its
+//! merges while searches keep running, then installs in a short
+//! exclusive section. When the server runs with a data directory, every
+//! mutation is write-ahead logged *before* it is installed (log, then
+//! install), still under the upgradable lock, so WAL order is install
+//! order and a failed append changes nothing: the `500` means "not
+//! durable, not applied". A logged delete of a document that turns out
+//! not to exist is a harmless no-op on replay.
 
 use std::time::{Duration, Instant};
 
 use newslink_core::{
     CollectionStats, DocId, Explanation, NewsLink, NewsLinkIndex, SearchRequest, Side, SideOverlay,
 };
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockUpgradableReadGuard};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cluster::proto::{
@@ -51,8 +53,9 @@ pub struct RequestContext<'a, 'g> {
     /// The shared engine.
     pub engine: &'a NewsLink<'g>,
     /// The corpus index being served. Searches take the read lock and
-    /// scan its segments; `/docs` mutations take the write lock
-    /// for the (short) seal-and-compact window.
+    /// scan its segments; `/docs` mutations and checkpoints take the
+    /// upgradable read lock, and mutations upgrade it to the write lock
+    /// only to publish.
     pub index: &'a RwLock<NewsLinkIndex>,
     /// Server configuration (default deadline budget).
     pub config: &'a ServeConfig,
@@ -63,7 +66,8 @@ pub struct RequestContext<'a, 'g> {
     /// Current admission gauge, for the `/metrics` document.
     pub in_flight: usize,
     /// Durability wiring, present when the server was started with a
-    /// data directory. Lock order: `index` first, then the store.
+    /// data directory. Lock order: the index's upgradable gate, then the
+    /// index, then the store.
     pub durable: Option<&'a DurableState>,
 }
 
@@ -288,34 +292,42 @@ fn handle_batch(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
 
 /// `POST /docs`: `{"text": "..."}` in, `{"id": n, "index": {...}}` out.
 /// The new document lands in its own sealed segment; if that pushes the
-/// segment count past the engine's `max_segments`, the insert also runs
-/// compaction before the write lock is released.
+/// segment count past the engine's `max_segments`, the insert also
+/// compacts.
 ///
-/// With durability on, the insert is applied first (minting the id),
-/// then WAL-logged and fsynced while the write lock is still held. A
-/// failed append rolls the insert back (tombstone) and answers `500`:
-/// the mutation was neither acknowledged nor made durable.
+/// Embedding, sealing and building the merges run under the upgradable
+/// read lock, so searches keep running; with durability on, the insert
+/// is WAL-logged and fsynced under the same lock, under the id the
+/// prepared plan will mint. Only then does the lock upgrade to publish
+/// the prepared segment and merges — a microsecond splice; the
+/// segments they replace are freed after the lock is released. A failed
+/// append answers `500` and changes nothing: the insert was neither
+/// acknowledged, applied nor made durable.
 fn handle_insert(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
     let text = match parse_insert_body(&req.body) {
         Ok(t) => t,
         Err(e) => return e.into_routed(Route::Docs),
     };
-    let mut index = ctx.index.write();
-    let id = ctx.engine.insert_document(&mut index, &text);
+    let index = ctx.index.upgradable_read();
+    let prepared = ctx.engine.prepare_insert(&index, &text);
     if let Some(durable) = ctx.durable {
-        if let Err(e) = durable.store().log_insert(id, &text) {
-            ctx.engine.delete_document(&mut index, id);
+        if let Err(e) = durable.store().log_insert(prepared.id(), &text) {
             drop(index);
             return routed(
                 Route::Docs,
                 500,
-                error_body(500, &format!("wal append failed, insert rolled back: {e}")),
+                error_body(500, &format!("wal append failed, insert not applied: {e}")),
             );
         }
         durable.note_append();
     }
+    let mut index = RwLockUpgradableReadGuard::upgrade(index);
+    let installed = ctx.engine.install_insert(&mut index, prepared);
     let stats = index.stats();
     drop(index);
+    let id = installed.id();
+    // Frees the merged-away segments, now outside the lock.
+    drop(installed);
     let body = Value::Object(vec![
         ("id".into(), Value::Number(serde::Number::from_i128(id.0 as i128))),
         ("index".into(), index_stats_value(stats)),
@@ -326,18 +338,19 @@ fn handle_insert(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
 /// `DELETE /docs/<id>`: tombstone a live document. Unknown or already
 /// deleted ids answer `404`; the id itself must be a decimal integer.
 ///
-/// With durability on, liveness is verified first — still under the
-/// write lock, so the answer cannot race another mutation — and a `404`
-/// returns without touching the log: a miss must not pay an fsync or
-/// grow the WAL. A live document is then WAL-logged *before* it is
-/// tombstoned: if the append fails nothing changes (`500`), and once it
-/// succeeds the acknowledgement can never outrun the disk.
+/// Liveness is verified under the upgradable read lock — no other
+/// mutation can run until this one finishes, so the answer cannot race
+/// — and a `404` returns without touching the log: a miss must not pay
+/// an fsync or grow the WAL. With durability on, a live document is
+/// then WAL-logged *before* the lock upgrades to tombstone it: if the
+/// append fails nothing changes (`500`), and once it succeeds the
+/// acknowledgement can never outrun the disk.
 fn handle_delete(path: &str, ctx: &RequestContext<'_, '_>) -> Routed {
     let raw = path.strip_prefix("/docs/").unwrap_or_default();
     let Ok(id) = raw.parse::<u32>() else {
         return routed(Route::Docs, 400, error_body(400, &format!("bad document id {raw:?}")));
     };
-    let mut index = ctx.index.write();
+    let index = ctx.index.upgradable_read();
     if !index.is_live(DocId(id)) {
         drop(index);
         return routed(Route::Docs, 404, error_body(404, &format!("no live document {id}")));
@@ -353,10 +366,14 @@ fn handle_delete(path: &str, ctx: &RequestContext<'_, '_>) -> Routed {
         }
         durable.note_append();
     }
+    let mut index = RwLockUpgradableReadGuard::upgrade(index);
     let deleted = ctx.engine.delete_document(&mut index, DocId(id));
     let stats = index.stats();
     drop(index);
-    debug_assert!(deleted, "liveness was checked under the same write lock");
+    debug_assert!(
+        deleted,
+        "liveness was checked under the same upgradable lock"
+    );
     let body = Value::Object(vec![
         ("deleted".into(), Value::Number(serde::Number::from_i128(id as i128))),
         ("index".into(), index_stats_value(stats)),
@@ -365,9 +382,11 @@ fn handle_delete(path: &str, ctx: &RequestContext<'_, '_>) -> Routed {
 }
 
 /// `POST /admin/snapshot`: checkpoint the index — write a crash-atomic
-/// snapshot under the index read lock (mutations wait, searches don't),
-/// then reset the WAL. Answers `400` when the server runs without a
-/// data directory.
+/// snapshot, then reset the WAL. Runs under the upgradable read lock:
+/// searches continue, while mutations wait, so a checkpoint can never
+/// fall between a mutation's log append and its install (which would
+/// snapshot an index missing a logged record, then discard the record).
+/// Answers `400` when the server runs without a data directory.
 fn handle_snapshot(ctx: &RequestContext<'_, '_>) -> Routed {
     let Some(durable) = ctx.durable else {
         return routed(
@@ -376,7 +395,7 @@ fn handle_snapshot(ctx: &RequestContext<'_, '_>) -> Routed {
             error_body(400, "durability not enabled (start the server with --data-dir)"),
         );
     };
-    let index = ctx.index.read();
+    let index = ctx.index.upgradable_read();
     let mut store = durable.store();
     match store.checkpoint(&index, ctx.engine.graph()) {
         Ok(()) => {
@@ -892,6 +911,79 @@ mod tests {
         ] {
             assert_eq!(error_code(status), code);
         }
+    }
+
+    /// A mutation's expensive half runs under the upgradable lock, which
+    /// searches pass and other mutations do not. With the test holding
+    /// that lock (standing in for a slow prepare), a search through
+    /// `dispatch` completes while an insert waits for it.
+    #[test]
+    fn searches_pass_a_preparing_mutation_and_inserts_wait() {
+        use newslink_kg::{synth, LabelIndex, SynthConfig};
+        use std::sync::mpsc;
+
+        let world = synth::generate(&SynthConfig::small(3));
+        let labels = LabelIndex::build(&world.graph);
+        let engine = NewsLink::new(
+            &world.graph,
+            &labels,
+            newslink_core::NewsLinkConfig::default(),
+        );
+        let country = world.graph.label(world.countries[0]).to_string();
+        let index = RwLock::new(engine.index_corpus(&[format!("Talks opened in {country}.")]));
+        let (config, metrics) = (ServeConfig::default(), ServerMetrics::new());
+        let ctx = RequestContext {
+            engine: &engine,
+            index: &index,
+            config: &config,
+            metrics: &metrics,
+            accepted: Instant::now(),
+            in_flight: 0,
+            durable: None,
+        };
+        let post = |path: &str, body: String| HttpRequest {
+            method: "POST".into(),
+            path: path.into(),
+            body,
+            keep_alive: false,
+        };
+        let search = post(
+            "/v1/search",
+            format!(r#"{{"query": "talks in {country}"}}"#),
+        );
+        let insert = post(
+            "/v1/docs",
+            format!(r#"{{"text": "More news from {country}."}}"#),
+        );
+
+        let preparing = index.upgradable_read();
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let (ctx, insert_tx) = (&ctx, tx.clone());
+            let inserter = s.spawn(move || {
+                let r = dispatch(&insert, ctx);
+                insert_tx.send("insert").expect("send");
+                r
+            });
+            let searcher = s.spawn(move || {
+                let r = dispatch(&search, ctx);
+                tx.send("search").expect("send");
+                r
+            });
+            assert_eq!(rx.recv().expect("a reply"), "search", "the search waited");
+            let searched = searcher.join().expect("search thread");
+            assert_eq!(searched.status, 200, "{}", searched.body);
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "the insert must wait for the upgradable lock"
+            );
+            assert_eq!(index.read().doc_count(), 1);
+            drop(preparing);
+            assert_eq!(rx.recv().expect("a reply"), "insert");
+            let inserted = inserter.join().expect("insert thread");
+            assert_eq!(inserted.status, 200, "{}", inserted.body);
+        });
+        assert_eq!(index.read().doc_count(), 2);
     }
 
     #[test]

@@ -174,9 +174,10 @@ impl Server {
     /// Serve until the handle triggers shutdown, then drain and return.
     /// Blocks the calling thread; spawns `config.workers` scoped handler
     /// threads that borrow `engine` and `index`. The index sits behind a
-    /// reader-writer lock: searches share the read side, `/docs`
-    /// mutations briefly take the write side to seal a new segment or
-    /// tombstone a document.
+    /// reader-writer lock: searches share the read side; `/docs`
+    /// mutations embed, seal and merge under the upgradable read side,
+    /// which searches pass, and upgrade to the write side only to
+    /// publish the result.
     pub fn run(&self, engine: &NewsLink<'_>, index: &RwLock<NewsLinkIndex>) -> io::Result<()> {
         self.run_durable(engine, index, None)
     }

@@ -303,3 +303,126 @@ fn degraded_start_still_serves(backend: StorageBackend) {
     assert_eq!(std::fs::read(&snapshot).expect("reread"), bytes);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Searches and writes race over real TCP — four search clients, two
+/// writer clients (inserts, deletes of their own inserts, and periodic
+/// checkpoints) — and every reply is `200`. After shutdown, reopening
+/// the data directory (snapshot + WAL replay) rebuilds an index that
+/// answers a fixed query set bit-identically to the live one: WAL order
+/// is install order, and no checkpoint fell between a log append and its
+/// install.
+#[test]
+fn concurrent_searches_and_writes_recover_bit_identically() {
+    const SEARCHES_PER_CLIENT: usize = 40;
+    const WRITES_PER_CLIENT: usize = 24;
+    let fixture = Fixture::new(25);
+    let dir = temp_dir("stress");
+    let labels = LabelIndex::build(&fixture.graph);
+    let engine = NewsLink::new(
+        &fixture.graph,
+        &labels,
+        NewsLinkConfig::default().with_max_segments(3),
+    );
+    let docs = fixture.docs();
+    let (store, index) = DurableStore::open_with(&engine, &dir, StorageBackend::Heap, || {
+        engine.index_corpus(&docs)
+    })
+    .expect("open store");
+    let durable = DurableState::new(store);
+    let index = parking_lot::RwLock::new(index);
+    let queries = [
+        format!("tensions in {}", fixture.country),
+        format!("festival in {}", fixture.city),
+        format!("{} and {}", fixture.city, fixture.country),
+    ];
+
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default().with_workers(6))
+        .expect("bind ephemeral port");
+    let handle = server.handle();
+    let addr = handle.addr();
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| server.run_durable(&engine, &index, Some(&durable)));
+        let searchers: Vec<_> = (0..4)
+            .map(|c| {
+                let queries = &queries;
+                scope.spawn(move || {
+                    for i in 0..SEARCHES_PER_CLIENT {
+                        let q = &queries[(c + i) % queries.len()];
+                        let body = format!(r#"{{"query": "{q}", "k": 5}}"#);
+                        let (status, text) =
+                            client::request(addr, "POST", "/v1/search", &body).expect("search");
+                        assert_eq!(status, 200, "search {c}/{i}: {text}");
+                    }
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let fixture = &fixture;
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    for i in 0..WRITES_PER_CLIENT {
+                        let (method, path, body) = match i % 6 {
+                            5 if w == 0 => ("POST", "/v1/admin/snapshot".to_string(), String::new()),
+                            3 => ("DELETE", format!("/v1/docs/{}", mine.remove(0)), String::new()),
+                            _ => (
+                                "POST",
+                                "/v1/docs".to_string(),
+                                format!(
+                                    r#"{{"text": "Writer {w} update {i}: crowds in {} as {} reacts."}}"#,
+                                    fixture.city, fixture.country
+                                ),
+                            ),
+                        };
+                        let (status, text) =
+                            client::request(addr, method, &path, &body).expect("write");
+                        assert_eq!(status, 200, "writer {w} op {i} {method} {path}: {text}");
+                        if path == "/v1/docs" {
+                            mine.push(parse(&text)["id"].as_i64().expect("minted id"));
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Join every client before propagating a failure, so a failed
+        // assertion stops the server instead of hanging the scope.
+        let outcomes: Vec<_> = searchers
+            .into_iter()
+            .chain(writers)
+            .map(|c| c.join())
+            .collect();
+        handle.shutdown();
+        runner.join().expect("server thread").expect("server run");
+        for outcome in outcomes {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    let live = index.into_inner();
+    drop(durable);
+
+    let (_store, recovered) = DurableStore::open_with(&engine, &dir, StorageBackend::Heap, || {
+        panic!("the data directory already holds a snapshot")
+    })
+    .expect("reopen store");
+    assert_eq!(
+        recovered.doc_ids().collect::<Vec<_>>(),
+        live.doc_ids().collect::<Vec<_>>()
+    );
+    for q in &queries {
+        let request = newslink_core::SearchRequest::new(q.as_str()).with_k(10);
+        let want = engine.execute(&live, &request).results;
+        let got = engine.execute(&recovered, &request).results;
+        assert!(!want.is_empty(), "{q}");
+        assert_eq!(got.len(), want.len(), "{q}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.doc, g.score.to_bits()),
+                (w.doc, w.score.to_bits()),
+                "{q}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

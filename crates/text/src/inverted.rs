@@ -703,6 +703,84 @@ impl InvertedIndex {
             .map_or(0, |(_, p)| p.tf)
     }
 
+    /// Merge indexes end to end, keeping the documents each mask admits
+    /// (`keep[d]` for local document `d`; one entry per document). Kept
+    /// documents are renumbered densely in input order, and each posting
+    /// list is the concatenation of the sources' kept postings under the
+    /// new ids, so no term string is interned per posting.
+    ///
+    /// The result equals replaying every kept document's `(term, tf)`
+    /// pairs, in ascending source term id order, through
+    /// [`IndexBuilder::add_document_counts`]: a term's id follows its
+    /// first kept appearance (ties within that document broken by source
+    /// term id), terms with no kept posting vanish, document frequencies
+    /// count kept documents, and document lengths carry over.
+    pub fn merge(parts: &[(&InvertedIndex, &[bool])]) -> InvertedIndex {
+        /// One output term: the `(new doc, source term id)` of its first
+        /// kept appearance, which orders the output dictionary.
+        struct Slot<'a> {
+            first: (u32, u32),
+            term: &'a str,
+            postings: Vec<Posting>,
+        }
+        let mut doc_len = Vec::new();
+        let mut total_len = 0u64;
+        let mut slots: Vec<Slot<'_>> = Vec::new();
+        let mut by_term: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut remap: Vec<Option<u32>> = Vec::new();
+        for &(index, keep) in parts {
+            assert_eq!(keep.len(), index.doc_count(), "one keep flag per document");
+            remap.clear();
+            for (local, &kept) in keep.iter().enumerate() {
+                remap.push(kept.then(|| {
+                    let doc = u32::try_from(doc_len.len())
+                        .expect("index overflow: more than 2^32 documents");
+                    let len = index.doc_len(DocId(local as u32));
+                    doc_len.push(len);
+                    total_len += u64::from(len);
+                    doc
+                }));
+            }
+            let dict = index.dictionary();
+            for t in 0..dict.len() {
+                let source = TermId(t as u32);
+                let kept = index.postings(source).iter().filter_map(|p| {
+                    remap[p.doc.index()].map(|doc| Posting {
+                        doc: DocId(doc),
+                        tf: p.tf,
+                    })
+                });
+                let term = dict.term(source);
+                if let Some(&slot) = by_term.get(term) {
+                    slots[slot].postings.extend(kept);
+                    continue;
+                }
+                let postings: Vec<Posting> = kept.collect();
+                if let Some(first) = postings.first() {
+                    by_term.insert(term, slots.len());
+                    slots.push(Slot {
+                        first: (first.doc.0, source.0),
+                        term,
+                        postings,
+                    });
+                }
+            }
+        }
+        slots.sort_unstable_by_key(|s| s.first);
+        let doc_freq = slots.iter().map(|s| s.postings.len() as u32).collect();
+        let postings = slots
+            .iter()
+            .map(|s| PostingList::from_postings(&s.postings))
+            .collect();
+        let terms = slots.iter().map(|s| s.term.to_string()).collect();
+        InvertedIndex::from_owned_parts(
+            TermDictionary::from_parts(terms, doc_freq),
+            postings,
+            doc_len,
+            total_len,
+        )
+    }
+
     /// Heap bytes held by all compressed posting lists (blocks +
     /// deltas). A mapped index counts only the lists materialized so
     /// far — untouched terms cost nothing.
@@ -762,9 +840,9 @@ impl IndexBuilder {
     /// Equivalent to [`IndexBuilder::add_document`] on the stream that
     /// repeats each term `count` times in order: the document length is the
     /// sum of counts and the resulting index is identical given the same
-    /// term order. Pairs with a zero count are ignored. This is the entry
-    /// point segment merges use to replay documents straight from posting
-    /// lists without materialising token streams.
+    /// term order. Pairs with a zero count are ignored. Segment builds
+    /// feed node-term counts through it, and [`InvertedIndex::merge`]
+    /// reproduces exactly what replaying documents through it would build.
     pub fn add_document_counts<S: AsRef<str>>(&mut self, counts: &[(S, u32)]) -> DocId {
         let doc = DocId(
             u32::try_from(self.doc_len.len()).expect("index overflow: more than 2^32 documents"),
@@ -911,6 +989,67 @@ mod tests {
         assert!(b.postings_for("dead").is_empty());
         assert_eq!(a.doc_len(DocId(0)), b.doc_len(DocId(0)));
         assert_eq!(a.avg_doc_len(), b.avg_doc_len());
+    }
+
+    /// `(term, tf)` pairs of every document in ascending source term
+    /// id order — the replay `InvertedIndex::merge` must reproduce.
+    fn replay_counts(index: &InvertedIndex) -> Vec<Vec<(String, u32)>> {
+        let mut per_doc = vec![Vec::new(); index.doc_count()];
+        let dict = index.dictionary();
+        for t in 0..dict.len() {
+            for p in index.postings(TermId(t as u32)) {
+                per_doc[p.doc.index()].push((dict.term(TermId(t as u32)).to_string(), p.tf));
+            }
+        }
+        per_doc
+    }
+
+    #[test]
+    fn merge_matches_replay_through_the_builder() {
+        let mut a = IndexBuilder::new();
+        a.add_document(&["gone", "x", "y", "x"]);
+        a.add_document(&["y", "z"]);
+        a.add_document(&["only_dropped"]);
+        let a = a.build();
+        let mut b = IndexBuilder::new();
+        b.add_document(&["w", "gone", "z"]);
+        b.add_document::<&str>(&[]);
+        b.add_document(&["x", "v", "v"]);
+        let b = b.build();
+        let (keep_a, keep_b) = ([false, true, false], [true, true, true]);
+
+        let mut replay = IndexBuilder::new();
+        for (index, keep) in [(&a, &keep_a[..]), (&b, &keep_b[..])] {
+            for (doc, counts) in replay_counts(index).into_iter().enumerate() {
+                if keep[doc] {
+                    replay.add_document_counts(&counts);
+                }
+            }
+        }
+        let want = replay.build();
+        let got = InvertedIndex::merge(&[(&a, &keep_a), (&b, &keep_b)]);
+
+        assert_eq!(got.doc_count(), want.doc_count());
+        assert_eq!(got.term_count(), want.term_count());
+        assert!(
+            got.term_id("only_dropped").is_none(),
+            "a term with no kept posting vanishes"
+        );
+        // "gone" first appears (kept) in b's doc 0, before "z" there.
+        for t in 0..want.term_count() {
+            let id = TermId(t as u32);
+            assert_eq!(
+                got.dictionary().term(id),
+                want.dictionary().term(id),
+                "term {t}"
+            );
+            assert_eq!(got.doc_freq(id), want.doc_freq(id), "df {t}");
+            assert_eq!(got.postings(id), want.postings(id), "postings {t}");
+        }
+        for d in 0..want.doc_count() as u32 {
+            assert_eq!(got.doc_len(DocId(d)), want.doc_len(DocId(d)));
+        }
+        assert_eq!(got.total_len(), want.total_len());
     }
 
     #[test]

@@ -50,6 +50,9 @@ fi
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
 # paper_tables: seeded Tiny paper tables are byte-identical to tests/golden/paper_tables.
 cargo test -q --workspace
+# The vendored shims are path dependencies, not workspace members, so the
+# workspace run above skips their own tests; run them explicitly.
+cargo test -q --offline -p parking_lot -p crossbeam -p serde_json -p proptest
 # The real thing: SIGKILL the release binary mid-mutation and restart it
 # (ignored by default; needs the release build from the first step).
 cargo test -q -p newslink-serve --test kill9_e2e -- --ignored
