@@ -125,11 +125,6 @@ impl Lda {
         self.vocab.len()
     }
 
-    /// Number of topics.
-    pub fn topics(&self) -> usize {
-        self.config.topics
-    }
-
     /// Fold in an unseen term stream, returning its topic mixture θ.
     ///
     /// Uses a per-document sampler seeded from the stream so inference is
@@ -286,6 +281,6 @@ mod tests {
     fn vocab_and_topics_exposed() {
         let m = Lda::train(&corpus(), small_config());
         assert!(m.vocab_size() >= 14);
-        assert_eq!(m.topics(), 4);
+        assert_eq!(m.config.topics, 4);
     }
 }

@@ -185,11 +185,6 @@ pub struct BatchResponse {
 }
 
 impl BatchResponse {
-    /// Queries answered from the whole-query memo.
-    pub fn query_hits(&self) -> usize {
-        self.responses.iter().filter(|r| r.cache.query_hit).count()
-    }
-
     /// Requests whose deadline expired mid-pipeline.
     pub fn timed_out(&self) -> usize {
         self.responses.iter().filter(|r| r.timed_out).count()

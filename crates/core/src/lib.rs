@@ -54,10 +54,9 @@ pub use searcher::SearchResult;
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};
 pub use directory::{Directory, FsDirectory, RamDirectory};
 pub use persist::{
-    atomic_write_file, load_label_fst, load_newslink_index, load_newslink_index_tolerant,
-    read_newslink_index, read_newslink_index_bytes, read_newslink_index_tolerant, save_label_fst,
-    save_newslink_index, segment_byte_spans, write_newslink_index, LoadReport, PersistError,
-    LABEL_FST_BLOB,
+    atomic_write_file, load_newslink_index, read_newslink_index, read_newslink_index_bytes,
+    read_newslink_index_tolerant, save_newslink_index, segment_byte_spans, write_newslink_index,
+    LoadReport, PersistError,
 };
 pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend};
 pub use store::DurableStore;

@@ -837,50 +837,11 @@ pub fn load_newslink_index(
     read_newslink_index(graph, &mut f)
 }
 
-/// Blob name of the label-automaton artifact inside a [`Directory`](crate::Directory).
-pub const LABEL_FST_BLOB: &str = "labels.fst";
-
-/// Publish the FST label index into `dir` under [`LABEL_FST_BLOB`],
-/// atomically. The blob is self-checksummed (per-section XXH64 plus a
-/// CRC-framed directory, same discipline as the v4 snapshot), so
-/// [`load_label_fst`] detects any at-rest damage.
-pub fn save_label_fst(
-    dir: &dyn crate::directory::Directory,
-    index: &newslink_kg::FstLabelIndex,
-) -> Result<(), PersistError> {
-    dir.atomic_write(LABEL_FST_BLOB, &index.encode())?;
-    Ok(())
-}
-
-/// Open the label automaton from `dir` through the zero-copy seam:
-/// file-backed directories hand back a memory mapping, so the FSTs, the
-/// postings arena and the node table serve straight from the page cache
-/// — cold-start label resolution without decoding. Every section's
-/// checksum is verified before the index is handed out; damage surfaces
-/// as [`PersistError::Corrupt`] naming the failing section.
-pub fn load_label_fst(
-    dir: &dyn crate::directory::Directory,
-) -> Result<newslink_kg::FstLabelIndex, PersistError> {
-    let bytes = dir.open_bytes(LABEL_FST_BLOB)?;
-    newslink_kg::FstLabelIndex::decode(bytes)
-        .map_err(|e| PersistError::Corrupt(format!("label automaton: {e}")))
-}
-
-/// Load from a file in degraded mode (see
-/// [`read_newslink_index_tolerant`]).
-pub fn load_newslink_index_tolerant(
-    graph: &KnowledgeGraph,
-    path: &Path,
-) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_newslink_index_tolerant(graph, &mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NewsLinkConfig;
-    use crate::directory::FsDirectory;
+    use crate::directory::{Directory, FsDirectory};
     use crate::pipeline::test_support::{index_corpus, search};
     use newslink_kg::{EntityType, GraphBuilder, LabelIndex};
     use newslink_text::DocId;
@@ -935,25 +896,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn label_fst_round_trips_through_ram_directory() {
-        let (g, li) = world();
-        let fst = newslink_kg::FstLabelIndex::build(&g);
-        let dir = crate::directory::RamDirectory::new();
-        save_label_fst(&dir, &fst).unwrap();
-        let back = load_label_fst(&dir).unwrap();
-        assert!(!back.is_mapped(), "RAM blobs stay heap-backed");
-        assert_eq!(back.surface_postings(), fst.surface_postings());
-        // The reloaded automaton answers like the hash oracle.
-        for (surface, nodes) in fst.surface_postings() {
-            use newslink_kg::LabelResolver;
-            let got: Vec<_> = back.exact(&surface).collect();
-            assert_eq!(got, nodes);
-            let oracle: Vec<_> = li.exact(&surface).collect();
-            assert_eq!(got, oracle, "surface {surface:?}");
-        }
-    }
-
+    /// A label automaton written to a file-backed directory maps back
+    /// zero-copy (the CLI's `resolve --storage mmap` path), and a flipped
+    /// byte in the stored blob fails the decode instead of serving
+    /// corrupt postings.
     #[test]
     fn label_fst_maps_zero_copy_from_fs_directory() {
         let (g, _) = world();
@@ -961,23 +907,17 @@ mod tests {
         let tmp = std::env::temp_dir().join(format!("nl-fst-dir-{}", std::process::id()));
         std::fs::create_dir_all(&tmp).unwrap();
         let dir = FsDirectory::create(&tmp).unwrap();
-        save_label_fst(&dir, &fst).unwrap();
-        let back = load_label_fst(&dir).unwrap();
+        dir.atomic_write("labels.fst", &fst.encode()).unwrap();
+        let open = || newslink_kg::FstLabelIndex::decode(dir.open_bytes("labels.fst").unwrap());
+        let back = open().unwrap();
         assert!(back.is_mapped(), "FsDirectory opens label blobs via mmap");
         assert_eq!(back.surface_postings(), fst.surface_postings());
-        // Flip a byte in the stored blob: the load must fail typed, not
-        // serve corrupt postings.
-        let path = dir.path_of(LABEL_FST_BLOB);
+        let path = dir.path_of("labels.fst");
         let mut raw = std::fs::read(&path).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
-        match load_label_fst(&dir) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("label automaton"), "{msg}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        assert!(open().is_err());
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
@@ -1200,9 +1140,8 @@ mod tests {
         // No temp residue, and saving over an existing file works.
         assert!(!dir.join("index.nlnk.tmp").exists());
         save_newslink_index(&back, &g, &path).unwrap();
-        let (again, report) = load_newslink_index_tolerant(&g, &path).unwrap();
+        let again = load_newslink_index(&g, &path).unwrap();
         assert_eq!(again.doc_count(), 3);
-        assert!(!report.degraded());
         std::fs::remove_dir_all(&dir).ok();
     }
 

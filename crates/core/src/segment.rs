@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 
 use newslink_embed::{bon_term_counts, codec as embed_codec, DocEmbedding};
 use newslink_text::{
-    blended_scan, maxscore_search_with, query_tf, score_segment, Bm25, CollectionStats, DocId,
-    IndexBuilder, InvertedIndex, PruneStats, SideSpec,
+    blended_scan, query_tf, score_segment, Bm25, CollectionStats, DocId, IndexBuilder,
+    InvertedIndex, PruneStats, SideSpec,
 };
 use newslink_util::{Bytes, FxHashMap, FxHashSet, TopK};
 
@@ -727,9 +727,10 @@ impl NewsLinkIndex {
     }
 
     /// BM25 top-k over the BOW side only — the "plain Lucene" view of the
-    /// segmented index. Each segment runs MaxScore under the global-stats
-    /// overlay; per-segment winners merge through one more
-    /// `newslink_util::TopK`, so ties still resolve toward lower ids.
+    /// segmented index. This is the blended scan at β = 0 with the BOW
+    /// side alone and divisor 1.0, where `(1-0)·raw/1 + 0·0` is the raw
+    /// BM25 score exactly, so the ranking and the scores are the
+    /// exhaustive ones bit for bit (ties resolve toward lower ids).
     pub fn bow_topk<S: AsRef<str>>(&self, query_terms: &[S], k: usize) -> Vec<(DocId, f64)> {
         if k == 0 {
             return Vec::new();
@@ -738,26 +739,9 @@ impl NewsLinkIndex {
         let Some(w) = self.side_work(Side::Bow, Bm25::default(), &terms, true) else {
             return Vec::new();
         };
-        let mut merged = TopK::new(k);
-        for seg in &self.segments {
-            let live = self.liveness(seg);
-            let hits = maxscore_search_with(
-                seg.bow(),
-                w.scorer,
-                &terms,
-                k,
-                w.stats,
-                |t| w.global_df.get(t).copied().unwrap_or(0),
-                |d| live.is_live(d),
-            );
-            for h in hits {
-                merged.push(h.score, DocId(seg.global_of(h.doc)));
-            }
-        }
-        merged
-            .into_sorted()
+        self.blended_merge(0.0, Some(&w), None, k, f64::NEG_INFINITY, &mut PruneStats::default())
             .into_iter()
-            .map(|(score, doc)| (doc, score))
+            .map(|(score, (doc, _, _))| (doc, score))
             .collect()
     }
 
@@ -1321,24 +1305,48 @@ mod tests {
         assert_eq!(s1.compactions, 2);
     }
 
+    /// `bow_topk` on the pruned scan equals the exhaustive BM25 top-k bit
+    /// for bit — same ids, same order, same score bits — on a monolithic
+    /// and a sharded layout with every third document tombstoned. The
+    /// corpus repeats `DOCS`, so tie groups straddle rank `k`.
     #[test]
     fn bow_topk_matches_monolithic_bm25() {
         let (g, li) = world();
-        let mono = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
-        let sharded = index_corpus(
-            &g,
-            &li,
-            &NewsLinkConfig::default().with_segment_docs(2),
-            DOCS,
-        );
-        let query = ["kunar", "khyber", "pakistan"];
-        let a = mono.bow_topk(&query, 4);
-        let b = sharded.bow_topk(&query, 4);
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.0, y.0);
-            assert!((x.1 - y.1).abs() < 1e-12);
+        let docs: Vec<&str> = DOCS.iter().copied().cycle().take(30).collect();
+        let query: Vec<String> = ["kunar", "khyber", "pakistan", "taliban", "kunar"]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        for segment_docs in [usize::MAX, 4] {
+            let config = NewsLinkConfig::default().with_segment_docs(segment_docs);
+            let mut idx = index_corpus(&g, &li, &config, &docs);
+            for d in (0..docs.len() as u32).step_by(3) {
+                assert!(idx.delete(DocId(d)));
+            }
+            let mut scored: Vec<(DocId, f64)> = idx
+                .score_side_parts(Side::Bow, Bm25::default(), &query)
+                .into_iter()
+                .flatten()
+                .collect();
+            scored.sort_unstable_by_key(|(d, _)| *d);
+            assert!(scored.len() > 4 && scored.len() < 100, "k = 4 cuts, k = 100 does not");
+            for k in [0, 1, 4, 100] {
+                let mut oracle = TopK::new(k);
+                for &(d, score) in &scored {
+                    oracle.push(score, d);
+                }
+                let want: Vec<(DocId, u64)> = oracle
+                    .into_sorted()
+                    .into_iter()
+                    .map(|(score, d)| (d, score.to_bits()))
+                    .collect();
+                let got: Vec<(DocId, u64)> = idx
+                    .bow_topk(&query, k)
+                    .into_iter()
+                    .map(|(d, score)| (d, score.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "segment_docs {segment_docs} k {k}");
+            }
         }
     }
 

@@ -172,31 +172,8 @@ pub fn find_lcag(
     labels: &[String],
     config: &SearchConfig,
 ) -> Result<CommonAncestorGraph, EmbedError> {
-    Ok(find_top_cags(graph, index, labels, config, 1)?
-        .into_iter()
-        .next()
-        .expect("top-1 search returns one graph on success"))
-}
-
-/// Enumerate the `j` most compact candidate common-ancestor graphs, best
-/// first (ties: lowest root id).
-///
-/// Generalizes Algorithm 1's candidate collection: the loop runs until the
-/// next frontier distance exceeds the j-th smallest collected depth, which
-/// guarantees (by Lemma 3's monotonicity) that no unseen root can displace
-/// the returned prefix.
-pub fn find_top_cags(
-    graph: &KnowledgeGraph,
-    index: &LabelIndex,
-    labels: &[String],
-    config: &SearchConfig,
-    j: usize,
-) -> Result<Vec<CommonAncestorGraph>, EmbedError> {
     if labels.is_empty() {
         return Err(EmbedError::EmptyLabelSet);
-    }
-    if j == 0 {
-        return Ok(Vec::new());
     }
     let mut searches = Vec::with_capacity(labels.len());
     for l in labels {
@@ -207,31 +184,32 @@ pub fn find_top_cags(
         sources.truncate(config.max_sources_per_label);
         searches.push(LabelSearch::new(sources));
     }
-    let m = searches.len();
 
     let mut settled_total = 0usize;
-    let mut candidates: Vec<Candidate> = Vec::new();
-    // Depth below which the j-th best candidate must sit (C2 generalized).
-    let mut jth_depth = u32::MAX;
+    // The most compact candidate so far (Definition 4; ties: lowest root
+    // id). Its depth `key[0]` is the smallest collected depth, because
+    // the compactness order compares depths first.
+    let mut best: Option<Candidate> = None;
 
     loop {
         // Equation 2: pick the label whose frontier head is globally
         // smallest (ties: lowest label index, deterministically).
-        let mut best: Option<(u32, usize)> = None;
+        let mut head: Option<(u32, usize)> = None;
         for (i, s) in searches.iter_mut().enumerate() {
             if let Some(d) = s.peek() {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, i));
+                if head.is_none_or(|(hd, _)| d < hd) {
+                    head = Some((d, i));
                 }
             }
         }
-        let Some((next_dist, li)) = best else {
+        let Some((next_dist, li)) = head else {
             break; // all frontiers exhausted
         };
 
-        // Termination test C1 ∧ C2 (lines 11–13 of Algorithm 1),
-        // generalized to the j-th smallest collected depth.
-        if candidates.len() >= j && jth_depth < next_dist {
+        // Termination test C1 ∧ C2 (lines 11–13 of Algorithm 1): a
+        // candidate exists and the next frontier distance exceeds its
+        // depth, so by Lemma 3 no unseen root can be more compact.
+        if best.as_ref().is_some_and(|b| b.key[0] < next_dist) {
             break;
         }
 
@@ -242,31 +220,25 @@ pub fn find_top_cags(
         settled_total += 1;
 
         // CandidateCollection (Algorithm 3): has every label settled v_f?
-        let mut distances = Vec::with_capacity(m);
-        let mut complete = true;
-        for s in &searches {
-            match s.settled.get(&v_f) {
-                Some(&d) => distances.push(d),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if complete && !candidates.iter().any(|c| c.root == v_f) {
+        // Each label settles a node once, so a root completes only once.
+        let distances: Option<Vec<u32>> =
+            searches.iter().map(|s| s.settled.get(&v_f).copied()).collect();
+        if let Some(distances) = distances {
             let mut key = distances.clone();
             key.sort_unstable_by(|a, b| b.cmp(a));
-            candidates.push(Candidate {
+            let candidate = Candidate {
                 root: v_f,
                 key,
                 distances,
+            };
+            // Compactness sorting, one candidate at a time.
+            let better = best.as_ref().is_none_or(|b| {
+                compactness_cmp(&candidate.key, &b.key)
+                    .then(candidate.root.cmp(&b.root))
+                    .is_lt()
             });
-            // j-th smallest depth among collected candidates.
-            let mut depths: Vec<u32> = candidates.iter().map(|c| c.key[0]).collect();
-            depths.sort_unstable();
-            jth_depth = depths[(j - 1).min(depths.len() - 1)];
-            if candidates.len() < j {
-                jth_depth = u32::MAX;
+            if better {
+                best = Some(candidate);
             }
         }
 
@@ -276,16 +248,8 @@ pub fn find_top_cags(
         }
     }
 
-    // Compactness sorting (Definition 4; ties: lowest root id).
-    if candidates.is_empty() {
-        return Err(EmbedError::NoCommonAncestor);
-    }
-    candidates.sort_by(|a, b| compactness_cmp(&a.key, &b.key).then(a.root.cmp(&b.root)));
-    candidates.truncate(j);
-    Ok(candidates
-        .into_iter()
-        .map(|c| materialize(labels, &searches, c, config.single_path))
-        .collect())
+    let best = best.ok_or(EmbedError::NoCommonAncestor)?;
+    Ok(materialize(labels, &searches, best, config.single_path))
 }
 
 /// Expand the chosen root into `∪_i P(l_i → r, D)` by walking each label's
@@ -573,45 +537,6 @@ mod tests {
             mids.iter().filter(|n| narrow.contains_node(**n)).count(),
             1
         );
-    }
-
-    #[test]
-    fn top_cags_are_sorted_by_compactness() {
-        let (g, idx) = figure1();
-        let l = labels(&["taliban", "pakistan"]);
-        let cags = find_top_cags(&g, &idx, &l, &SearchConfig::default(), 4).unwrap();
-        assert!(!cags.is_empty());
-        assert!(cags.len() <= 4);
-        for w in cags.windows(2) {
-            use std::cmp::Ordering;
-            assert_ne!(
-                crate::model::compactness_cmp(&w[1].compactness_key(), &w[0].compactness_key()),
-                Ordering::Less,
-                "candidates out of order"
-            );
-        }
-        // Top-1 agrees with find_lcag.
-        let best = find_lcag(&g, &idx, &l, &SearchConfig::default()).unwrap();
-        assert_eq!(cags[0].root, best.root);
-        assert_eq!(cags[0].nodes, best.nodes);
-    }
-
-    #[test]
-    fn top_cags_roots_are_distinct() {
-        let (g, idx) = figure1();
-        let l = labels(&["upper dir", "taliban"]);
-        let cags = find_top_cags(&g, &idx, &l, &SearchConfig::default(), 10).unwrap();
-        let roots: FxHashSet<_> = cags.iter().map(|c| c.root).collect();
-        assert_eq!(roots.len(), cags.len());
-    }
-
-    #[test]
-    fn top_cags_zero_is_empty() {
-        let (g, idx) = figure1();
-        let l = labels(&["taliban"]);
-        assert!(find_top_cags(&g, &idx, &l, &SearchConfig::default(), 0)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
 }
 
 /// Serialize one group embedding.
-pub fn write_group<W: Write>(g: &CommonAncestorGraph, out: &mut W) -> io::Result<()> {
+fn write_group<W: Write>(g: &CommonAncestorGraph, out: &mut W) -> io::Result<()> {
     varint::write_u32(out, g.root.0)?;
     varint::write_u64(out, g.labels.len() as u64)?;
     for (label, &dist) in g.labels.iter().zip(&g.distances) {
@@ -63,7 +63,7 @@ pub fn write_group<W: Write>(g: &CommonAncestorGraph, out: &mut W) -> io::Result
 }
 
 /// Deserialize one group embedding.
-pub fn read_group<R: Read>(input: &mut R) -> io::Result<CommonAncestorGraph> {
+fn read_group<R: Read>(input: &mut R) -> io::Result<CommonAncestorGraph> {
     let root = NodeId(varint::read_u32(input)?);
     let n_labels = read_len(input)?;
     let mut labels = Vec::with_capacity(n_labels);

@@ -1,10 +1,9 @@
 //! Graphviz DOT export of subgraph embeddings.
 //!
 //! The paper communicates its contribution through figures: Figure 1
-//! (query and result embeddings with their overlap), Figure 4 (a document
-//! embedding with overlapped group nodes in orange, roots as squares) and
-//! Figure 6 (the case study). This module renders exactly those pictures
-//! from real embeddings — feed the output to `dot -Tsvg`.
+//! (query and result embeddings with their overlap) and Figure 6 (the
+//! case study). [`overlap_to_dot`] renders exactly those pictures from
+//! real embeddings — feed the output to `dot -Tsvg`.
 //!
 //! Conventions (matching the paper's legend):
 //! - lowest-common-ancestor roots are drawn as boxes, other nodes as
@@ -16,7 +15,7 @@
 use std::fmt::Write as _;
 
 use newslink_kg::{KnowledgeGraph, NodeId};
-use newslink_util::{FxHashMap, FxHashSet};
+use newslink_util::FxHashSet;
 
 use crate::union::DocEmbedding;
 
@@ -60,45 +59,6 @@ fn write_node(
         side.color(),
         side.color(),
     );
-}
-
-/// Render one document embedding (the paper's Figure 4 style): group
-/// overlap in orange, roots as boxes.
-pub fn embedding_to_dot(graph: &KnowledgeGraph, embedding: &DocEmbedding, name: &str) -> String {
-    let mut out = format!("digraph \"{}\" {{\n  rankdir=BT;\n", escape(name));
-    let counts = embedding.node_counts();
-    let roots: FxHashSet<NodeId> = embedding.groups.iter().map(|g| g.root).collect();
-    let mut nodes: Vec<NodeId> = counts.keys().copied().collect();
-    nodes.sort_unstable();
-    for node in nodes {
-        let side = if counts[&node] > 1 { Side::Both } else { Side::A };
-        write_node(&mut out, graph, node, side, roots.contains(&node));
-    }
-    let mut edge_counts: FxHashMap<(NodeId, NodeId, &str), usize> = FxHashMap::default();
-    for g in &embedding.groups {
-        for e in &g.edges {
-            // Original KG direction.
-            let (src, dst) = if e.inverse { (e.to, e.from) } else { (e.from, e.to) };
-            *edge_counts
-                .entry((src, dst, graph.resolve(e.predicate)))
-                .or_default() += 1;
-        }
-    }
-    let mut edges: Vec<((NodeId, NodeId, &str), usize)> = edge_counts.into_iter().collect();
-    edges.sort_by_key(|((a, b, p), _)| (*a, *b, p.to_string()));
-    for ((src, dst, pred), count) in edges {
-        let side = if count > 1 { Side::Both } else { Side::A };
-        let _ = writeln!(
-            out,
-            "  n{} -> n{} [label=\"{}\", color=\"{}\"];",
-            src.0,
-            dst.0,
-            escape(pred),
-            side.color(),
-        );
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Render a query/result pair with overlap highlighting (the paper's
@@ -197,18 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn embedding_dot_is_well_formed() {
-        let (g, q, _) = fixture();
-        let dot = embedding_to_dot(&g, &q, "query");
-        assert!(dot.starts_with("digraph \"query\" {"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert!(dot.contains("Taliban"));
-        assert!(dot.contains("->"));
-        // Root drawn as a box.
-        assert!(dot.contains("shape=box"));
-    }
-
-    #[test]
     fn overlap_dot_colors_three_ways() {
         let (g, q, r) = fixture();
         let dot = overlap_to_dot(&g, &q, &r, "figure1");
@@ -231,14 +179,17 @@ mod tests {
             edges: vec![],
             sources: vec![vec![lahore]],
         }]);
-        let dot = embedding_to_dot(&g, &e, "esc");
+        let dot = overlap_to_dot(&g, &e, &DocEmbedding::default(), "esc");
+        assert!(dot.starts_with("digraph \"esc\" {"));
         assert!(dot.contains("\\\"the city\\\""));
+        assert!(dot.contains("shape=box"), "the root is drawn as a box");
     }
 
     #[test]
     fn empty_embedding_renders_empty_graph() {
         let (g, _, _) = fixture();
-        let dot = embedding_to_dot(&g, &DocEmbedding::default(), "empty");
+        let empty = DocEmbedding::default();
+        let dot = overlap_to_dot(&g, &empty, &empty, "empty");
         assert!(dot.contains("digraph"));
         assert!(!dot.contains("->"));
     }
@@ -246,7 +197,7 @@ mod tests {
     #[test]
     fn edges_render_in_original_kg_direction() {
         let (g, q, _) = fixture();
-        let dot = embedding_to_dot(&g, &q, "dir");
+        let dot = overlap_to_dot(&g, &q, &DocEmbedding::default(), "dir");
         // The KG has khyber -> pakistan "located in"; regardless of
         // traversal direction the DOT edge must read n0 -> n3.
         assert!(dot.contains("n0 -> n3"), "{dot}");

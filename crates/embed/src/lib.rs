@@ -28,10 +28,10 @@ pub mod summarize;
 pub mod tree;
 pub mod union;
 
-pub use algo::{find_lcag, find_top_cags, EmbedError, SearchConfig};
+pub use algo::{find_lcag, EmbedError, SearchConfig};
 pub use bon::{bon_term_counts, bon_terms, node_term, parse_node_term};
 pub use cache::{CachedModel, EmbeddingCache};
-pub use dot::{embedding_to_dot, overlap_to_dot};
+pub use dot::overlap_to_dot;
 pub use explain::{relationship_paths, RelationshipPath};
 pub use model::{compactness_cmp, CommonAncestorGraph, EmbedEdge};
 pub use summarize::{describe_path, path_informativeness, summarize_paths};

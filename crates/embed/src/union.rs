@@ -67,19 +67,6 @@ impl DocEmbedding {
         v.dedup();
         v
     }
-
-    /// Nodes shared between `self` and `other` — the embedding overlap the
-    /// paper uses for both scoring confidence and explanations.
-    pub fn overlap(&self, other: &DocEmbedding) -> Vec<NodeId> {
-        let mine = self.node_counts();
-        let mut v: Vec<NodeId> = other
-            .node_counts()
-            .into_keys()
-            .filter(|n| mine.contains_key(n))
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -120,19 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn overlap_is_intersection() {
-        let a = DocEmbedding::new(vec![group(0, &[0, 1, 2], &[])]);
-        let b = DocEmbedding::new(vec![group(0, &[2, 3], &[]), group(0, &[0], &[])]);
-        assert_eq!(a.overlap(&b), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(b.overlap(&a), vec![NodeId(0), NodeId(2)]);
-    }
-
-    #[test]
     fn empty_embedding() {
         let e = DocEmbedding::default();
         assert!(e.is_empty());
         assert!(e.all_nodes().is_empty());
         assert!(e.entity_nodes().is_empty());
-        assert!(e.overlap(&DocEmbedding::default()).is_empty());
     }
 }

@@ -10,7 +10,8 @@
 //!   paper's `S(l)`;
 //! - [`synth`] — a deterministic Wikidata-like world generator (the offline
 //!   stand-in for the paper's Wikidata dump; see DESIGN.md §6.1);
-//! - [`triples`] — plain-text persistence;
+//! - [`triples`] — plain-text persistence, the graph's one text format
+//!   (TSV node and edge lines);
 //! - [`describe`] — derived entity descriptions (consumed by the QEPRF
 //!   baseline);
 //! - [`stats`] — descriptive statistics for reports.
@@ -24,11 +25,9 @@ pub mod graph;
 pub mod ingest;
 pub mod interner;
 pub mod label_index;
-pub mod ntriples;
 pub mod reweight;
 pub mod stats;
 pub mod synth;
-pub mod traverse;
 pub mod triples;
 
 pub use builder::GraphBuilder;
@@ -39,8 +38,6 @@ pub use ingest::{ingest_tsv, write_graph_tsv, IngestConfig, IngestError, IngestR
 pub use label_index::{
     normalize_label, HashLabelIndex, LabelIndex, LabelResolver, Postings, ResolverBackend,
 };
-pub use ntriples::{read_ntriples, NtConfig};
 pub use reweight::{reweight, reweight_by_predicate_rarity};
 pub use stats::GraphStats;
-pub use traverse::{bfs_distances, connected_components, dijkstra_distances, is_connected};
 pub use synth::{EventInfo, EventKind, SynthConfig, SynthWorld};

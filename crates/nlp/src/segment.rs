@@ -69,11 +69,6 @@ impl<'g> NlpPipeline<'g> {
         }
     }
 
-    /// The underlying recognizer.
-    pub fn recognizer(&self) -> Recognizer<'g> {
-        self.recognizer
-    }
-
     /// Run tokenization, sentence splitting, NER, and co-occurrence
     /// reduction over `text`.
     pub fn analyze_document(&self, text: &str) -> DocumentAnalysis {

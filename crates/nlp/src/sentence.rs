@@ -81,14 +81,13 @@ pub fn split_sentences(text: &str) -> Vec<Sentence> {
     sentences
 }
 
-/// Convenience: sentence texts.
-pub fn sentence_texts(text: &str) -> Vec<&str> {
-    split_sentences(text).iter().map(|s| s.text(text)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sentence_texts(text: &str) -> Vec<&str> {
+        split_sentences(text).iter().map(|s| s.text(text)).collect()
+    }
 
     #[test]
     fn splits_basic_sentences() {

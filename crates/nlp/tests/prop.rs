@@ -13,6 +13,39 @@ fn set_strategy() -> impl Strategy<Value = Vec<BTreeSet<String>>> {
     )
 }
 
+fn check_token_spans(text: &str) {
+    let mut prev_end = 0;
+    for t in &tokenize(text) {
+        assert!(t.start >= prev_end, "overlapping tokens");
+        assert!(t.end > t.start);
+        assert!(t.end <= text.len());
+        assert!(text.is_char_boundary(t.start));
+        assert!(text.is_char_boundary(t.end));
+        assert!(!t.text(text).is_empty());
+        prev_end = t.end;
+    }
+}
+
+fn check_sentence_spans(text: &str) {
+    let mut prev_end = 0;
+    for s in &split_sentences(text) {
+        assert!(s.start >= prev_end);
+        assert!(s.end > s.start);
+        assert!(s.end <= text.len());
+        assert!(!s.text(text).trim().is_empty());
+        prev_end = s.end;
+    }
+}
+
+/// A once-shrunk failing input: a lone combining mark (KHMER SIGN
+/// MUUSIKATOAN) before a period. It must stay a well-formed case.
+#[test]
+fn combining_mark_before_period_spans_are_well_formed() {
+    let text = "\u{17c9}.";
+    check_token_spans(text);
+    check_sentence_spans(text);
+}
+
 proptest! {
     /// Definition 1: every survivor is in U, no survivor is a subset of
     /// another survivor, and every member of U is a subset of some
@@ -49,31 +82,13 @@ proptest! {
     /// Token spans index the source exactly and never overlap.
     #[test]
     fn token_spans_are_well_formed(text in "\\PC{0,200}") {
-        let toks = tokenize(&text);
-        let mut prev_end = 0;
-        for t in &toks {
-            prop_assert!(t.start >= prev_end, "overlapping tokens");
-            prop_assert!(t.end > t.start);
-            prop_assert!(t.end <= text.len());
-            prop_assert!(text.is_char_boundary(t.start));
-            prop_assert!(text.is_char_boundary(t.end));
-            prop_assert!(!t.text(&text).is_empty());
-            prev_end = t.end;
-        }
+        check_token_spans(&text);
     }
 
     /// Sentence spans are ordered, in-bounds, and non-empty.
     #[test]
     fn sentence_spans_are_well_formed(text in "\\PC{0,300}") {
-        let sents = split_sentences(&text);
-        let mut prev_end = 0;
-        for s in &sents {
-            prop_assert!(s.start >= prev_end);
-            prop_assert!(s.end > s.start);
-            prop_assert!(s.end <= text.len());
-            prop_assert!(!s.text(&text).trim().is_empty());
-            prev_end = s.end;
-        }
+        check_sentence_spans(&text);
     }
 
     /// Stemming is idempotent for ascii words (stem(stem(w)) == stem(w)).

@@ -105,11 +105,6 @@ impl Replica {
         self.healthy.load(Ordering::Relaxed)
     }
 
-    /// The replica's circuit breaker (read-only outside the cluster).
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
     /// Total calls attempted against this replica.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
@@ -202,11 +197,6 @@ impl Cluster {
     /// The resilience settings this cluster runs under.
     pub fn config(&self) -> &ResilienceConfig {
         &self.config
-    }
-
-    /// The shared retry/hedge token bucket.
-    pub fn budget(&self) -> &RetryBudget {
-        &self.budget
     }
 
     /// The shard groups, in spec order.
@@ -678,7 +668,7 @@ mod tests {
         assert!(!g.has_healthy_replica());
         assert_eq!(c.groups_down(), vec![0]);
         // The failover was paid for by the budget.
-        assert_eq!(c.budget().spent(), 1);
+        assert_eq!(c.budget.spent(), 1);
     }
 
     #[test]
@@ -699,7 +689,7 @@ mod tests {
         assert_eq!(c.call_group(0, "GET", "/healthz", "", Some(deadline)), Err(GroupDown));
         let g = &c.groups()[0];
         assert_eq!(g.failovers.load(Ordering::Relaxed), 0, "no token, no failover");
-        assert_eq!(c.budget().denied(), 1);
+        assert_eq!(c.budget.denied(), 1);
         // Only the first replica was ever dialed.
         assert_eq!(g.replicas()[1].requests(), 0);
     }
@@ -718,7 +708,7 @@ mod tests {
             let _ = c.call_group(0, "GET", "/healthz", "", Some(deadline));
         }
         let r = &c.groups()[0].replicas()[0];
-        assert_eq!(r.breaker().state(), BreakerState::Open);
+        assert_eq!(r.breaker.state(), BreakerState::Open);
         let dialed = r.requests();
         // Subsequent calls are rejected without dialing.
         let deadline = Instant::now() + Duration::from_millis(200);

@@ -78,5 +78,5 @@ pub use cluster::{parse_shards, Cluster, FlagError, ResilienceConfig, SpecError}
 pub use durable::DurableState;
 pub use metrics::{KgStats, Route, ServerMetrics};
 pub use protocol::{client, HttpRequest};
-pub use router::{parse_search_request, RequestError};
+pub use router::RequestError;
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -184,24 +184,9 @@ impl ServerMetrics {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total requests seen (including shed ones).
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total.load(Ordering::Relaxed)
-    }
-
     /// Requests rejected by admission control.
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered `200`.
-    pub fn ok_total(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed)
-    }
-
-    /// Latency samples recorded so far.
-    pub fn latency_count(&self) -> u64 {
-        self.latency_us.lock().count()
     }
 
     /// The full `/metrics` document: uptime, per-route and per-status
@@ -304,10 +289,10 @@ mod tests {
         m.observe(Route::Healthz, 200, Duration::from_micros(5));
         m.observe(Route::Other, 404, Duration::from_micros(3));
         m.observe_shed();
-        assert_eq!(m.requests_total(), 5);
-        assert_eq!(m.ok_total(), 2);
+        assert_eq!(m.requests_total.load(Ordering::Relaxed), 5);
+        assert_eq!(m.ok.load(Ordering::Relaxed), 2);
         assert_eq!(m.shed_total(), 1);
-        assert_eq!(m.latency_count(), 4, "shed requests have no latency sample");
+        assert_eq!(m.latency_us.lock().count(), 4, "shed requests have no latency sample");
     }
 
     #[test]

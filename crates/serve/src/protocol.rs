@@ -57,7 +57,7 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), String> {
     }
     // Strip any query string; the API is body-driven.
     let path = target.split('?').next().unwrap_or(target).to_string();
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = false;
     for line in lines {
         if line.is_empty() {
@@ -68,15 +68,25 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), String> {
         };
         let name = name.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n = value
                 .trim()
                 .parse()
                 .map_err(|_| format!("bad content-length {value:?}"))?;
+            // RFC 7230 §3.3.2: differing lengths leave the body's end
+            // ambiguous, so the request is refused, never guessed at.
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err("conflicting content-length headers".into());
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // RFC 7230 §3.3.3: a body this server cannot frame (it does
+            // not decode chunked) is refused rather than read as empty.
+            return Err(format!("unsupported transfer-encoding {value:?}"));
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = value.trim().eq_ignore_ascii_case("keep-alive");
         }
     }
-    Ok((method.to_ascii_uppercase(), path, content_length, keep_alive))
+    Ok((method.to_ascii_uppercase(), path, content_length.unwrap_or(0), keep_alive))
 }
 
 /// Read one request from `stream`. Bodies larger than `max_body` are
@@ -381,6 +391,10 @@ mod tests {
         let (m, p, n, ka) =
             parse_head("POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: 12").unwrap();
         assert_eq!((m.as_str(), p.as_str(), n, ka), ("POST", "/search", 12, false));
+        // A repeated but identical length is unambiguous (RFC 7230 §3.3.2).
+        let (_, _, n, _) =
+            parse_head("POST / HTTP/1.1\r\nContent-Length: 7\r\ncontent-length: 7").unwrap();
+        assert_eq!(n, 7);
     }
 
     #[test]
@@ -405,6 +419,8 @@ mod tests {
         assert!(parse_head("GET / HTTP/1.1 extra").is_err());
         assert!(parse_head("POST / HTTP/1.1\r\nContent-Length: many").is_err());
         assert!(parse_head("POST / HTTP/1.1\r\nno-colon-header").is_err());
+        assert!(parse_head("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0").is_err());
+        assert!(parse_head("POST / HTTP/1.1\r\nTransfer-Encoding: chunked").is_err());
     }
 
     #[test]

@@ -798,18 +798,17 @@ fn explain_value(v: &Value) -> Result<Value, RequestError> {
     }
 }
 
-/// Convenience used by tests and the example: parse body text straight
-/// into a request.
-pub fn parse_search_request(body: &str) -> Result<SearchRequest, String> {
-    parse_body(body)
-        .and_then(|v| request_from_value(&v))
-        .map_err(|e| e.message().to_string())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// Parse body text straight into a request.
+    fn parse_search_request(body: &str) -> Result<SearchRequest, String> {
+        parse_body(body)
+            .and_then(|v| request_from_value(&v))
+            .map_err(|e| e.message().to_string())
+    }
 
     #[test]
     fn minimal_request_gets_defaults() {

@@ -110,11 +110,6 @@ impl ServerHandle {
     pub fn shutdown(&self) -> bool {
         self.shutdown.trigger()
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.is_triggered()
-    }
 }
 
 /// One accepted connection on its way to a worker.
@@ -438,9 +433,7 @@ mod tests {
         assert_ne!(server.local_addr().port(), 0);
         let handle = server.handle();
         assert_eq!(handle.addr(), server.local_addr());
-        assert!(!handle.is_shutdown());
         assert!(handle.shutdown(), "first trigger wins");
         assert!(!handle.shutdown(), "second trigger is a no-op");
-        assert!(handle.is_shutdown());
     }
 }

@@ -1,21 +1,18 @@
 //! Document-at-a-time top-k with MaxScore and block-max pruning.
 //!
 //! The paper's NS component "employ\[s\] existing top-k ranking algorithms
-//! \[Threshold Algorithm; VSM\]" (§VI). This module computes that top-k
-//! exactly by pruning the index itself:
-//!
-//! - [`maxscore_search`] / [`maxscore_search_with`] — single-side BM25
-//!   top-k with Turtle & Flood's MaxScore term partition, upgraded with
-//!   block-max bounds: terms are split into an *essential* set — at least
-//!   one of which any new top-k document must contain — and a
-//!   non-essential remainder evaluated only for candidates that survive a
-//!   per-block score bound check. [`PostingCursor::seek`] skips whole
-//!   compressed blocks via their metadata without decoding them.
-//! - [`blended_scan`] — the *two-sided* evaluator behind NewsLink's
-//!   Equation-3 score `(1-β)·bow + β·bon`: one cursor set drives both the
-//!   BOW and the BON posting lists with the combined bound
-//!   `(1-β)·bow_bound + β·bon_bound`, producing the blended top-k
-//!   directly, without materializing per-document score maps.
+//! \[Threshold Algorithm; VSM\]" (§VI). [`blended_scan`] computes that
+//! top-k exactly by pruning the index itself. It evaluates NewsLink's
+//! Equation-3 score `(1-β)·bow + β·bon`: one cursor set drives both the
+//! BOW and the BON posting lists. Terms are split, in Turtle & Flood's
+//! MaxScore fashion, into an *essential* set — at least one of which any
+//! new top-k document must contain — and a non-essential remainder
+//! evaluated only for candidates that survive a per-block score bound
+//! check against the combined bound `(1-β)·bow_bound + β·bon_bound`.
+//! [`PostingCursor::seek`] skips whole compressed blocks via their
+//! metadata without decoding them. With one side at its full weight
+//! (β = 0 with BOW alone) the scan is plain BM25 top-k, which is how
+//! `newslink-core`'s `NewsLinkIndex::bow_topk` runs it.
 //!
 //! ## Exactness
 //!
@@ -30,12 +27,10 @@
 //! bound arithmetic can never turn a mathematical upper bound into a
 //! hair-too-small one.
 
-use newslink_util::{FxHashMap, TopK};
+use newslink_util::TopK;
 
-use crate::dictionary::TermId;
 use crate::inverted::{CollectionStats, DocId, InvertedIndex, PostingCursor, PostingList};
 use crate::score::Bm25;
-use crate::search::Hit;
 
 /// Multiplicative inflation applied to every pruning bound before it is
 /// compared against the heap threshold. Bounds are mathematical upper
@@ -46,7 +41,7 @@ use crate::search::Hit;
 /// only becomes infinitesimally less eager.
 pub const SAFETY: f64 = 1.0 + 1e-9;
 
-/// Work counters for the pruned evaluators: how much the index structure
+/// Work counters for the pruned evaluator: how much the index structure
 /// let us avoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -79,201 +74,6 @@ fn sat_bound(scorer: &Bm25, tf: u32) -> f64 {
     }
     let tf = f64::from(tf);
     tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * (1.0 - scorer.b))
-}
-
-/// Top-k search with MaxScore pruning; identical results to exhaustive
-/// BM25 evaluation (same scores, same deterministic tie-breaking).
-pub fn maxscore_search<T: AsRef<str>>(
-    index: &InvertedIndex,
-    scorer: Bm25,
-    query_terms: &[T],
-    k: usize,
-) -> Vec<Hit> {
-    maxscore_search_with(
-        index,
-        scorer,
-        query_terms,
-        k,
-        CollectionStats::from_index(index),
-        |term| index.term_id(term).map(|t| index.doc_freq(t)).unwrap_or(0),
-        |_| true,
-    )
-}
-
-/// Per-query-term state for the single-side DAAT traversal.
-struct TermCursor<'i> {
-    cursor: PostingCursor<'i>,
-    /// `qtf · idf` ([`Bm25::term_partial`]) — multiply by a saturation
-    /// bound for a score bound, or by the actual saturation for the
-    /// term's exact contribution.
-    base: f64,
-    /// Upper bound on this term's contribution to any document.
-    max_contribution: f64,
-}
-
-/// MaxScore top-k over one **segment** of a larger collection.
-///
-/// `stats` and `df_of` supply the collection-wide overlay (live document
-/// count, total length, per-term live document frequency) while postings
-/// and document lengths stay segment-local; `live` filters tombstoned
-/// documents out of candidacy. With monolithic stats, dictionary
-/// doc-freqs, and an always-true filter this reduces to
-/// [`maxscore_search`], and scores match the exhaustive evaluator
-/// bit-for-bit because both delegate to [`Bm25::contribution_with`].
-pub fn maxscore_search_with<T: AsRef<str>>(
-    index: &InvertedIndex,
-    scorer: Bm25,
-    query_terms: &[T],
-    k: usize,
-    stats: CollectionStats,
-    df_of: impl Fn(&str) -> u32,
-    live: impl Fn(DocId) -> bool,
-) -> Vec<Hit> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Aggregate query-side term frequencies and build cursors. The
-    // query's own string rides along so `df_of` never needs an
-    // id-to-term lookup (which would materialize a mapped dictionary).
-    let mut qtf: FxHashMap<TermId, (u32, &str)> = FxHashMap::default();
-    for t in query_terms {
-        if let Some(id) = index.term_id(t.as_ref()) {
-            qtf.entry(id).or_insert((0, t.as_ref())).0 += 1;
-        }
-    }
-    let mut cursors: Vec<TermCursor<'_>> = qtf
-        .into_iter()
-        .filter_map(|(term, (qtf, text))| {
-            let postings = index.postings(term);
-            if postings.is_empty() {
-                return None;
-            }
-            let df = df_of(text);
-            let base = f64::from(qtf) * scorer.idf(stats.docs, df);
-            // Bounded by the saturation limit of the list's largest tf at
-            // the smallest possible length norm.
-            let max_contribution = base * sat_bound(&scorer, postings.max_tf());
-            Some(TermCursor {
-                cursor: postings.cursor(),
-                base,
-                max_contribution,
-            })
-        })
-        .collect();
-    if cursors.is_empty() {
-        return Vec::new();
-    }
-    // Ascending by bound: prefix terms are the non-essential ones.
-    cursors.sort_by(|a, b| a.max_contribution.total_cmp(&b.max_contribution));
-    // prefix_bounds[i] = sum of bounds of cursors[0..i].
-    let mut prefix_bounds = vec![0.0f64; cursors.len() + 1];
-    for i in 0..cursors.len() {
-        prefix_bounds[i + 1] = prefix_bounds[i] + cursors[i].max_contribution;
-    }
-
-    let mut topk: TopK<DocId> = TopK::new(k);
-    // Number of non-essential (prefix) terms; grows as threshold rises.
-    let mut first_essential = 0usize;
-
-    loop {
-        // Raise the essential boundary as far as the threshold allows.
-        if let Some(theta) = topk.threshold() {
-            while first_essential < cursors.len()
-                && prefix_bounds[first_essential + 1] * SAFETY <= theta
-            {
-                first_essential += 1;
-            }
-        }
-        if first_essential >= cursors.len() {
-            break; // no essential terms left: nothing new can qualify
-        }
-        // Next candidate: smallest current doc among essential cursors
-        // (essential cursors never lag behind the pivot).
-        let mut pivot: Option<DocId> = None;
-        for c in &cursors[first_essential..] {
-            if let Some(d) = c.cursor.current_doc() {
-                pivot = Some(match pivot {
-                    Some(p) if p <= d => p,
-                    _ => d,
-                });
-            }
-        }
-        let Some(doc) = pivot else { break };
-
-        // Tombstoned documents never qualify: advance past and move on.
-        if !live(doc) {
-            for c in cursors[first_essential..].iter_mut() {
-                if c.cursor.current_doc() == Some(doc) {
-                    c.cursor.advance();
-                }
-            }
-            continue;
-        }
-
-        // Block-max refinement: tighten the essential bound from list-level
-        // to the blocks the candidate actually lives in.
-        if let Some(theta) = topk.threshold() {
-            let mut block_bound = prefix_bounds[first_essential];
-            for c in &cursors[first_essential..] {
-                if c.cursor.current_doc() == Some(doc) {
-                    block_bound += c.base * sat_bound(&scorer, c.cursor.block_max_tf());
-                }
-            }
-            if block_bound * SAFETY <= theta {
-                for c in cursors[first_essential..].iter_mut() {
-                    if c.cursor.current_doc() == Some(doc) {
-                        c.cursor.advance();
-                    }
-                }
-                continue;
-            }
-        }
-
-        // Score essential terms for `doc`, advancing their cursors. The
-        // per-term `base` is exactly `qtf · idf`, so finishing from the
-        // partial is bit-identical to `contribution_with` and skips the
-        // per-posting idf recomputation.
-        let mut score = 0.0;
-        let doc_len = index.doc_len(doc);
-        for c in cursors[first_essential..].iter_mut() {
-            if let Some(p) = c.cursor.current() {
-                if p.doc == doc {
-                    score += scorer.contribution_from_partial(stats, doc_len, p.tf, c.base);
-                    c.cursor.advance();
-                }
-            }
-        }
-        // Add non-essential terms most-promising-first, abandoning the
-        // candidate as soon as even full bounds cannot reach the threshold.
-        for i in (0..first_essential).rev() {
-            if let Some(theta) = topk.threshold() {
-                if (score + prefix_bounds[i + 1]) * SAFETY <= theta {
-                    score = f64::NEG_INFINITY; // cannot qualify
-                    break;
-                }
-            }
-            let c = &mut cursors[i];
-            c.cursor.seek(doc);
-            if let Some(p) = c.cursor.current() {
-                if p.doc == doc {
-                    score += scorer.contribution_from_partial(stats, doc_len, p.tf, c.base);
-                }
-            }
-        }
-        if score > 0.0 {
-            topk.push(score, doc);
-        }
-    }
-
-    let mut hits: Vec<Hit> = topk
-        .into_sorted()
-        .into_iter()
-        .map(|(score, doc)| Hit { doc, score })
-        .collect();
-    // TopK ties break by insertion order, which here is doc order — same
-    // as the exhaustive Searcher. Re-sort defensively for determinism.
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
-    hits
 }
 
 /// One side (BOW or BON) of the blended evaluator, fully resolved
@@ -489,142 +289,20 @@ pub fn blended_scan(
 mod tests {
     use super::*;
     use crate::inverted::IndexBuilder;
-    use crate::search::{query_tf, score_segment, Searcher};
-    use newslink_util::DetRng;
+    use crate::search::{query_tf, score_segment};
+    use newslink_util::{DetRng, FxHashMap};
 
-    fn random_index(seed: u64, docs: usize, vocab: usize) -> (InvertedIndex, Vec<Vec<String>>) {
+    fn random_index(seed: u64, docs: usize, vocab: usize) -> InvertedIndex {
         let mut rng = DetRng::new(seed);
         let mut b = IndexBuilder::new();
-        let mut all = Vec::new();
         for _ in 0..docs {
             let len = rng.range(3, 30);
             let terms: Vec<String> = (0..len)
                 .map(|_| format!("t{}", rng.zipf(vocab, 1.2)))
                 .collect();
             b.add_document(&terms);
-            all.push(terms);
         }
-        (b.build(), all)
-    }
-
-    #[test]
-    fn matches_exhaustive_search_exactly() {
-        let (index, _) = random_index(1, 300, 50);
-        let searcher = Searcher::new(&index, Bm25::default());
-        for qseed in 0..20u64 {
-            let mut rng = DetRng::new(1000 + qseed);
-            let qlen = rng.range(1, 6);
-            let query: Vec<String> = (0..qlen).map(|_| format!("t{}", rng.zipf(50, 1.2))).collect();
-            let naive = searcher.search(&query, 10);
-            let pruned = maxscore_search(&index, Bm25::default(), &query, 10);
-            assert_eq!(naive.len(), pruned.len(), "query {query:?}");
-            for (a, b) in naive.iter().zip(&pruned) {
-                assert_eq!(a.doc, b.doc, "query {query:?}");
-                assert!((a.score - b.score).abs() < 1e-9, "query {query:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn handles_unknown_terms() {
-        let (index, _) = random_index(2, 50, 20);
-        assert!(maxscore_search(&index, Bm25::default(), &["zzz"], 5).is_empty());
-        let mixed = maxscore_search(&index, Bm25::default(), &["zzz", "t1"], 5);
-        let naive = Searcher::new(&index, Bm25::default()).search(&["zzz", "t1"], 5);
-        assert_eq!(mixed.len(), naive.len());
-    }
-
-    #[test]
-    fn k_zero_and_empty_query() {
-        let (index, _) = random_index(3, 50, 20);
-        assert!(maxscore_search(&index, Bm25::default(), &["t1"], 0).is_empty());
-        assert!(maxscore_search::<&str>(&index, Bm25::default(), &[], 10).is_empty());
-    }
-
-    #[test]
-    fn small_k_prunes_but_stays_exact() {
-        let (index, _) = random_index(4, 1000, 30);
-        let query = ["t0", "t1", "t2", "t3", "t4"];
-        let naive = Searcher::new(&index, Bm25::default()).search(&query, 1);
-        let pruned = maxscore_search(&index, Bm25::default(), &query, 1);
-        assert_eq!(naive[0].doc, pruned[0].doc);
-        assert!((naive[0].score - pruned[0].score).abs() < 1e-9);
-    }
-
-    #[test]
-    fn repeated_query_terms_weighted() {
-        let (index, _) = random_index(5, 200, 20);
-        let naive = Searcher::new(&index, Bm25::default()).search(&["t1", "t1", "t2"], 8);
-        let pruned = maxscore_search(&index, Bm25::default(), &["t1", "t1", "t2"], 8);
-        for (a, b) in naive.iter().zip(&pruned) {
-            assert_eq!(a.doc, b.doc);
-            assert!((a.score - b.score).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn overlay_with_tombstones_matches_filtered_exhaustive() {
-        let (index, docs) = random_index(7, 200, 30);
-        // Tombstone every fifth document.
-        let dead: Vec<DocId> = (0..docs.len() as u32)
-            .filter(|d| d % 5 == 0)
-            .map(DocId)
-            .collect();
-        let is_live = |d: DocId| !dead.contains(&d);
-        // Overlay stats over live docs only.
-        let mut stats = CollectionStats::default();
-        for d in 0..docs.len() as u32 {
-            if is_live(DocId(d)) {
-                stats.add_doc(index.doc_len(DocId(d)));
-            }
-        }
-        let df_of = |term: &str| {
-            index
-                .postings_for(term)
-                .iter()
-                .filter(|p| is_live(p.doc))
-                .count() as u32
-        };
-        let query = ["t0", "t1", "t2"];
-        let pruned = maxscore_search_with(&index, Bm25::default(), &query, 10, stats, df_of, is_live);
-        assert!(!pruned.is_empty());
-        assert!(pruned.iter().all(|h| is_live(h.doc)));
-
-        // Reference: rebuild an index from live docs only and search it.
-        let mut b = IndexBuilder::new();
-        let mut live_ids = Vec::new();
-        for (i, terms) in docs.iter().enumerate() {
-            if is_live(DocId(i as u32)) {
-                live_ids.push(i as u32);
-                b.add_document(terms);
-            }
-        }
-        let fresh = b.build();
-        let want = Searcher::new(&fresh, Bm25::default()).search(&query, 10);
-        assert_eq!(pruned.len(), want.len());
-        for (a, b) in pruned.iter().zip(&want) {
-            assert_eq!(a.doc, DocId(live_ids[b.doc.index()]));
-            assert!((a.score - b.score).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn seek_gallops_correctly() {
-        let mut b = IndexBuilder::new();
-        for i in 0..100 {
-            if i % 3 == 0 {
-                b.add_document(&["x"]);
-            } else {
-                b.add_document(&["y"]);
-            }
-        }
-        let index = b.build();
-        let naive = Searcher::new(&index, Bm25::default()).search(&["x", "y"], 10);
-        let pruned = maxscore_search(&index, Bm25::default(), &["x", "y"], 10);
-        assert_eq!(naive.len(), pruned.len());
-        for (a, b) in naive.iter().zip(&pruned) {
-            assert_eq!(a.doc, b.doc);
-        }
+        b.build()
     }
 
     /// Build a [`SideSpec`] the way the segmented engine does: terms in
@@ -685,7 +363,7 @@ mod tests {
 
     #[test]
     fn blended_scan_single_side_is_bit_identical_to_exhaustive() {
-        let (index, _) = random_index(11, 400, 40);
+        let index = random_index(11, 400, 40);
         for beta in [0.0, 0.4] {
             for k in [1usize, 5, 1000] {
                 for qseed in 0..10u64 {
@@ -728,7 +406,7 @@ mod tests {
 
     #[test]
     fn blended_scan_prunes_on_small_k() {
-        let (index, _) = random_index(12, 2000, 30);
+        let index = random_index(12, 2000, 30);
         let query: Vec<String> = (0..4).map(|i| format!("t{i}")).collect();
         let qtf = query_tf(&query);
         let spec = spec_for(&index, Bm25::default(), &qtf, 1.0);

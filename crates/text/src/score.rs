@@ -1,30 +1,14 @@
-//! Similarity scoring functions over the inverted index.
+//! BM25, the one similarity function over the inverted index.
 //!
-//! Two families, matching the paper's setup:
-//!
-//! - [`Bm25`] — the probabilistic relevance function Lucene 7.x uses by
-//!   default (the paper's NS component scores with "BM25 with default
-//!   settings provided by Lucene"); and
-//! - [`TfIdfCosine`] — classic VSM cosine with `(1+ln tf)·ln(N/df)`
-//!   weighting, provided for the scoring-compatibility claim of §VI.
-//!
-//! Both implement [`Scorer`], which scores one `(query-term, document)`
-//! contribution at a time; the search executor accumulates contributions
-//! term-at-a-time.
+//! [`Bm25`] is the probabilistic relevance function Lucene 7.x uses by
+//! default (the paper's NS component scores with "BM25 with default
+//! settings provided by Lucene"). It scores one `(query-term, document)`
+//! contribution at a time against explicit collection statistics; the
+//! exhaustive executor ([`crate::search`]) accumulates contributions
+//! term-at-a-time, the pruned one ([`crate::maxscore`])
+//! document-at-a-time, and both call the same float operations.
 
-use crate::inverted::{DocId, InvertedIndex};
-
-/// Per-(term, doc) additive scoring.
-pub trait Scorer {
-    /// Contribution of a query term with document frequency `df` occurring
-    /// `tf` times in `doc`, given the query-side term count `qtf`.
-    fn contribution(&self, index: &InvertedIndex, doc: DocId, tf: u32, df: u32, qtf: u32) -> f64;
-
-    /// Optional document-level normalization applied after accumulation.
-    fn normalize(&self, _index: &InvertedIndex, _doc: DocId, accumulated: f64) -> f64 {
-        accumulated
-    }
-}
+use crate::inverted::CollectionStats;
 
 /// Okapi BM25 (Robertson & Zaragoza), Lucene defaults `k1 = 1.2`,
 /// `b = 0.75`, with Lucene's non-negative idf formulation.
@@ -54,13 +38,10 @@ impl Bm25 {
     ///
     /// `stats` and `df` describe the whole collection while `doc_len` is the
     /// document's own token length, so a segmented index can score each
-    /// segment locally under a global-stats overlay. The float operations
-    /// here are the single source of truth — the [`Scorer`] impl delegates —
-    /// which is what guarantees segmented scores are bit-identical to the
-    /// monolithic path.
+    /// segment locally under a global-stats overlay.
     pub fn contribution_with(
         &self,
-        stats: crate::inverted::CollectionStats,
+        stats: CollectionStats,
         doc_len: u32,
         tf: u32,
         df: u32,
@@ -73,7 +54,7 @@ impl Bm25 {
     /// `qtf · idf(N, df)`. Constant across every posting of a query term,
     /// so the pruned evaluators fold it once per term instead of once per
     /// posting.
-    pub fn term_partial(&self, stats: crate::inverted::CollectionStats, df: u32, qtf: u32) -> f64 {
+    pub fn term_partial(&self, stats: CollectionStats, df: u32, qtf: u32) -> f64 {
         qtf as f64 * self.idf(stats.docs, df)
     }
 
@@ -87,7 +68,7 @@ impl Bm25 {
     /// to.
     pub fn contribution_from_partial(
         &self,
-        stats: crate::inverted::CollectionStats,
+        stats: CollectionStats,
         doc_len: u32,
         tf: u32,
         partial: f64,
@@ -103,81 +84,15 @@ impl Bm25 {
     }
 }
 
-impl Scorer for Bm25 {
-    fn contribution(&self, index: &InvertedIndex, doc: DocId, tf: u32, df: u32, qtf: u32) -> f64 {
-        self.contribution_with(
-            crate::inverted::CollectionStats::from_index(index),
-            index.doc_len(doc),
-            tf,
-            df,
-            qtf,
-        )
-    }
-}
-
-/// TF-IDF cosine similarity with logarithmic term frequency.
-///
-/// The document norm is supplied through [`TfIdfCosine::doc_norms`]
-/// precomputation so normalization stays O(1) per candidate.
-#[derive(Debug, Clone)]
-pub struct TfIdfCosine {
-    norms: Vec<f64>,
-}
-
-impl TfIdfCosine {
-    /// Precompute document vector norms for `index`.
-    pub fn new(index: &InvertedIndex) -> Self {
-        Self {
-            norms: Self::doc_norms(index),
-        }
-    }
-
-    /// `(1 + ln tf) · ln(N / df)` weight; 0 for `tf = 0`.
-    pub fn weight(n_docs: usize, tf: u32, df: u32) -> f64 {
-        if tf == 0 || df == 0 {
-            return 0.0;
-        }
-        let idf = ((n_docs as f64) / (df as f64)).ln().max(0.0);
-        (1.0 + (tf as f64).ln()) * idf
-    }
-
-    /// Per-document Euclidean norms of the TF-IDF vectors.
-    pub fn doc_norms(index: &InvertedIndex) -> Vec<f64> {
-        let n = index.doc_count();
-        let mut sq = vec![0.0f64; n];
-        let dict = index.dictionary();
-        for t in 0..dict.len() {
-            let term = crate::dictionary::TermId(t as u32);
-            let df = dict.doc_freq(term);
-            for p in index.postings(term) {
-                let w = Self::weight(n, p.tf, df);
-                sq[p.doc.index()] += w * w;
-            }
-        }
-        sq.into_iter().map(f64::sqrt).collect()
-    }
-}
-
-impl Scorer for TfIdfCosine {
-    fn contribution(&self, index: &InvertedIndex, _doc: DocId, tf: u32, df: u32, qtf: u32) -> f64 {
-        let n = index.doc_count();
-        Self::weight(n, qtf, df) * Self::weight(n, tf, df)
-    }
-
-    fn normalize(&self, _index: &InvertedIndex, doc: DocId, accumulated: f64) -> f64 {
-        let norm = self.norms[doc.index()];
-        if norm > 0.0 {
-            accumulated / norm
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inverted::IndexBuilder;
+    use crate::inverted::{DocId, IndexBuilder, InvertedIndex};
+
+    /// `s`'s contribution of a term to `doc` under `idx`'s own statistics.
+    fn contribution(s: &Bm25, idx: &InvertedIndex, doc: DocId, tf: u32, df: u32) -> f64 {
+        s.contribution_with(CollectionStats::from_index(idx), idx.doc_len(doc), tf, df, 1)
+    }
 
     fn sample() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -199,14 +114,14 @@ mod tests {
     fn bm25_contribution_positive_and_saturating() {
         let idx = sample();
         let s = Bm25::default();
-        let c1 = s.contribution(&idx, DocId(0), 1, 1, 1);
-        let c2 = s.contribution(&idx, DocId(0), 2, 1, 1);
-        let c10 = s.contribution(&idx, DocId(0), 10, 1, 1);
+        let c1 = contribution(&s, &idx, DocId(0), 1, 1);
+        let c2 = contribution(&s, &idx, DocId(0), 2, 1);
+        let c10 = contribution(&s, &idx, DocId(0), 10, 1);
         assert!(c1 > 0.0);
         assert!(c2 > c1);
         // saturation: the step from 2→10 is less than 8× the step 0→1
         assert!(c10 - c2 < 8.0 * c1);
-        assert_eq!(s.contribution(&idx, DocId(0), 0, 1, 1), 0.0);
+        assert_eq!(contribution(&s, &idx, DocId(0), 0, 1), 0.0);
     }
 
     #[test]
@@ -214,8 +129,8 @@ mod tests {
         let idx = sample();
         let s = Bm25::default();
         // "taliban" (df=1) vs "pakistan" (df=2), same tf in same doc
-        let rare = s.contribution(&idx, DocId(0), 1, 1, 1);
-        let common = s.contribution(&idx, DocId(0), 1, 2, 1);
+        let rare = contribution(&s, &idx, DocId(0), 1, 1);
+        let common = contribution(&s, &idx, DocId(0), 1, 2);
         assert!(rare > common);
     }
 
@@ -229,24 +144,9 @@ mod tests {
         b.add_document(&long);
         let idx = b.build();
         let s = Bm25::default();
-        let short = s.contribution(&idx, DocId(0), 1, 2, 1);
-        let long = s.contribution(&idx, DocId(1), 1, 2, 1);
+        let short = contribution(&s, &idx, DocId(0), 1, 2);
+        let long = contribution(&s, &idx, DocId(1), 1, 2);
         assert!(short > long);
-    }
-
-    #[test]
-    fn contribution_with_is_bit_identical_to_index_path() {
-        let idx = sample();
-        let stats = crate::inverted::CollectionStats::from_index(&idx);
-        let s = Bm25::default();
-        for doc in 0..3u32 {
-            let doc = DocId(doc);
-            for (tf, df, qtf) in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (0, 1, 1)] {
-                let a = s.contribution(&idx, doc, tf, df, qtf);
-                let b = s.contribution_with(stats, idx.doc_len(doc), tf, df, qtf);
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -256,7 +156,7 @@ mod tests {
         // the whole product bit for bit for every BM25 parameterization
         // the engine uses (prose b=0.75, node streams b=0).
         let idx = sample();
-        let stats = crate::inverted::CollectionStats::from_index(&idx);
+        let stats = CollectionStats::from_index(&idx);
         for scorer in [Bm25::default(), Bm25 { k1: 1.2, b: 0.0 }] {
             for doc in 0..3u32 {
                 let doc_len = idx.doc_len(DocId(doc));
@@ -279,41 +179,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tfidf_weight_properties() {
-        assert_eq!(TfIdfCosine::weight(10, 0, 1), 0.0);
-        assert!(TfIdfCosine::weight(10, 1, 1) > TfIdfCosine::weight(10, 1, 5));
-        assert!(TfIdfCosine::weight(10, 3, 1) > TfIdfCosine::weight(10, 1, 1));
-        // df == N ⇒ idf = 0
-        assert_eq!(TfIdfCosine::weight(10, 5, 10), 0.0);
-    }
-
-    #[test]
-    fn tfidf_norms_positive_for_nonempty_docs() {
-        let idx = sample();
-        let norms = TfIdfCosine::doc_norms(&idx);
-        assert_eq!(norms.len(), 3);
-        assert!(norms.iter().all(|&n| n > 0.0));
-    }
-
-    #[test]
-    fn tfidf_normalize_divides_by_norm() {
-        let idx = sample();
-        let s = TfIdfCosine::new(&idx);
-        let raw = 2.0;
-        let normed = s.normalize(&idx, DocId(0), raw);
-        assert!(normed < raw);
-        assert!(normed > 0.0);
-    }
-
-    #[test]
-    fn tfidf_zero_norm_doc_scores_zero() {
-        let mut b = IndexBuilder::new();
-        b.add_document::<&str>(&[]);
-        let idx = b.build();
-        let s = TfIdfCosine::new(&idx);
-        assert_eq!(s.normalize(&idx, DocId(0), 1.0), 0.0);
     }
 }

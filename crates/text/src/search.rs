@@ -1,9 +1,12 @@
-//! Query execution: term-at-a-time accumulation and top-k selection.
+//! The exhaustive BM25 executor: term-at-a-time accumulation and top-k
+//! selection. It is the oracle the pruned evaluator
+//! ([`crate::maxscore::blended_scan`]) is pinned to bit for bit, and the
+//! "Lucene" baseline of Table IV.
 
 use newslink_util::{FxHashMap, TopK};
 
 use crate::inverted::{CollectionStats, DocId, InvertedIndex};
-use crate::score::{Bm25, Scorer};
+use crate::score::Bm25;
 
 /// A ranked result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,10 +41,9 @@ pub fn query_tf<T: AsRef<str>>(query_terms: &[T]) -> FxHashMap<&str, u32> {
 /// (live documents only), and `live` decides whether a segment-local doc
 /// still counts (tombstone filter). The returned map is keyed by
 /// segment-local [`DocId`]; the caller translates to global ids.
-///
-/// On a single segment with `stats = CollectionStats::from_index`,
-/// `global_df` = dictionary doc-freqs and `live = |_| true`, this is
-/// bit-identical to `Searcher::new(segment, scorer).score_all(query)`.
+/// [`Searcher::score_all`] is this function on a single segment with
+/// `stats = CollectionStats::from_index`, dictionary doc-freqs and
+/// `live = |_| true`.
 pub fn score_segment(
     scorer: Bm25,
     segment: &InvertedIndex,
@@ -67,15 +69,15 @@ pub fn score_segment(
     acc
 }
 
-/// Executes queries against one [`InvertedIndex`] with one [`Scorer`].
-pub struct Searcher<'i, S: Scorer> {
+/// Executes BM25 queries against one [`InvertedIndex`].
+pub struct Searcher<'i> {
     index: &'i InvertedIndex,
-    scorer: S,
+    scorer: Bm25,
 }
 
-impl<'i, S: Scorer> Searcher<'i, S> {
+impl<'i> Searcher<'i> {
     /// Create a searcher.
-    pub fn new(index: &'i InvertedIndex, scorer: S) -> Self {
+    pub fn new(index: &'i InvertedIndex, scorer: Bm25) -> Self {
         Self { index, scorer }
     }
 
@@ -86,25 +88,16 @@ impl<'i, S: Scorer> Searcher<'i, S> {
 
     /// Score every document matching at least one query term.
     ///
-    /// Returns the normalized accumulator map — the building block for
-    /// blended scoring (NewsLink's Equation 3 combines two of these maps).
+    /// Returns the accumulator map — the building block for blended
+    /// scoring (NewsLink's Equation 3 combines two of these maps).
     pub fn score_all<T: AsRef<str>>(&self, query_terms: &[T]) -> FxHashMap<DocId, f64> {
         let qtf = query_tf(query_terms);
-        let mut acc: FxHashMap<DocId, f64> = FxHashMap::default();
-        for (term, &qtf) in &qtf {
-            let Some(id) = self.index.term_id(term) else { continue };
-            let df = self.index.doc_freq(id);
-            for p in self.index.postings(id) {
-                let c = self.scorer.contribution(self.index, p.doc, p.tf, df, qtf);
-                if c != 0.0 {
-                    *acc.entry(p.doc).or_default() += c;
-                }
-            }
-        }
-        for (doc, score) in acc.iter_mut() {
-            *score = self.scorer.normalize(self.index, *doc, *score);
-        }
-        acc
+        let df: FxHashMap<&str, u32> = qtf
+            .keys()
+            .filter_map(|&t| Some((t, self.index.doc_freq(self.index.term_id(t)?))))
+            .collect();
+        let stats = CollectionStats::from_index(self.index);
+        score_segment(self.scorer, self.index, stats, &qtf, &df, |_| true)
     }
 
     /// Top-k documents for a term query, sorted by descending score (ties:
@@ -129,7 +122,6 @@ impl<'i, S: Scorer> Searcher<'i, S> {
 mod tests {
     use super::*;
     use crate::inverted::IndexBuilder;
-    use crate::score::{Bm25, TfIdfCosine};
 
     fn sample() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -190,18 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn tfidf_cosine_search_is_normalized() {
-        let idx = sample();
-        let scorer = TfIdfCosine::new(&idx);
-        let s = Searcher::new(&idx, scorer);
-        let hits = s.search(&["taliban", "attack"], 10);
-        assert!(!hits.is_empty());
-        assert_eq!(hits[0].doc, DocId(0));
-        // Cosine against a unit-ish query stays bounded in practice.
-        assert!(hits.iter().all(|h| h.score.is_finite() && h.score > 0.0));
-    }
-
-    #[test]
     fn search_matches_naive_scoring_exactly() {
         // term-at-a-time accumulation must equal direct per-doc scoring
         let idx = sample();
@@ -209,6 +189,7 @@ mod tests {
         let s = Searcher::new(&idx, bm);
         let query = ["taliban", "attack", "pakistan"];
         let got = s.score_all(&query);
+        let stats = CollectionStats::from_index(&idx);
         for doc in 0..idx.doc_count() as u32 {
             let doc = DocId(doc);
             let mut want = 0.0;
@@ -219,36 +200,13 @@ mod tests {
                     .get(term)
                     .map(|t| idx.dictionary().doc_freq(t))
                     .unwrap_or(0);
-                want += bm.contribution(&idx, doc, tf, df, 1);
+                want += bm.contribution_with(stats, idx.doc_len(doc), tf, df, 1);
             }
             if want != 0.0 {
                 assert!((got[&doc] - want).abs() < 1e-12);
             } else {
                 assert!(!got.contains_key(&doc));
             }
-        }
-    }
-
-    #[test]
-    fn score_segment_single_segment_is_bit_identical_to_score_all() {
-        let idx = sample();
-        let scorer = Bm25::default();
-        let query = ["taliban", "pakistan", "pakistan", "zebra"];
-        let want = Searcher::new(&idx, scorer).score_all(&query);
-
-        let qtf = query_tf(&query);
-        let stats = CollectionStats::from_index(&idx);
-        let dict = idx.dictionary();
-        let mut global_df: FxHashMap<&str, u32> = FxHashMap::default();
-        for &term in qtf.keys() {
-            let df = dict.get(term).map(|t| dict.doc_freq(t)).unwrap_or(0);
-            global_df.insert(term, df);
-        }
-        let got = score_segment(scorer, &idx, stats, &qtf, &global_df, |_| true);
-
-        assert_eq!(got.len(), want.len());
-        for (doc, score) in &want {
-            assert_eq!(got[doc].to_bits(), score.to_bits(), "doc {doc:?}");
         }
     }
 

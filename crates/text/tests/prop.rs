@@ -4,10 +4,10 @@
 use proptest::prelude::*;
 
 use newslink_text::{
-    maxscore_search, read_index_columnar, read_index_columnar_lazy, write_index_columnar, Bm25,
-    IndexBuilder, Searcher,
+    blended_scan, query_tf, read_index_columnar, read_index_columnar_lazy, write_index_columnar,
+    Bm25, CollectionStats, IndexBuilder, PruneStats, Searcher, SideSpec,
 };
-use newslink_util::Bytes;
+use newslink_util::{Bytes, TopK};
 
 /// Strategy: a corpus of small documents over a tiny vocabulary (so terms
 /// collide across documents and scoring paths are exercised).
@@ -19,16 +19,31 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
     )
 }
 
+/// Strategy: a short query. `w20`–`w24` never occur in a corpus, so some
+/// queries mix unknown terms in; the two flags repeat the first term and
+/// append a term no corpus has, so repeated and unknown terms are covered
+/// on every run.
 fn query_strategy() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(0u8..25, 1..6).prop_map(|ws| {
-        ws.into_iter().map(|w| format!("w{w}")).collect()
-    })
+    (prop::collection::vec(0u8..25, 1..6), any::<bool>(), any::<bool>()).prop_map(
+        |(ws, repeat, unknown)| {
+            let mut q: Vec<String> = ws.into_iter().map(|w| format!("w{w}")).collect();
+            if repeat {
+                q.push(q[0].clone());
+            }
+            if unknown {
+                q.push("zzz".to_string());
+            }
+            q
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// MaxScore pruning returns exactly the exhaustive top-k.
+    /// The block-max pruned scan on one side at β = 0 returns exactly the
+    /// exhaustive top-k — same documents, same order, same score bits —
+    /// at the drawn `k` and at `k = 1`, where pruning is most eager.
     #[test]
     fn maxscore_equals_exhaustive(docs in corpus_strategy(), query in query_strategy(), k in 1usize..8) {
         let mut b = IndexBuilder::new();
@@ -36,12 +51,42 @@ proptest! {
             b.add_document(d);
         }
         let index = b.build();
-        let naive = Searcher::new(&index, Bm25::default()).search(&query, k);
-        let pruned = maxscore_search(&index, Bm25::default(), &query, k);
-        prop_assert_eq!(naive.len(), pruned.len());
-        for (a, b) in naive.iter().zip(&pruned) {
-            prop_assert_eq!(a.doc, b.doc);
-            prop_assert!((a.score - b.score).abs() < 1e-9);
+        let qtf = query_tf(&query);
+        let spec = SideSpec {
+            index: &index,
+            scorer: Bm25::default(),
+            stats: CollectionStats::from_index(&index),
+            terms: qtf
+                .iter()
+                .filter_map(|(&t, &q)| {
+                    let id = index.term_id(t)?;
+                    Some((index.postings(id), q, index.doc_freq(id)))
+                })
+                .collect(),
+            norm: 1.0,
+        };
+        let searcher = Searcher::new(&index, Bm25::default());
+        for k in [k, 1] {
+            let naive = searcher.search(&query, k);
+            let mut topk = TopK::new(k);
+            blended_scan(
+                Some(&spec),
+                None,
+                0.0,
+                f64::NEG_INFINITY,
+                |_| true,
+                |d| d,
+                &mut topk,
+                &mut PruneStats::default(),
+            );
+            let pruned = topk.into_sorted();
+            prop_assert_eq!(naive.len(), pruned.len());
+            for (a, (score, (doc, bow, bon))) in naive.iter().zip(&pruned) {
+                prop_assert_eq!(a.doc, *doc);
+                prop_assert_eq!(a.score.to_bits(), score.to_bits());
+                prop_assert_eq!(a.score.to_bits(), bow.to_bits());
+                prop_assert_eq!(*bon, 0.0);
+            }
         }
     }
 

@@ -42,16 +42,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Hit fraction in `[0, 1]`; zero when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / n as f64
-        }
-    }
-
     /// Activity since an `earlier` snapshot of the same cache (entry count
     /// is taken from `self`).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
@@ -163,11 +153,6 @@ impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Entries displaced so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Look up `key`, marking the entry as recently used. Accepts any
@@ -396,7 +381,7 @@ mod tests {
         c.insert(3, 30); // evicts one of {1, 2}; both referenced -> second pass evicts slot 0 (key 1)
         assert_eq!(c.len(), 2);
         assert!(c.contains(&3));
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.evictions, 1);
     }
 
     #[test]
@@ -454,7 +439,7 @@ mod tests {
             c.insert(i, i);
             assert!(c.len() <= 8);
         }
-        assert_eq!(c.evictions(), 1000 - 8);
+        assert_eq!(c.evictions, 1000 - 8);
     }
 
     #[test]
@@ -470,7 +455,6 @@ mod tests {
         assert_eq!(a.evictions, 1);
         assert_eq!(a.entries, 5);
         assert_eq!(a.lookups(), 3);
-        assert!((a.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         counters.hit();
         let b = counters.snapshot(6);
         let d = b.since(&a);
@@ -502,10 +486,5 @@ mod tests {
         c.insert(1, 1);
         assert!(c.get(&1).is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn empty_stats_rate_is_zero() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 }

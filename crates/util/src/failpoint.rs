@@ -14,10 +14,6 @@
 //!   nothing (a whole-syscall failure).
 //! - [`FailReader`] — the read-side twin, for exercising loaders against
 //!   media that dies mid-scan.
-//! - [`CrashBuffer`] — an in-memory "file + page cache" that separates
-//!   written from synced bytes; [`CrashBuffer::crash`] discards the
-//!   unsynced tail, modelling `kill -9` after `write` but before
-//!   `fsync` (the truncate-on-drop failure shape).
 //! - [`FaultMedia`] — an in-memory stand-in for a *mutable* file (cursor,
 //!   truncate, fsync) with one-shot failure injection per operation, for
 //!   exercising error-*recovery* paths: the process survives the failed
@@ -71,16 +67,6 @@ impl<W: Write> FailWriter<W> {
             mode,
             tripped: false,
         }
-    }
-
-    /// Bytes actually forwarded to the inner writer.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Has the failure fired yet?
-    pub fn tripped(&self) -> bool {
-        self.tripped
     }
 
     /// Recover the inner writer (e.g. the `Vec<u8>` holding the torn
@@ -150,66 +136,6 @@ impl<R: Read> Read for FailReader<R> {
     }
 }
 
-/// An in-memory file with an explicit page cache: bytes written land in
-/// the unsynced tail and only become durable on [`CrashBuffer::sync`].
-///
-/// [`CrashBuffer::crash`] returns what a post-`kill -9` reader would see
-/// (durable bytes only); [`CrashBuffer::contents`] returns what a
-/// clean-shutdown reader would see.
-#[derive(Debug, Default, Clone)]
-pub struct CrashBuffer {
-    durable: Vec<u8>,
-    pending: Vec<u8>,
-}
-
-impl CrashBuffer {
-    /// Empty file, empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Make every written byte durable (the `fsync` point).
-    pub fn sync(&mut self) {
-        self.durable.append(&mut self.pending);
-    }
-
-    /// Bytes that survive a crash right now: everything synced, nothing
-    /// pending.
-    pub fn crash(self) -> Vec<u8> {
-        self.durable
-    }
-
-    /// Bytes a clean close would leave behind (synced + pending).
-    pub fn contents(&self) -> Vec<u8> {
-        let mut all = self.durable.clone();
-        all.extend_from_slice(&self.pending);
-        all
-    }
-
-    /// Bytes not yet made durable.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Bytes that are durable.
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
-    }
-}
-
-impl Write for CrashBuffer {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.pending.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        // `flush` empties userspace buffers; it is NOT an fsync and does
-        // not make bytes durable. Only `sync` does.
-        Ok(())
-    }
-}
-
 /// An in-memory stand-in for a mutable on-disk file: a byte image with a
 /// cursor, positioned writes, truncate and fsync — the operations a
 /// write-ahead log performs — plus deterministic **one-shot** failure
@@ -261,11 +187,6 @@ impl FaultMedia {
     /// The current byte image of the file.
     pub fn contents(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// How many [`sync_data`](Self::sync_data) calls have succeeded.
-    pub fn syncs(&self) -> u64 {
-        self.syncs
     }
 
     fn splice(&mut self, buf: &[u8]) {
@@ -332,7 +253,7 @@ mod tests {
         w.write_all(b"abc").unwrap();
         let err = w.write_all(b"defgh").unwrap_err();
         assert!(is_injected(&err), "{err}");
-        assert!(w.tripped());
+        assert!(w.tripped);
         assert_eq!(w.into_inner(), b"abc");
     }
 
@@ -342,7 +263,7 @@ mod tests {
         w.write_all(b"abc").unwrap();
         let err = w.write_all(b"defgh").unwrap_err();
         assert!(is_injected(&err), "{err}");
-        assert_eq!(w.written(), 5);
+        assert_eq!(w.written, 5);
         assert_eq!(w.into_inner(), b"abcde");
     }
 
@@ -352,7 +273,7 @@ mod tests {
         assert!(w.write_all(b"x").is_err());
         assert!(w.write_all(b"y").is_err());
         assert!(w.flush().is_err());
-        assert_eq!(w.written(), 0);
+        assert_eq!(w.written, 0);
     }
 
     #[test]
@@ -360,7 +281,7 @@ mod tests {
         // Writing exactly the budget succeeds; one more byte fails.
         let mut w = FailWriter::new(Vec::new(), 4, FailMode::ShortWrite);
         w.write_all(b"abcd").unwrap();
-        assert!(!w.tripped());
+        assert!(!w.tripped);
         assert!(w.write_all(b"e").is_err());
         assert_eq!(w.into_inner(), b"abcd");
     }
@@ -373,28 +294,6 @@ mod tests {
         let err = r.read_to_end(&mut out).unwrap_err();
         assert!(is_injected(&err), "{err}");
         assert_eq!(out, b"hello");
-    }
-
-    #[test]
-    fn crash_buffer_drops_unsynced_tail() {
-        let mut f = CrashBuffer::new();
-        f.write_all(b"record-1;").unwrap();
-        f.sync();
-        f.write_all(b"record-2;").unwrap();
-        assert_eq!(f.durable_len(), 9);
-        assert_eq!(f.pending_len(), 9);
-        assert_eq!(f.contents(), b"record-1;record-2;");
-        assert_eq!(f.crash(), b"record-1;");
-    }
-
-    #[test]
-    fn flush_is_not_sync() {
-        let mut f = CrashBuffer::new();
-        f.write_all(b"data").unwrap();
-        f.flush().unwrap();
-        assert_eq!(f.clone().crash(), b"");
-        f.sync();
-        assert_eq!(f.crash(), b"data");
     }
 
     #[test]
@@ -440,7 +339,7 @@ mod tests {
         let err = m.sync_data().unwrap_err();
         assert!(is_injected(&err), "{err}");
         m.sync_data().unwrap();
-        assert_eq!(m.syncs(), 1);
+        assert_eq!(m.syncs, 1);
         m.fail_next_set_len();
         assert!(m.set_len(0).is_err());
         m.set_len(0).unwrap();

@@ -82,15 +82,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// A `HashSet` using [`FxHasher`].
 pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
-/// Hash a single `u64` with FxHash; handy for deterministic pseudo-random
-/// derivations (e.g. hash-seeded embedding vectors).
-#[inline]
-pub fn hash_u64(x: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(x);
-    h.finish()
-}
-
 /// Hash a string slice with FxHash.
 #[inline]
 pub fn hash_str(s: &str) -> u64 {
@@ -106,14 +97,12 @@ mod tests {
     #[test]
     fn hash_is_deterministic() {
         assert_eq!(hash_str("taliban"), hash_str("taliban"));
-        assert_eq!(hash_u64(42), hash_u64(42));
     }
 
     #[test]
     fn distinct_inputs_hash_differently() {
         assert_ne!(hash_str("pakistan"), hash_str("pakista"));
         assert_ne!(hash_str("pakistan"), hash_str("Pakistan"));
-        assert_ne!(hash_u64(1), hash_u64(2));
     }
 
     #[test]

@@ -44,7 +44,7 @@ fi
 # crash_recovery: a crash at any write offset never loses an acked write or half-applies one.
 # durability_e2e: restart recovery, degraded /healthz, /admin/snapshot.
 # snapshot_backends: heap and mmap load one snapshot bit-identically; an old-version data dir is refused typed and untouched.
-# prune_prop: the block-max pruned evaluator is bit-identical to the exhaustive oracle.
+# prune_prop: the block-max pruned evaluator (the only one; bow_topk runs on it too) is bit-identical to the exhaustive oracle.
 # fst_prop: the FST label automaton matches the HashMap oracle, end to end.
 # cluster_prop: a router over real shard servers merges like one in-process search.
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
