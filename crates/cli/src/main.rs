@@ -3,7 +3,7 @@
 //! ```text
 //! newslink generate-world  --scale small|medium|large --seed N --out kg.tsv
 //! newslink generate-corpus --world kg.tsv --docs N --flavor cnn|kaggle --seed N --out corpus.txt
-//! newslink build-index     --world kg.tsv --corpus corpus.txt --beta B --out index.nlnk
+//! newslink build-index     --world kg.tsv --corpus corpus.txt --out index.nlnk
 //! newslink search          --world kg.tsv --corpus corpus.txt --index index.nlnk \
 //!                          --query "..." --k 10 --explain true
 //! newslink serve           --world kg.tsv --corpus corpus.txt --addr 127.0.0.1:8080 \
@@ -24,15 +24,12 @@ use std::process::ExitCode;
 
 use args::Args;
 use newslink_core::{
-    load_newslink_index, save_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig,
-    NewsLinkIndex, SearchRequest, StorageBackend,
+    load_newslink_index, save_newslink_index, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    SearchRequest, StorageBackend,
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
-use newslink_kg::{
-    ingest_tsv, normalize_label, synth, triples, write_graph_tsv, FstLabelIndex, GraphStats,
-    IngestConfig, LabelIndex, ResolverBackend, SynthConfig,
-};
+use newslink_kg::{synth, triples, GraphStats, LabelIndex, ResolverBackend, SynthConfig};
 use newslink_serve::{parse_shards, Cluster, ResilienceConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
@@ -53,8 +50,6 @@ fn main() -> ExitCode {
     let result = match args.command.as_str() {
         "generate-world" => generate_world(&args),
         "generate-corpus" => generate_corpus_cmd(&args),
-        "ingest-tsv" => ingest_tsv_cmd(&args),
-        "resolve" => resolve_cmd(&args),
         "build-index" => build_index(&args),
         "search" => search_cmd(&args),
         "serve" => serve_cmd(&args),
@@ -79,15 +74,8 @@ newslink — intuitive news search with knowledge graphs
 
 commands:
   generate-world  --scale small|medium|large|<nodes> --seed N --out kg.tsv
-                  [--tsv-out labels.tsv]   also emit a wikidata-entities-index-shaped label TSV
-                        (label, degree score, id, aliases, description, type) for ingest-tsv
   generate-corpus --world kg.tsv --docs N --flavor cnn|kaggle --seed N --out corpus.txt
-  ingest-tsv      --input labels.tsv --out labels.fst [--spill-dir DIR] [--run-bytes N]
-                  [--strict true|false] [--storage heap|mmap]
-                        one-pass bounded-memory ingest into the label automaton; malformed
-                        lines are quarantined (line-numbered) unless --strict
-  resolve         --index labels.fst (--query L | --prefix P) [--storage heap|mmap (default mmap)]
-  build-index     --world kg.tsv --corpus corpus.txt --beta B [--segment-docs N] [--storage heap|mmap]
+  build-index     --world kg.tsv --corpus corpus.txt [--segment-docs N] [--storage heap|mmap]
                   [--resolver hash|fst] --out index.nlnk
   search          --world kg.tsv --corpus corpus.txt --index index.nlnk --query Q --k N --explain true|false
                   [--resolver hash|fst]
@@ -141,24 +129,6 @@ fn parse_scale(scale: &str, seed: u64) -> Result<SynthConfig, String> {
     }
 }
 
-/// Split a blob path into its parent [`FsDirectory`] and file name, so
-/// single-file artifacts go through the atomic-write / zero-copy-open
-/// storage seam.
-fn blob_dir(path: &str) -> Result<(FsDirectory, String), String> {
-    let p = Path::new(path);
-    let parent = match p.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    let name = p
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| format!("bad path {path:?}"))?
-        .to_string();
-    let dir = FsDirectory::create(parent).map_err(|e| format!("opening {path}: {e}"))?;
-    Ok((dir, name))
-}
-
 /// Load a snapshot file through the selected storage backend (strict
 /// mode — any damage is an error, same as [`load_newslink_index`]).
 fn open_snapshot_with(
@@ -205,121 +175,19 @@ fn load_corpus_file(path: &str) -> Result<Vec<String>, String> {
 }
 
 fn generate_world(args: &Args) -> Result<(), String> {
-    check_flags(args, &["scale", "seed", "out", "tsv-out"])?;
+    check_flags(args, &["scale", "seed", "out"])?;
     let seed: u64 = args.get_parsed("seed", 42)?;
     let config = parse_scale(args.get("scale").unwrap_or("small"), seed)?;
     let out = args.require("out")?;
     let world = synth::generate(&config);
     triples::save_triples(&world.graph, Path::new(out))
         .map_err(|e| format!("writing {out}: {e}"))?;
-    if let Some(tsv) = args.get("tsv-out") {
-        let f = std::fs::File::create(tsv).map_err(|e| format!("creating {tsv}: {e}"))?;
-        let mut w = std::io::BufWriter::new(f);
-        let lines = write_graph_tsv(&world.graph, &mut w).map_err(|e| format!("writing {tsv}: {e}"))?;
-        use std::io::Write as _;
-        w.flush().map_err(|e| format!("writing {tsv}: {e}"))?;
-        println!("wrote {tsv} ({lines} label lines)");
-    }
     println!(
         "wrote {} ({} nodes, {} edges)",
         out,
         world.graph.node_count(),
         world.graph.edge_count()
     );
-    Ok(())
-}
-
-fn ingest_tsv_cmd(args: &Args) -> Result<(), String> {
-    check_flags(args, &["input", "out", "spill-dir", "run-bytes", "strict", "storage"])?;
-    let input = args.require("input")?;
-    let out = args.require("out")?;
-    let backend = parse_storage(args)?;
-    let mut cfg = IngestConfig::default();
-    if let Some(d) = args.get("spill-dir") {
-        cfg.spill_dir = Some(std::path::PathBuf::from(d));
-    }
-    cfg.run_bytes = args.get_parsed("run-bytes", cfg.run_bytes)?;
-    cfg.strict = args.get_parsed("strict", false)?;
-    let file = std::fs::File::open(input).map_err(|e| format!("opening {input}: {e}"))?;
-    let t = std::time::Instant::now();
-    let (index, report) =
-        ingest_tsv(std::io::BufReader::new(file), &cfg).map_err(|e| format!("ingesting {input}: {e}"))?;
-    let (dir, name) = blob_dir(out)?;
-    dir.atomic_write(&name, &index.encode())
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    // Verification reopen through the requested backend: prove the blob
-    // serves the way it was built.
-    let bytes = match backend {
-        StorageBackend::Mmap => dir.open_bytes(&name),
-        _ => dir.read(&name),
-    }
-    .map_err(|e| format!("reopening {out}: {e}"))?;
-    let reopened =
-        FstLabelIndex::decode(bytes).map_err(|e| format!("verifying {out} ({backend}): {e}"))?;
-    if reopened.node_meta_count() != index.node_meta_count() {
-        return Err(format!(
-            "verification reopen ({backend}) saw {} nodes, expected {}",
-            reopened.node_meta_count(),
-            index.node_meta_count()
-        ));
-    }
-    println!("{}", report.summary());
-    println!(
-        "wrote {out} ({} bytes) in {:.2}s (verified via {backend})",
-        index.encode().len(),
-        t.elapsed().as_secs_f64(),
-    );
-    Ok(())
-}
-
-fn resolve_cmd(args: &Args) -> Result<(), String> {
-    check_flags(args, &["index", "query", "prefix", "storage"])?;
-    let path = args.require("index")?;
-    // Default mmap: resolution is the cold-start path the automaton
-    // exists for, and the mapping serves without decoding.
-    let backend = match args.get("storage") {
-        None => StorageBackend::Mmap,
-        Some(s) => StorageBackend::parse(s)
-            .ok_or_else(|| format!("unknown --storage {s:?} (expected heap or mmap)"))?,
-    };
-    let (dir, name) = blob_dir(path)?;
-    let bytes = match backend {
-        StorageBackend::Mmap => dir.open_bytes(&name),
-        _ => dir.read(&name),
-    }
-    .map_err(|e| format!("opening {path}: {e}"))?;
-    let index = FstLabelIndex::decode(bytes).map_err(|e| format!("loading {path}: {e}"))?;
-    let print_nodes = |surface: &str, nodes: &[newslink_kg::NodeId]| {
-        for &n in nodes {
-            match index.node_meta(n) {
-                Some(m) => println!("{surface}\t{}\t{}\t{}", m.id, m.entity_type.as_str(), m.label),
-                None => println!("{surface}\tN{}", n.index()),
-            }
-        }
-    };
-    match (args.get("query"), args.get("prefix")) {
-        (Some(q), None) => {
-            use newslink_kg::LabelResolver as _;
-            let norm = normalize_label(q);
-            let nodes: Vec<_> = index.exact(&norm).collect();
-            if nodes.is_empty() {
-                println!("no match for {norm:?}");
-            } else {
-                print_nodes(&norm, &nodes);
-            }
-        }
-        (None, Some(p)) => {
-            let norm = normalize_label(p);
-            let matches = index.prefix_postings(&norm);
-            if matches.is_empty() {
-                println!("no surfaces start with {norm:?}");
-            }
-            for (surface, nodes) in &matches {
-                print_nodes(surface, nodes);
-            }
-        }
-        _ => return Err("pass exactly one of --query or --prefix".to_string()),
-    }
     Ok(())
 }
 
@@ -354,12 +222,11 @@ fn generate_corpus_cmd(args: &Args) -> Result<(), String> {
 fn build_index(args: &Args) -> Result<(), String> {
     check_flags(
         args,
-        &["world", "corpus", "beta", "segment-docs", "storage", "resolver", "out"],
+        &["world", "corpus", "segment-docs", "storage", "resolver", "out"],
     )?;
     let backend = parse_storage(args)?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
-    let beta: f64 = args.get_parsed("beta", 0.2)?;
     // 0 = one segment; any other value shards the build, which also
     // parallelizes it across the configured threads.
     let segment_docs: usize = args.get_parsed("segment-docs", 0)?;
@@ -371,7 +238,6 @@ fn build_index(args: &Args) -> Result<(), String> {
         &graph,
         &labels,
         NewsLinkConfig::default()
-            .with_beta(beta)
             .with_threads(threads)
             .with_segment_docs(segment_docs),
     );
@@ -440,7 +306,7 @@ fn search_cmd(args: &Args) -> Result<(), String> {
             rank + 1,
             hit.doc.0,
             hit.score,
-            &text[..text.len().min(90)]
+            preview(text, 90)
         );
         if explain {
             let paths = engine.explain(&index, &outcome.embedding, hit.doc, 5, 20);
@@ -456,6 +322,15 @@ fn search_cmd(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `text` cut to at most `max` bytes, at a char boundary.
+fn preview(text: &str, max: usize) -> &str {
+    let mut end = text.len().min(max);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    &text[..end]
 }
 
 fn serve_cmd(args: &Args) -> Result<(), String> {
@@ -728,5 +603,15 @@ mod tests {
     fn serve_rejects_a_removed_flag_by_name() {
         let a = args(&["serve", "--search-threads", "4"]);
         assert_eq!(serve_cmd(&a).unwrap_err(), "unknown flag --search-threads for serve");
+    }
+
+    #[test]
+    fn preview_cuts_at_a_char_boundary() {
+        // 'ü' is two bytes: 89 ASCII bytes put byte 90 inside it.
+        let text = format!("{}Zürich", "a".repeat(88));
+        assert!(!text.is_char_boundary(90));
+        assert_eq!(preview(&text, 90), format!("{}Z", "a".repeat(88)));
+        assert_eq!(preview("Kraków", 90), "Kraków");
+        assert_eq!(preview("", 90), "");
     }
 }

@@ -841,7 +841,6 @@ pub fn load_newslink_index(
 mod tests {
     use super::*;
     use crate::config::NewsLinkConfig;
-    use crate::directory::{Directory, FsDirectory};
     use crate::pipeline::test_support::{index_corpus, search};
     use newslink_kg::{EntityType, GraphBuilder, LabelIndex};
     use newslink_text::DocId;
@@ -894,31 +893,6 @@ mod tests {
                 assert!((x.score - y.score).abs() < 1e-15);
             }
         }
-    }
-
-    /// A label automaton written to a file-backed directory maps back
-    /// zero-copy (the CLI's `resolve --storage mmap` path), and a flipped
-    /// byte in the stored blob fails the decode instead of serving
-    /// corrupt postings.
-    #[test]
-    fn label_fst_maps_zero_copy_from_fs_directory() {
-        let (g, _) = world();
-        let fst = newslink_kg::FstLabelIndex::build(&g);
-        let tmp = std::env::temp_dir().join(format!("nl-fst-dir-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
-        let dir = FsDirectory::create(&tmp).unwrap();
-        dir.atomic_write("labels.fst", &fst.encode()).unwrap();
-        let open = || newslink_kg::FstLabelIndex::decode(dir.open_bytes("labels.fst").unwrap());
-        let back = open().unwrap();
-        assert!(back.is_mapped(), "FsDirectory opens label blobs via mmap");
-        assert_eq!(back.surface_postings(), fst.surface_postings());
-        let path = dir.path_of("labels.fst");
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x40;
-        std::fs::write(&path, &raw).unwrap();
-        assert!(open().is_err());
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]

@@ -68,12 +68,12 @@ impl GraphBuilder {
     }
 
     /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.labels.len()
     }
 
     /// Label of an already-added node.
-    pub fn label(&self, node: NodeId) -> &str {
+    pub(crate) fn label(&self, node: NodeId) -> &str {
         self.interner.resolve(self.labels[node.index()])
     }
 
@@ -89,11 +89,6 @@ impl GraphBuilder {
             return;
         }
         self.aliases.push((node, sym));
-    }
-
-    /// Number of forward edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Freeze into the immutable CSR representation, materializing the

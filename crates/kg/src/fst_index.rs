@@ -1,5 +1,5 @@
-//! FST-backed label resolution: the automaton behind `S(l)` at
-//! Wikidata scale (DESIGN.md §6j).
+//! FST-backed label resolution: the automaton behind `S(l)`
+//! (DESIGN.md §6j).
 //!
 //! Two byte-trie automata ([`newslink_util::fst`]) over one packed
 //! postings arena:
@@ -12,91 +12,14 @@
 //!   exactly like the HashMap oracle.
 //!
 //! Automaton values are byte offsets into the arena; a posting list is a
-//! varint count followed by ascending delta varints. Nothing in the
-//! serialized form is a pointer, so the whole index round-trips through
-//! one checksummed blob ([`FstLabelIndex::encode`]/[`FstLabelIndex::decode`])
-//! that reads zero-copy from an mmap via the v4 `Directory` idiom:
-//! 8-aligned sections addressed by an `offset|len|xxh64` tail directory,
-//! CRC-32 over the directory, magic at both ends.
-//!
-//! An optional node table (populated by `kg::ingest`, empty when built
-//! from a [`KnowledgeGraph`]) carries per-node entity type, external id
-//! and display label so a standalone artifact can answer lookups with no
-//! graph in memory.
+//! varint count followed by ascending delta varints. Like the hash
+//! backend, the index is built in memory from the loaded graph.
 
 use newslink_util::fst::{Fst, FstBuilder};
-use newslink_util::{varint, xxh64, Bytes, FxHashSet};
+use newslink_util::{varint, FxHashSet};
 
-use crate::graph::{EntityType, KnowledgeGraph, NodeId};
+use crate::graph::{KnowledgeGraph, NodeId};
 use crate::label_index::{normalize_label, surface_run_hit, LabelResolver, Postings};
-
-/// Leading magic of a serialized label automaton blob.
-pub const FST_INDEX_MAGIC: &[u8; 8] = b"NLKGFST1";
-/// Trailing magic.
-pub const FST_INDEX_FOOTER: &[u8; 8] = b"NLKGEND1";
-/// Serialized format version.
-pub const FST_INDEX_VERSION: u64 = 1;
-/// Section order: meta, label trie, token trie, arena, node table.
-const SECTION_COUNT: usize = 5;
-const SECTION_NAMES: [&str; SECTION_COUNT] = ["meta", "label_fst", "token_fst", "arena", "nodes"];
-/// Tail size: directory entries + crc32 + count + footer magic.
-const TAIL_BYTES: usize = SECTION_COUNT * 24 + 4 + 4 + 8;
-
-/// Errors from [`FstLabelIndex::decode`] and the assembler.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FstIndexError {
-    /// Blob shorter than header + tail.
-    TooShort,
-    /// Leading magic mismatch.
-    BadMagic,
-    /// Trailing magic mismatch.
-    BadFooter,
-    /// Tail directory count is not the expected section count.
-    BadSectionCount(u32),
-    /// CRC-32 over the tail directory failed.
-    DirectoryChecksum,
-    /// XXH64 over one section payload failed.
-    SectionChecksum(&'static str),
-    /// A section range points outside the blob.
-    SectionOutOfBounds(&'static str),
-    /// Unknown format version.
-    UnsupportedVersion(u64),
-    /// Structural decode failure.
-    Corrupt(&'static str),
-    /// Assembler fed out-of-order or duplicate surfaces.
-    UnsortedInput(String),
-}
-
-impl std::fmt::Display for FstIndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FstIndexError::TooShort => write!(f, "label automaton blob too short"),
-            FstIndexError::BadMagic => write!(f, "label automaton magic mismatch"),
-            FstIndexError::BadFooter => write!(f, "label automaton footer mismatch"),
-            FstIndexError::BadSectionCount(n) => {
-                write!(f, "label automaton section count {n} (expected {SECTION_COUNT})")
-            }
-            FstIndexError::DirectoryChecksum => {
-                write!(f, "label automaton directory CRC mismatch")
-            }
-            FstIndexError::SectionChecksum(s) => {
-                write!(f, "label automaton section '{s}' checksum mismatch")
-            }
-            FstIndexError::SectionOutOfBounds(s) => {
-                write!(f, "label automaton section '{s}' out of bounds")
-            }
-            FstIndexError::UnsupportedVersion(v) => {
-                write!(f, "label automaton format version {v} unsupported")
-            }
-            FstIndexError::Corrupt(what) => write!(f, "label automaton corrupt: {what}"),
-            FstIndexError::UnsortedInput(k) => {
-                write!(f, "assembler input not strictly ascending at {k:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FstIndexError {}
 
 /// Delta-varint posting-list decoder over arena bytes.
 #[derive(Debug, Clone)]
@@ -108,9 +31,8 @@ pub struct PackedPostings<'a> {
 
 impl<'a> PackedPostings<'a> {
     /// Decode the posting list starting at `offset` in `arena`.
-    /// Malformed bytes yield an empty iterator (arena sections are
-    /// checksummed upstream).
-    pub fn at(arena: &'a [u8], offset: u64) -> Self {
+    /// Malformed bytes yield an empty iterator.
+    pub(crate) fn at(arena: &'a [u8], offset: u64) -> Self {
         let mut rest = arena.get(offset as usize..).unwrap_or(&[]);
         let remaining = varint::read_u64(&mut rest).unwrap_or(0) as usize;
         Self {
@@ -118,16 +40,6 @@ impl<'a> PackedPostings<'a> {
             remaining,
             prev: 0,
         }
-    }
-
-    /// Entries left.
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// True when exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
     }
 }
 
@@ -173,89 +85,18 @@ fn write_postings(arena: &mut Vec<u8>, nodes: &[NodeId]) -> u64 {
     off
 }
 
-/// Per-node metadata from an ingest-built artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeMeta<'a> {
-    /// Entity type (defaulted by the ingester when the TSV omits it).
-    pub entity_type: EntityType,
-    /// External id, e.g. a Wikidata `Q…` id.
-    pub id: &'a str,
-    /// Display label (the raw TSV label column).
-    pub label: &'a str,
-}
-
-/// Streaming assembler: feeds sorted groups straight into the two trie
-/// builders and the arena. `kg::ingest`'s external merge drives this, so
-/// peak memory stays bounded by the *output* size, never an intermediate
-/// map.
-#[derive(Debug, Default)]
-pub struct FstIndexAssembler {
-    label_builder: FstBuilder,
-    token_builder: FstBuilder,
-    arena: Vec<u8>,
-    max_tokens: usize,
-    node_offsets: Vec<u32>,
-    node_blob: Vec<u8>,
-}
-
-impl FstIndexAssembler {
-    /// An empty assembler.
-    pub fn new() -> Self {
-        Self::default()
+/// One trie over the sorted, deduplicated `(key, node)` pairs: each
+/// distinct key maps to the arena offset of its ascending node list.
+fn build_trie<K: AsRef<str>>(pairs: &[(K, NodeId)], arena: &mut Vec<u8>) -> Fst {
+    let mut builder = FstBuilder::new();
+    for group in pairs.chunk_by(|a, b| a.0.as_ref() == b.0.as_ref()) {
+        let nodes: Vec<NodeId> = group.iter().map(|&(_, n)| n).collect();
+        let off = write_postings(arena, &nodes);
+        builder
+            .insert(group[0].0.as_ref().as_bytes(), off)
+            .expect("pairs are sorted and deduplicated");
     }
-
-    /// Append one normalized surface with its ascending, deduplicated
-    /// node set. Surfaces must arrive in strictly ascending byte order.
-    pub fn push_label(&mut self, surface: &str, nodes: &[NodeId]) -> Result<(), FstIndexError> {
-        let off = write_postings(&mut self.arena, nodes);
-        self.label_builder
-            .insert(surface.as_bytes(), off)
-            .map_err(|_| FstIndexError::UnsortedInput(surface.to_string()))?;
-        self.max_tokens = self.max_tokens.max(surface.split(' ').count());
-        Ok(())
-    }
-
-    /// Append one token with the ascending node set whose surfaces
-    /// contain it. Tokens must arrive in strictly ascending byte order
-    /// (independently of labels).
-    pub fn push_token(&mut self, token: &str, nodes: &[NodeId]) -> Result<(), FstIndexError> {
-        let off = write_postings(&mut self.arena, nodes);
-        self.token_builder
-            .insert(token.as_bytes(), off)
-            .map_err(|_| FstIndexError::UnsortedInput(token.to_string()))
-    }
-
-    /// Record metadata for the next node (call in NodeId order, starting
-    /// at 0). Optional: indexes built from a live graph skip this.
-    pub fn push_node_meta(&mut self, ty: EntityType, id: &str, label: &str) {
-        self.node_offsets.push(self.node_blob.len() as u32);
-        let ty_byte = EntityType::ALL
-            .iter()
-            .position(|t| *t == ty)
-            .expect("EntityType::ALL is exhaustive") as u8;
-        self.node_blob.push(ty_byte);
-        varint::write_str(&mut self.node_blob, id).expect("vec write");
-        varint::write_str(&mut self.node_blob, label).expect("vec write");
-    }
-
-    /// Freeze into an in-memory (heap-backed) index.
-    pub fn finish(self) -> FstLabelIndex {
-        let label = self.label_builder.finish().into_fst();
-        let token = self.token_builder.finish().into_fst();
-        let mut nodes = Vec::with_capacity(4 + self.node_offsets.len() * 4 + self.node_blob.len());
-        nodes.extend_from_slice(&(self.node_offsets.len() as u32).to_le_bytes());
-        for off in &self.node_offsets {
-            nodes.extend_from_slice(&off.to_le_bytes());
-        }
-        nodes.extend_from_slice(&self.node_blob);
-        FstLabelIndex {
-            label_fst: label,
-            token_fst: token,
-            arena: Bytes::from_vec(self.arena),
-            nodes: Bytes::from_vec(nodes),
-            max_tokens: self.max_tokens,
-        }
-    }
+    builder.finish()
 }
 
 /// The FST backend of [`crate::label_index::LabelIndex`].
@@ -263,16 +104,14 @@ impl FstIndexAssembler {
 pub struct FstLabelIndex {
     label_fst: Fst,
     token_fst: Fst,
-    arena: Bytes,
-    /// `[count u32][offset u32 × count][entries]`, possibly empty.
-    nodes: Bytes,
+    arena: Vec<u8>,
     max_tokens: usize,
 }
 
 impl FstLabelIndex {
     /// Build from every node label and alias in `graph` (exactly the
     /// surface set of [`crate::label_index::HashLabelIndex::build`]).
-    pub fn build(graph: &KnowledgeGraph) -> Self {
+    pub(crate) fn build(graph: &KnowledgeGraph) -> Self {
         let mut surfaces: Vec<(String, NodeId)> = Vec::new();
         for node in graph.nodes() {
             let norm = normalize_label(graph.label(node));
@@ -286,55 +125,29 @@ impl FstLabelIndex {
                 surfaces.push((norm.into_owned(), node));
             }
         }
-        Self::from_surface_pairs(surfaces)
-    }
-
-    /// Build from `(normalized surface, node)` pairs in any order.
-    pub fn from_surface_pairs(mut surfaces: Vec<(String, NodeId)>) -> Self {
         surfaces.sort_unstable();
         surfaces.dedup();
-        let mut tokens: Vec<(&str, NodeId)> = Vec::new();
-        for (surface, node) in &surfaces {
-            for tok in surface.split(' ') {
-                tokens.push((tok, *node));
-            }
-        }
+        let mut tokens: Vec<(&str, NodeId)> = surfaces
+            .iter()
+            .flat_map(|(surface, node)| surface.split(' ').map(move |tok| (tok, *node)))
+            .collect();
         tokens.sort_unstable();
         tokens.dedup();
 
-        let mut asm = FstIndexAssembler::new();
-        let push_groups = |pairs: &mut dyn Iterator<Item = (&str, NodeId)>,
-                           asm: &mut FstIndexAssembler,
-                           label: bool| {
-            let mut key: Option<String> = None;
-            let mut bucket: Vec<NodeId> = Vec::new();
-            let flush = |key: &Option<String>, bucket: &mut Vec<NodeId>, asm: &mut FstIndexAssembler| {
-                if let Some(k) = key {
-                    let r = if label {
-                        asm.push_label(k, bucket)
-                    } else {
-                        asm.push_token(k, bucket)
-                    };
-                    r.expect("pairs are sorted");
-                    bucket.clear();
-                }
-            };
-            for (k, node) in pairs {
-                if key.as_deref() != Some(k) {
-                    flush(&key, &mut bucket, asm);
-                    key = Some(k.to_string());
-                }
-                bucket.push(node);
-            }
-            flush(&key, &mut bucket, asm);
-        };
-        push_groups(
-            &mut surfaces.iter().map(|(k, n)| (k.as_str(), *n)),
-            &mut asm,
-            true,
-        );
-        push_groups(&mut tokens.iter().copied(), &mut asm, false);
-        asm.finish()
+        let mut arena = Vec::new();
+        let label_fst = build_trie(&surfaces, &mut arena);
+        let token_fst = build_trie(&tokens, &mut arena);
+        let max_tokens = surfaces
+            .iter()
+            .map(|(surface, _)| surface.split(' ').count())
+            .max()
+            .unwrap_or(0);
+        Self {
+            label_fst,
+            token_fst,
+            arena,
+            max_tokens,
+        }
     }
 
     fn exact_offset(&self, norm: &str) -> Option<u64> {
@@ -345,44 +158,8 @@ impl FstLabelIndex {
         PackedPostings::at(self.arena.as_slice(), offset)
     }
 
-    /// Per-node metadata, when this index was built by `kg::ingest`.
-    pub fn node_meta(&self, node: NodeId) -> Option<NodeMeta<'_>> {
-        let b = self.nodes.as_slice();
-        if b.len() < 4 {
-            return None;
-        }
-        let count = u32::from_le_bytes(b[0..4].try_into().ok()?);
-        if node.0 >= count {
-            return None;
-        }
-        let at = 4 + node.0 as usize * 4;
-        let off = u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?) as usize;
-        let blob = b.get(4 + count as usize * 4..)?;
-        let mut cur = blob.get(off..)?;
-        let ty_byte = *cur.first()?;
-        cur = &cur[1..];
-        let entity_type = *EntityType::ALL.get(ty_byte as usize)?;
-        let id = read_borrowed_str(&mut cur)?;
-        let label = read_borrowed_str(&mut cur)?;
-        Some(NodeMeta {
-            entity_type,
-            id,
-            label,
-        })
-    }
-
-    /// Number of nodes described by the node table (0 for graph-built
-    /// indexes).
-    pub fn node_meta_count(&self) -> u32 {
-        let b = self.nodes.as_slice();
-        if b.len() < 4 {
-            return 0;
-        }
-        u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"))
-    }
-
     /// Every `(surface, exact node set)` pair, sorted — the parity view.
-    pub fn surface_postings(&self) -> Vec<(String, Vec<NodeId>)> {
+    pub(crate) fn surface_postings(&self) -> Vec<(String, Vec<NodeId>)> {
         self.label_fst
             .iter()
             .map(|(k, off)| {
@@ -393,139 +170,6 @@ impl FstLabelIndex {
             })
             .collect()
     }
-
-    /// Surfaces starting with `prefix` (already normalized), sorted.
-    pub fn prefix_postings(&self, prefix: &str) -> Vec<(String, Vec<NodeId>)> {
-        self.label_fst
-            .iter_prefix(prefix.as_bytes())
-            .map(|(k, off)| {
-                (
-                    String::from_utf8(k).expect("surfaces are utf-8"),
-                    self.postings_at(off).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Serialize as one checksummed blob (v4 section idiom).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        varint::write_u64(&mut meta, FST_INDEX_VERSION).expect("vec write");
-        varint::write_u64(&mut meta, self.max_tokens as u64).expect("vec write");
-        varint::write_u64(&mut meta, self.label_fst.root()).expect("vec write");
-        varint::write_u64(&mut meta, self.label_fst.len() as u64).expect("vec write");
-        varint::write_u64(&mut meta, self.token_fst.root()).expect("vec write");
-        varint::write_u64(&mut meta, self.token_fst.len() as u64).expect("vec write");
-
-        let sections: [&[u8]; SECTION_COUNT] = [
-            &meta,
-            self.label_fst.data().as_slice(),
-            self.token_fst.data().as_slice(),
-            self.arena.as_slice(),
-            self.nodes.as_slice(),
-        ];
-        let mut buf = Vec::new();
-        buf.extend_from_slice(FST_INDEX_MAGIC);
-        let mut dir: Vec<(u64, u64, u64)> = Vec::with_capacity(SECTION_COUNT);
-        for payload in sections {
-            while buf.len() % 8 != 0 {
-                buf.push(0);
-            }
-            dir.push((buf.len() as u64, payload.len() as u64, xxh64(payload)));
-            buf.extend_from_slice(payload);
-        }
-        let dir_start = buf.len();
-        for (off, len, sum) in &dir {
-            buf.extend_from_slice(&off.to_le_bytes());
-            buf.extend_from_slice(&len.to_le_bytes());
-            buf.extend_from_slice(&sum.to_le_bytes());
-        }
-        let crc = newslink_util::crc32(&buf[dir_start..]);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-        buf.extend_from_slice(FST_INDEX_FOOTER);
-        buf
-    }
-
-    /// Open a serialized blob, verifying every checksum. Zero-copy: the
-    /// tries, arena and node table are slices of `data`, so an mmap-backed
-    /// `Bytes` serves lookups straight off the page cache.
-    pub fn decode(data: Bytes) -> Result<Self, FstIndexError> {
-        let b = data.as_slice();
-        if b.len() < 8 + TAIL_BYTES {
-            return Err(FstIndexError::TooShort);
-        }
-        if &b[0..8] != FST_INDEX_MAGIC {
-            return Err(FstIndexError::BadMagic);
-        }
-        if &b[b.len() - 8..] != FST_INDEX_FOOTER {
-            return Err(FstIndexError::BadFooter);
-        }
-        let count_at = b.len() - 12;
-        let count = u32::from_le_bytes(b[count_at..count_at + 4].try_into().expect("4 bytes"));
-        if count as usize != SECTION_COUNT {
-            return Err(FstIndexError::BadSectionCount(count));
-        }
-        let crc_at = count_at - 4;
-        let dir_start = crc_at - SECTION_COUNT * 24;
-        let want_crc = u32::from_le_bytes(b[crc_at..crc_at + 4].try_into().expect("4 bytes"));
-        if newslink_util::crc32(&b[dir_start..crc_at]) != want_crc {
-            return Err(FstIndexError::DirectoryChecksum);
-        }
-        let mut sections: Vec<Bytes> = Vec::with_capacity(SECTION_COUNT);
-        for (i, name) in SECTION_NAMES.iter().enumerate() {
-            let e = dir_start + i * 24;
-            let off = u64::from_le_bytes(b[e..e + 8].try_into().expect("8 bytes")) as usize;
-            let len = u64::from_le_bytes(b[e + 8..e + 16].try_into().expect("8 bytes")) as usize;
-            let sum = u64::from_le_bytes(b[e + 16..e + 24].try_into().expect("8 bytes"));
-            let end = off.checked_add(len).ok_or(FstIndexError::SectionOutOfBounds(name))?;
-            if end > dir_start {
-                return Err(FstIndexError::SectionOutOfBounds(name));
-            }
-            if xxh64(&b[off..end]) != sum {
-                return Err(FstIndexError::SectionChecksum(name));
-            }
-            sections.push(data.slice(off..end));
-        }
-        let mut meta = sections[0].as_slice();
-        let version = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        if version != FST_INDEX_VERSION {
-            return Err(FstIndexError::UnsupportedVersion(version));
-        }
-        let max_tokens = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        let label_root = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        let label_keys = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        let token_root = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        let token_keys = varint::read_u64(&mut meta).map_err(|_| FstIndexError::Corrupt("meta"))?;
-        let label_fst = Fst::from_parts(sections[1].clone(), label_root, label_keys)
-            .map_err(|_| FstIndexError::Corrupt("label_fst root"))?;
-        let token_fst = Fst::from_parts(sections[2].clone(), token_root, token_keys)
-            .map_err(|_| FstIndexError::Corrupt("token_fst root"))?;
-        Ok(Self {
-            label_fst,
-            token_fst,
-            arena: sections[3].clone(),
-            nodes: sections[4].clone(),
-            max_tokens: max_tokens as usize,
-        })
-    }
-
-    /// True when the postings arena is served from a memory mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.arena.is_mapped()
-    }
-}
-
-/// Read a length-prefixed string borrowing from the underlying slice
-/// (the std `read_str` helper allocates; node tables are zero-copy).
-fn read_borrowed_str<'a>(cur: &mut &'a [u8]) -> Option<&'a str> {
-    let len = varint::read_u64(cur).ok()? as usize;
-    if cur.len() < len {
-        return None;
-    }
-    let (s, rest) = cur.split_at(len);
-    *cur = rest;
-    std::str::from_utf8(s).ok()
 }
 
 impl LabelResolver for FstLabelIndex {
@@ -647,7 +291,6 @@ impl LabelResolver for FstLabelIndex {
             + self.label_fst.bytes_len()
             + self.token_fst.bytes_len()
             + self.arena.len()
-            + self.nodes.len()
     }
 }
 
@@ -655,6 +298,7 @@ impl LabelResolver for FstLabelIndex {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::graph::EntityType;
     use crate::label_index::HashLabelIndex;
 
     fn world() -> KnowledgeGraph {
@@ -689,82 +333,6 @@ mod tests {
         for probe in ["york", "new york", "health organization", "nope", "köln"] {
             assert_eq!(hash.candidates(&g, probe), fst.candidates(&g, probe), "{probe}");
         }
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let g = world();
-        let fst = FstLabelIndex::build(&g);
-        let blob = fst.encode();
-        let back = FstLabelIndex::decode(Bytes::from_vec(blob.clone())).unwrap();
-        assert_eq!(fst.surface_postings(), back.surface_postings());
-        assert_eq!(fst.max_label_tokens(), back.max_label_tokens());
-        assert_eq!(fst.candidates(&g, "sanders"), back.candidates(&g, "sanders"));
-        assert!(!back.is_mapped());
-    }
-
-    #[test]
-    fn every_byte_flip_is_detected_or_harmless() {
-        let g = world();
-        let blob = FstLabelIndex::build(&g).encode();
-        // Flipping any byte must surface as a typed error (checksums) —
-        // never a panic, never a silently different index.
-        let step = (blob.len() / 97).max(1);
-        for at in (0..blob.len()).step_by(step) {
-            let mut bad = blob.clone();
-            bad[at] ^= 0x40;
-            assert!(
-                FstLabelIndex::decode(Bytes::from_vec(bad)).is_err(),
-                "flip at {at} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn truncations_are_rejected() {
-        let g = world();
-        let blob = FstLabelIndex::build(&g).encode();
-        for cut in [0, 1, 8, blob.len() / 2, blob.len() - 1] {
-            assert!(
-                FstLabelIndex::decode(Bytes::from_vec(blob[..cut].to_vec())).is_err(),
-                "truncation to {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn node_meta_round_trips() {
-        let mut asm = FstIndexAssembler::new();
-        asm.push_node_meta(EntityType::Person, "Q42", "Douglas Adams");
-        asm.push_node_meta(EntityType::Gpe, "Q64", "Berlin");
-        asm.push_label("berlin", &[NodeId(1)]).unwrap();
-        asm.push_label("douglas adams", &[NodeId(0)]).unwrap();
-        asm.push_token("adams", &[NodeId(0)]).unwrap();
-        asm.push_token("berlin", &[NodeId(1)]).unwrap();
-        asm.push_token("douglas", &[NodeId(0)]).unwrap();
-        let idx = asm.finish();
-        let blob = idx.encode();
-        let back = FstLabelIndex::decode(Bytes::from_vec(blob)).unwrap();
-        assert_eq!(back.node_meta_count(), 2);
-        let m = back.node_meta(NodeId(0)).unwrap();
-        assert_eq!(m.entity_type, EntityType::Person);
-        assert_eq!(m.id, "Q42");
-        assert_eq!(m.label, "Douglas Adams");
-        let m = back.node_meta(NodeId(1)).unwrap();
-        assert_eq!(m.id, "Q64");
-        assert_eq!(back.node_meta(NodeId(2)), None);
-        // Graph-built indexes have no table.
-        assert_eq!(FstLabelIndex::build(&world()).node_meta(NodeId(0)), None);
-    }
-
-    #[test]
-    fn assembler_rejects_unsorted() {
-        let mut asm = FstIndexAssembler::new();
-        asm.push_label("b", &[NodeId(0)]).unwrap();
-        assert!(matches!(
-            asm.push_label("a", &[NodeId(1)]),
-            Err(FstIndexError::UnsortedInput(_))
-        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// The node's index as `usize`.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -57,7 +57,7 @@ pub enum EntityType {
 
 impl EntityType {
     /// All variants, for iteration in tests and generators.
-    pub const ALL: [EntityType; 12] = [
+    pub(crate) const ALL: [EntityType; 12] = [
         EntityType::Person,
         EntityType::Norp,
         EntityType::Facility,
@@ -80,7 +80,7 @@ impl EntityType {
     }
 
     /// Stable textual name (used by the TSV serialization).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EntityType::Person => "PERSON",
             EntityType::Norp => "NORP",
@@ -98,7 +98,7 @@ impl EntityType {
     }
 
     /// Parse the textual name produced by [`EntityType::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         EntityType::ALL.into_iter().find(|t| t.as_str() == s)
     }
 }
@@ -175,7 +175,7 @@ impl KnowledgeGraph {
 
     /// The interned label symbol of `node`.
     #[inline]
-    pub fn label_symbol(&self, node: NodeId) -> Symbol {
+    pub(crate) fn label_symbol(&self, node: NodeId) -> Symbol {
         self.labels[node.index()]
     }
 
@@ -189,11 +189,6 @@ impl KnowledgeGraph {
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.interner.resolve(sym)
-    }
-
-    /// The shared interner (labels and predicates).
-    pub fn interner(&self) -> &StringInterner {
-        &self.interner
     }
 
     /// Iterate over all node ids.
@@ -217,7 +212,7 @@ impl KnowledgeGraph {
     }
 
     /// All `(node, alias)` pairs.
-    pub fn aliases(&self) -> impl Iterator<Item = (NodeId, &str)> {
+    pub(crate) fn aliases(&self) -> impl Iterator<Item = (NodeId, &str)> {
         self.aliases
             .iter()
             .map(|(n, s)| (*n, self.interner.resolve(*s)))

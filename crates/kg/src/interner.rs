@@ -2,7 +2,7 @@
 //!
 //! Node labels and predicate names repeat heavily (a synthetic Wikidata has
 //! a few dozen predicates over millions of edges), so the graph stores
-//! 4-byte [`Symbol`]s and resolves them through a [`StringInterner`].
+//! 4-byte [`Symbol`]s and resolves them through a `StringInterner`.
 
 use newslink_util::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -14,7 +14,7 @@ pub struct Symbol(pub u32);
 impl Symbol {
     /// The index of this symbol in its interner.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -24,19 +24,14 @@ impl Symbol {
 /// Strings are owned once and resolved by slice; `get_or_intern` is O(1)
 /// amortized via an FxHash side table.
 #[derive(Debug, Default, Clone)]
-pub struct StringInterner {
+pub(crate) struct StringInterner {
     strings: Vec<Box<str>>,
     lookup: FxHashMap<Box<str>, Symbol>,
 }
 
 impl StringInterner {
-    /// Create an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Intern `s`, returning the existing symbol when already present.
-    pub fn get_or_intern(&mut self, s: &str) -> Symbol {
+    pub(crate) fn get_or_intern(&mut self, s: &str) -> Symbol {
         if let Some(&sym) = self.lookup.get(s) {
             return sym;
         }
@@ -49,33 +44,10 @@ impl StringInterner {
         sym
     }
 
-    /// Look up a symbol without interning.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.lookup.get(s).copied()
-    }
-
     /// Resolve a symbol to its string. Panics on a foreign symbol.
     #[inline]
-    pub fn resolve(&self, sym: Symbol) -> &str {
+    pub(crate) fn resolve(&self, sym: Symbol) -> &str {
         &self.strings[sym.index()]
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Iterate `(Symbol, &str)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), s.as_ref()))
     }
 }
 
@@ -85,7 +57,7 @@ mod tests {
 
     #[test]
     fn intern_round_trips() {
-        let mut i = StringInterner::new();
+        let mut i = StringInterner::default();
         let a = i.get_or_intern("Pakistan");
         let b = i.get_or_intern("Taliban");
         assert_eq!(i.resolve(a), "Pakistan");
@@ -95,35 +67,10 @@ mod tests {
 
     #[test]
     fn reinterning_returns_same_symbol() {
-        let mut i = StringInterner::new();
+        let mut i = StringInterner::default();
         let a = i.get_or_intern("Khyber");
         let b = i.get_or_intern("Khyber");
         assert_eq!(a, b);
-        assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn get_does_not_intern() {
-        let mut i = StringInterner::new();
-        assert_eq!(i.get("missing"), None);
-        let s = i.get_or_intern("present");
-        assert_eq!(i.get("present"), Some(s));
-        assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn iter_preserves_order() {
-        let mut i = StringInterner::new();
-        i.get_or_intern("a");
-        i.get_or_intern("b");
-        let got: Vec<_> = i.iter().map(|(_, s)| s.to_string()).collect();
-        assert_eq!(got, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn empty_is_empty() {
-        let i = StringInterner::new();
-        assert!(i.is_empty());
-        assert_eq!(i.len(), 0);
+        assert_eq!(i.strings.len(), 1);
     }
 }

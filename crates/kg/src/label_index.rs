@@ -16,9 +16,8 @@
 //!   against.
 //! - [`crate::fst_index::FstLabelIndex`] — a byte-trie automaton
 //!   ([`newslink_util::fst`]) over the sorted surface forms with a packed
-//!   postings arena, serializable as checksummed sections and readable
-//!   zero-copy from an mmap (DESIGN.md §6j). This is the backend that
-//!   survives Wikidata-scale label sets.
+//!   postings arena (DESIGN.md §6j): about a quarter of the hash
+//!   backend's bytes on million-label sets (EXPERIMENTS.md).
 
 use std::borrow::Cow;
 
@@ -81,8 +80,8 @@ fn is_normalized(s: &str) -> bool {
 /// The node set behind one surface form, iterated without materializing.
 ///
 /// The hash backend yields from an in-memory slice; the FST backend
-/// decodes delta varints straight out of the (possibly memory-mapped)
-/// postings arena. Both yield ascending, deduplicated [`NodeId`]s.
+/// decodes delta varints straight out of the postings arena. Both yield
+/// ascending, deduplicated [`NodeId`]s.
 #[derive(Debug, Clone)]
 pub enum Postings<'a> {
     /// Borrowed slice of node ids (hash backend).
@@ -93,7 +92,7 @@ pub enum Postings<'a> {
 
 impl Postings<'_> {
     /// An empty posting list.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Postings::Slice([].iter())
     }
 }
@@ -175,7 +174,7 @@ pub struct HashLabelIndex {
 
 impl HashLabelIndex {
     /// Build the index over every node label and alias in `graph`.
-    pub fn build(graph: &KnowledgeGraph) -> Self {
+    pub(crate) fn build(graph: &KnowledgeGraph) -> Self {
         let mut idx = Self::default();
         for node in graph.nodes() {
             idx.insert_surface(node, graph.label(node));
@@ -213,7 +212,7 @@ impl HashLabelIndex {
 
     /// Every `(normalized surface, exact node set)` pair, sorted by
     /// surface — the parity view shared with the FST backend.
-    pub fn surface_postings(&self) -> Vec<(String, Vec<NodeId>)> {
+    pub(crate) fn surface_postings(&self) -> Vec<(String, Vec<NodeId>)> {
         let mut v: Vec<(String, Vec<NodeId>)> = self
             .exact
             .iter()
@@ -223,17 +222,6 @@ impl HashLabelIndex {
         v
     }
 
-    /// Surfaces starting with `prefix` (already normalized), sorted.
-    pub fn prefix_postings(&self, prefix: &str) -> Vec<(String, Vec<NodeId>)> {
-        let mut v: Vec<(String, Vec<NodeId>)> = self
-            .exact
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, p)| (k.clone(), p.clone()))
-            .collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
 }
 
 impl LabelResolver for HashLabelIndex {
@@ -349,7 +337,7 @@ pub(crate) fn surface_run_hit(graph: &KnowledgeGraph, node: NodeId, toks: &[&str
 pub enum LabelIndex {
     /// HashMap-backed oracle (default; fastest to build).
     Hash(HashLabelIndex),
-    /// FST automaton + packed postings arena (scales, serializes, mmaps).
+    /// FST automaton + packed postings arena (compact at scale).
     Fst(FstLabelIndex),
 }
 
@@ -416,16 +404,6 @@ impl LabelIndex {
         match self {
             LabelIndex::Hash(h) => h.surface_postings(),
             LabelIndex::Fst(f) => f.surface_postings(),
-        }
-    }
-
-    /// Surfaces starting with `prefix`, sorted (prefix is normalized
-    /// before matching).
-    pub fn prefix_postings(&self, prefix: &str) -> Vec<(String, Vec<NodeId>)> {
-        let norm = normalize_label(prefix);
-        match self {
-            LabelIndex::Hash(h) => h.prefix_postings(norm.as_ref()),
-            LabelIndex::Fst(f) => f.prefix_postings(norm.as_ref()),
         }
     }
 
@@ -500,14 +478,6 @@ impl ResolverBackend {
             "hash" => Some(ResolverBackend::Hash),
             "fst" => Some(ResolverBackend::Fst),
             _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ResolverBackend::Hash => "hash",
-            ResolverBackend::Fst => "fst",
         }
     }
 }
@@ -702,12 +672,6 @@ mod tests {
         let hash = LabelIndex::build(&g);
         let fst = LabelIndex::build_fst(&g);
         assert_eq!(hash.surface_postings(), fst.surface_postings());
-        assert_eq!(
-            hash.prefix_postings("Bern"),
-            fst.prefix_postings("Bern"),
-            "prefix listings must agree (normalized)"
-        );
-        assert!(!fst.prefix_postings("w").is_empty());
     }
 
     #[test]
@@ -741,7 +705,6 @@ mod tests {
         assert_eq!(ResolverBackend::parse("hash"), Some(ResolverBackend::Hash));
         assert_eq!(ResolverBackend::parse("fst"), Some(ResolverBackend::Fst));
         assert_eq!(ResolverBackend::parse("trie"), None);
-        assert_eq!(ResolverBackend::Fst.as_str(), "fst");
         assert_eq!(ResolverBackend::default(), ResolverBackend::Hash);
     }
 }

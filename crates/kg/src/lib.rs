@@ -7,7 +7,9 @@
 //! - [`graph::KnowledgeGraph`] — the frozen CSR property graph, built with
 //!   [`builder::GraphBuilder`];
 //! - [`label_index::LabelIndex`] — entity label → node resolution, the
-//!   paper's `S(l)`;
+//!   paper's `S(l)`, built from the loaded graph by one of two
+//!   interchangeable backends: a HashMap oracle or the byte-trie
+//!   automaton of [`fst_index`];
 //! - [`synth`] — a deterministic Wikidata-like world generator (the offline
 //!   stand-in for the paper's Wikidata dump; see DESIGN.md §6.1);
 //! - [`triples`] — plain-text persistence, the graph's one text format
@@ -22,7 +24,6 @@ pub mod builder;
 pub mod describe;
 pub mod fst_index;
 pub mod graph;
-pub mod ingest;
 pub mod interner;
 pub mod label_index;
 pub mod reweight;
@@ -31,13 +32,9 @@ pub mod synth;
 pub mod triples;
 
 pub use builder::GraphBuilder;
-pub use graph::{Edge, EntityType, KnowledgeGraph, NodeId};
-pub use interner::{StringInterner, Symbol};
-pub use fst_index::{FstIndexError, FstLabelIndex, NodeMeta};
-pub use ingest::{ingest_tsv, write_graph_tsv, IngestConfig, IngestError, IngestReport};
-pub use label_index::{
-    normalize_label, HashLabelIndex, LabelIndex, LabelResolver, Postings, ResolverBackend,
-};
-pub use reweight::{reweight, reweight_by_predicate_rarity};
+pub use graph::{EntityType, KnowledgeGraph, NodeId};
+pub use interner::Symbol;
+pub use label_index::{normalize_label, LabelIndex, ResolverBackend};
+pub use reweight::reweight_by_predicate_rarity;
 pub use stats::GraphStats;
 pub use synth::{EventInfo, EventKind, SynthConfig, SynthWorld};

@@ -17,7 +17,7 @@ use crate::interner::Symbol;
 /// (`(source, predicate, target, old_weight) -> new_weight`). Node ids,
 /// labels, types and aliases are preserved exactly; returned weights are
 /// clamped to ≥ 1.
-pub fn reweight(
+pub(crate) fn reweight(
     graph: &KnowledgeGraph,
     mut weight_of: impl FnMut(NodeId, Symbol, NodeId, u32) -> u32,
 ) -> KnowledgeGraph {

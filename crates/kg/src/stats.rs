@@ -64,7 +64,8 @@ impl GraphStats {
     }
 
     /// Node count for one entity type.
-    pub fn count_of(&self, ty: EntityType) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_of(&self, ty: EntityType) -> usize {
         self.per_type
             .iter()
             .find(|(t, _)| *t == ty)

@@ -21,7 +21,7 @@ const VOWELS: &[&str] = &["a", "e", "i", "o", "u", "ai", "ei", "ou", "ia"];
 const CODAS: &[&str] = &["", "n", "r", "l", "s", "t", "k", "m", "nd", "st", "sh"];
 
 /// Generate a single capitalized pseudo-word of `syllables` syllables.
-pub fn word(rng: &mut DetRng, syllables: usize) -> String {
+pub(crate) fn word(rng: &mut DetRng, syllables: usize) -> String {
     let mut s = String::new();
     for i in 0..syllables {
         if i > 0 || rng.chance(0.85) {
@@ -36,7 +36,7 @@ pub fn word(rng: &mut DetRng, syllables: usize) -> String {
 }
 
 /// Capitalize the first letter of an ASCII-ish string.
-pub fn capitalize(s: &str) -> String {
+pub(crate) fn capitalize(s: &str) -> String {
     let mut chars = s.chars();
     match chars.next() {
         Some(first) => first.to_uppercase().chain(chars).collect(),
@@ -45,7 +45,7 @@ pub fn capitalize(s: &str) -> String {
 }
 
 /// A place name: one or occasionally two words ("Khyber", "Swat Valley").
-pub fn place(rng: &mut DetRng) -> String {
+pub(crate) fn place(rng: &mut DetRng) -> String {
     let syl = rng.range(2, 4);
     let head = word(rng, syl);
     if rng.chance(0.15) {
@@ -66,7 +66,7 @@ pub fn person(rng: &mut DetRng) -> String {
 }
 
 /// A political party name anchored at a place.
-pub fn party(rng: &mut DetRng, place: &str) -> String {
+pub(crate) fn party(rng: &mut DetRng, place: &str) -> String {
     let flavor = choose(rng, &[
         "National", "People's", "Democratic", "United", "Progressive", "Liberty",
     ]);
@@ -75,7 +75,7 @@ pub fn party(rng: &mut DetRng, place: &str) -> String {
 }
 
 /// A company name.
-pub fn company(rng: &mut DetRng) -> String {
+pub(crate) fn company(rng: &mut DetRng) -> String {
     let syl = rng.range(2, 4);
     let stem = word(rng, syl);
     let kind = choose(rng, &["Corporation", "Industries", "Group", "Holdings", "Systems"]);
@@ -83,7 +83,7 @@ pub fn company(rng: &mut DetRng) -> String {
 }
 
 /// A militant / activist group name.
-pub fn militant_group(rng: &mut DetRng, place: &str) -> String {
+pub(crate) fn militant_group(rng: &mut DetRng, place: &str) -> String {
     match rng.below(3) {
         0 => format!("{place} Liberation Front"),
         1 => format!("Army of {place}"),
@@ -95,20 +95,20 @@ pub fn militant_group(rng: &mut DetRng, place: &str) -> String {
 }
 
 /// A sports team name anchored at a city.
-pub fn team(rng: &mut DetRng, city: &str) -> String {
+pub(crate) fn team(rng: &mut DetRng, city: &str) -> String {
     let mascot = choose(rng, &["Lions", "Eagles", "Wolves", "Falcons", "Titans", "Rovers"]);
     format!("{city} {mascot}")
 }
 
 /// A news agency / institution name.
-pub fn agency(rng: &mut DetRng, place: &str) -> String {
+pub(crate) fn agency(rng: &mut DetRng, place: &str) -> String {
     let kind = choose(rng, &["Ministry", "Bureau", "Institute", "Commission", "Authority"]);
     let domain = choose(rng, &["Defense", "Interior", "Trade", "Health", "Energy", "Justice"]);
     format!("{place} {kind} of {domain}")
 }
 
 /// A language name derived from a country name.
-pub fn language(rng: &mut DetRng, country: &str) -> String {
+pub(crate) fn language(rng: &mut DetRng, country: &str) -> String {
     let base: String = country
         .chars()
         .take_while(|c| c.is_alphabetic())
@@ -118,7 +118,7 @@ pub fn language(rng: &mut DetRng, country: &str) -> String {
 }
 
 /// A work-of-art title.
-pub fn work(rng: &mut DetRng, place: &str) -> String {
+pub(crate) fn work(rng: &mut DetRng, place: &str) -> String {
     match rng.below(3) {
         0 => format!("The {} of {place}", choose(rng, &["Song", "Fall", "Voice", "Shadow", "Road"])),
         1 => format!("{} Nights", place),
@@ -130,12 +130,12 @@ pub fn work(rng: &mut DetRng, place: &str) -> String {
 }
 
 /// An election name.
-pub fn election(year: u32, country: &str) -> String {
+pub(crate) fn election(year: u32, country: &str) -> String {
     format!("{year} {country} presidential election")
 }
 
 /// An armed-conflict name.
-pub fn conflict(rng: &mut DetRng, place: &str) -> String {
+pub(crate) fn conflict(rng: &mut DetRng, place: &str) -> String {
     match rng.below(3) {
         0 => format!("Battle of {place}"),
         1 => format!("{place} insurgency"),
@@ -144,7 +144,7 @@ pub fn conflict(rng: &mut DetRng, place: &str) -> String {
 }
 
 /// An attack / bombing event name.
-pub fn attack(rng: &mut DetRng, year: u32, place: &str) -> String {
+pub(crate) fn attack(rng: &mut DetRng, year: u32, place: &str) -> String {
     match rng.below(2) {
         0 => format!("{year} {place} bombing"),
         _ => format!("{year} {place} attack"),
@@ -152,17 +152,17 @@ pub fn attack(rng: &mut DetRng, year: u32, place: &str) -> String {
 }
 
 /// A summit / conference event name.
-pub fn summit(year: u32, place: &str) -> String {
+pub(crate) fn summit(year: u32, place: &str) -> String {
     format!("{year} {place} summit")
 }
 
 /// A sports championship name.
-pub fn championship(year: u32, place: &str) -> String {
+pub(crate) fn championship(year: u32, place: &str) -> String {
     format!("{year} {place} championship")
 }
 
 /// A law name.
-pub fn law(rng: &mut DetRng, country: &str) -> String {
+pub(crate) fn law(rng: &mut DetRng, country: &str) -> String {
     let domain = choose(rng, &["Security", "Trade", "Reform", "Energy", "Press Freedom"]);
     format!("{country} {domain} Act")
 }

@@ -5,9 +5,8 @@
 //! key order and streams a prefix-sharing trie into one flat byte buffer:
 //! children are serialized before their parents, every child reference is
 //! a backward delta from the referencing node's own address, and node
-//! addresses are plain byte offsets. The result is position-independent —
-//! [`Fst`] reads it from a [`Bytes`] region that may live on the heap or
-//! inside a memory-mapped snapshot, with zero decode at open time.
+//! addresses are plain byte offsets. [`Fst`] walks that buffer in place,
+//! with no decode step between build and lookup.
 //!
 //! Node layout (all integers little-endian / LEB128):
 //!
@@ -25,7 +24,6 @@
 //! scan plus one unaligned little-endian read — no per-transition varint
 //! decode for transitions that don't match.
 
-use crate::bytes::Bytes;
 use crate::varint;
 
 /// Transition count at which the header switches to an extended count.
@@ -81,25 +79,6 @@ pub struct FstBuilder {
     stack: Vec<BuildNode>,
     last_key: Vec<u8>,
     len: usize,
-}
-
-/// The serialized output of a finished [`FstBuilder`].
-#[derive(Debug, Clone)]
-pub struct FstBytes {
-    /// The automaton byte buffer.
-    pub bytes: Vec<u8>,
-    /// Address of the root node inside `bytes`.
-    pub root: u64,
-    /// Number of keys.
-    pub len: u64,
-}
-
-impl FstBytes {
-    /// View the owned buffer as an [`Fst`].
-    pub fn into_fst(self) -> Fst {
-        Fst::from_parts(Bytes::from_vec(self.bytes), self.root, self.len)
-            .expect("builder output is well-formed")
-    }
 }
 
 impl Default for FstBuilder {
@@ -166,26 +145,16 @@ impl FstBuilder {
     }
 
     /// Finish the automaton, freezing the remaining path and the root.
-    pub fn finish(mut self) -> FstBytes {
+    pub fn finish(mut self) -> Fst {
         self.freeze_to(0);
         let root = self.stack.pop().expect("root present");
         debug_assert!(self.stack.is_empty());
         let root_addr = write_node(&mut self.buf, &root);
-        FstBytes {
-            bytes: self.buf,
+        Fst {
+            data: self.buf,
             root: root_addr,
             len: self.len as u64,
         }
-    }
-
-    /// Number of keys inserted so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no key has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -249,31 +218,14 @@ fn delta_width(max_delta: u64) -> u8 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FstState(u64);
 
-/// Errors from [`Fst::from_parts`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FstError {
-    /// The root address points outside the buffer.
-    RootOutOfBounds,
-}
-
-impl std::fmt::Display for FstError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FstError::RootOutOfBounds => write!(f, "fst root address out of bounds"),
-        }
-    }
-}
-
-impl std::error::Error for FstError {}
-
-/// An immutable automaton over a [`Bytes`] region.
+/// An immutable automaton, as produced by [`FstBuilder::finish`].
 ///
 /// All reads are bounds-checked; malformed bytes yield `None` from
-/// lookups rather than panicking (sections are checksummed upstream, so
-/// this is defense in depth, not error reporting).
+/// lookups rather than panicking (defense in depth: the builder is the
+/// only producer).
 #[derive(Debug, Clone)]
 pub struct Fst {
-    data: Bytes,
+    data: Vec<u8>,
     root: u64,
     len: u64,
 }
@@ -296,22 +248,6 @@ struct NodeRef {
 }
 
 impl Fst {
-    /// Wrap serialized automaton bytes produced by [`FstBuilder`].
-    pub fn from_parts(data: Bytes, root: u64, len: u64) -> Result<Self, FstError> {
-        if len > 0 && root as usize >= data.len() {
-            return Err(FstError::RootOutOfBounds);
-        }
-        if len == 0 && !data.is_empty() && root as usize >= data.len() {
-            return Err(FstError::RootOutOfBounds);
-        }
-        Ok(Self { data, root, len })
-    }
-
-    /// An automaton holding no keys.
-    pub fn empty() -> Self {
-        FstBuilder::new().finish().into_fst()
-    }
-
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -325,16 +261,6 @@ impl Fst {
     /// Size of the serialized automaton in bytes.
     pub fn bytes_len(&self) -> usize {
         self.data.len()
-    }
-
-    /// The backing byte region (for serialization).
-    pub fn data(&self) -> &Bytes {
-        &self.data
-    }
-
-    /// The root node's address (for serialization).
-    pub fn root(&self) -> u64 {
-        self.root
     }
 
     /// Decode the node at `addr`. Returns `None` on malformed bytes.
@@ -434,15 +360,6 @@ impl Fst {
         self.node_value(&node)
     }
 
-    /// Walk `key` from the root.
-    pub fn state_of(&self, key: &[u8]) -> Option<FstState> {
-        let mut state = self.root_state();
-        for &b in key {
-            state = self.step(state, b)?;
-        }
-        Some(state)
-    }
-
     /// One fused decode-and-step: advance from the node at `addr` along
     /// `input`, never materializing a [`NodeRef`]. This is the exact-
     /// lookup hot loop — every byte of every gazetteer probe goes through
@@ -507,35 +424,17 @@ impl Fst {
         self.node_value(&node)
     }
 
-    /// True when `key` is stored.
-    pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Iterate every `(key, value)` whose key starts with `prefix`, in
-    /// ascending key order.
-    pub fn iter_prefix(&self, prefix: &[u8]) -> FstIter<'_> {
-        match self.state_of(prefix) {
-            Some(state) => FstIter {
-                fst: self,
-                key: prefix.to_vec(),
-                stack: vec![IterFrame {
-                    addr: state.0,
-                    next: 0,
-                    yielded: false,
-                }],
-            },
-            None => FstIter {
-                fst: self,
-                key: Vec::new(),
-                stack: Vec::new(),
-            },
-        }
-    }
-
     /// Iterate every `(key, value)` pair in ascending key order.
     pub fn iter(&self) -> FstIter<'_> {
-        self.iter_prefix(&[])
+        FstIter {
+            fst: self,
+            key: Vec::new(),
+            stack: vec![IterFrame {
+                addr: self.root,
+                next: 0,
+                yielded: false,
+            }],
+        }
     }
 }
 
@@ -597,7 +496,7 @@ mod tests {
         for (k, v) in keys {
             b.insert(k.as_bytes(), *v).unwrap();
         }
-        b.finish().into_fst()
+        b.finish()
     }
 
     #[test]
@@ -607,7 +506,7 @@ mod tests {
         let mut b = FstBuilder::default();
         b.insert(b"bernie sanders", 1).unwrap();
         b.insert(b"sanders", 2).unwrap();
-        let f = b.finish().into_fst();
+        let f = b.finish();
         assert_eq!(f.get(b"bernie sanders"), Some(1));
         assert_eq!(f.get(b"bernie sander"), None);
         assert_eq!(f.get(b"sanders"), Some(2));
@@ -615,7 +514,7 @@ mod tests {
 
     #[test]
     fn empty_automaton() {
-        let f = Fst::empty();
+        let f = FstBuilder::new().finish();
         assert!(f.is_empty());
         assert_eq!(f.get(b""), None);
         assert_eq!(f.get(b"x"), None);
@@ -657,7 +556,7 @@ mod tests {
         );
         // The builder survives rejected inserts.
         b.insert(b"c", 2).unwrap();
-        let f = b.finish().into_fst();
+        let f = b.finish();
         assert_eq!(f.get(b"b"), Some(0));
         assert_eq!(f.get(b"c"), Some(2));
     }
@@ -678,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_iteration_is_sorted_and_complete() {
+    fn iteration_is_sorted_and_complete() {
         let keys = [
             ("bern", 10u64),
             ("bernie", 11),
@@ -695,9 +594,6 @@ mod tests {
             all,
             keys.iter().map(|(k, v)| (k.to_string(), *v)).collect::<Vec<_>>()
         );
-        let bern: Vec<u64> = f.iter_prefix(b"bernie").map(|(_, v)| v).collect();
-        assert_eq!(bern, vec![11, 12]);
-        assert_eq!(f.iter_prefix(b"zzz").count(), 0);
     }
 
     #[test]
@@ -713,7 +609,7 @@ mod tests {
         for (i, (k, _)) in keys.iter().enumerate() {
             b.insert(k.as_bytes(), i as u64).unwrap();
         }
-        let f = b.finish().into_fst();
+        let f = b.finish();
         for (i, (k, _)) in keys.iter().enumerate() {
             assert_eq!(f.get(k.as_bytes()), Some(i as u64));
         }
@@ -734,7 +630,7 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             b.insert(k, i as u64).unwrap();
         }
-        let f = b.finish().into_fst();
+        let f = b.finish();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(f.get(k), Some(i as u64), "key {k:?}");
         }
@@ -749,7 +645,7 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             b.insert(k.as_bytes(), (i * 7) as u64).unwrap();
         }
-        let f = b.finish().into_fst();
+        let f = b.finish();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(f.get(k.as_bytes()), Some((i * 7) as u64));
         }
@@ -780,17 +676,15 @@ mod tests {
     fn malformed_bytes_do_not_panic() {
         let good = build(&[("abc", 1), ("abd", 2)]);
         // Truncate the buffer: lookups must fail closed.
-        let raw = good.data().as_slice().to_vec();
+        let raw = good.data.as_slice();
         for cut in 0..raw.len() {
-            let f = Fst::from_parts(
-                Bytes::from_vec(raw[..cut].to_vec()),
-                good.root().min(cut.saturating_sub(1) as u64),
-                2,
-            );
-            if let Ok(f) = f {
-                let _ = f.get(b"abc");
-                let _ = f.iter().take(10).count();
-            }
+            let f = Fst {
+                data: raw[..cut].to_vec(),
+                root: good.root.min(cut.saturating_sub(1) as u64),
+                len: 2,
+            };
+            let _ = f.get(b"abc");
+            let _ = f.iter().take(10).count();
         }
     }
 }

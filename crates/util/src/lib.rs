@@ -60,7 +60,6 @@ pub use bytes::Bytes;
 pub use cache::{CacheCounters, CacheStats, ClockCache, ShardedCache};
 pub use chaos::{ChaosProxy, ChaosStats, Fault, FaultPlan};
 pub use crc32::{crc32, Crc32};
-pub use fst::{Fst, FstBuilder};
 pub use mmap::Mmap;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use histogram::Histogram;
