@@ -13,20 +13,20 @@
 
 use newslink_util::FxHashMap;
 
-use crate::vector::{add_assign, add_scaled, cosine, normalize, ternary_vector};
+use crate::vector::{add_assign, add_scaled, normalize, ternary_vector};
 
 /// Training and inference configuration.
 #[derive(Debug, Clone)]
 pub struct Doc2VecConfig {
     /// Embedding dimensionality (the paper trains 500; 128 keeps brute-
     /// force ranking fast with the same behaviour).
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Nonzero entries per ternary index vector.
-    pub nonzeros: usize,
+    pub(crate) nonzeros: usize,
     /// Context window radius.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Hash seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for Doc2VecConfig {
@@ -90,7 +90,8 @@ impl Doc2Vec {
     }
 
     /// Vocabulary size after training.
-    pub fn vocab_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vocab_size(&self) -> usize {
         self.context.len()
     }
 
@@ -136,7 +137,9 @@ impl Doc2Vec {
     }
 
     /// Cosine similarity of two term streams.
-    pub fn similarity<S: AsRef<str>>(&self, a: &[S], b: &[S]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn similarity<S: AsRef<str>>(&self, a: &[S], b: &[S]) -> f64 {
+        use crate::vector::cosine;
         cosine(&self.embed(a), &self.embed(b))
     }
 }
@@ -144,6 +147,7 @@ impl Doc2Vec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::cosine;
 
     fn terms(s: &str) -> Vec<String> {
         s.split_whitespace().map(|w| w.to_string()).collect()

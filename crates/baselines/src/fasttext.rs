@@ -31,11 +31,6 @@ impl FastTextEmbedder {
         }
     }
 
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The n-grams of `word`, FastText-style with boundary markers.
     fn ngrams(&self, word: &str) -> Vec<String> {
         let decorated: Vec<char> = format!("<{word}>").chars().collect();
@@ -52,7 +47,7 @@ impl FastTextEmbedder {
     }
 
     /// Embed one word (mean of its n-gram vectors).
-    pub fn embed_word(&self, word: &str) -> Vec<f32> {
+    pub(crate) fn embed_word(&self, word: &str) -> Vec<f32> {
         let grams = self.ngrams(word);
         let mut v = vec![0.0f32; self.dim];
         for g in &grams {

@@ -121,7 +121,8 @@ impl Lda {
     }
 
     /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vocab_size(&self) -> usize {
         self.vocab.len()
     }
 

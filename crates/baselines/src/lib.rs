@@ -1,13 +1,13 @@
 //! Search baselines for the NewsLink evaluation (Table IV competitors).
 //!
-//! - [`doc2vec`] — random-indexing document embeddings (gensim Doc2Vec
+//! - [`Doc2Vec`] — random-indexing document embeddings (gensim Doc2Vec
 //!   substitute, DESIGN.md §6.4);
-//! - [`sbert`] — SIF-pooled deterministic word vectors (pretrained SBERT
+//! - [`SbertEmbedder`] — SIF-pooled deterministic word vectors (pretrained SBERT
 //!   substitute, §6.5);
-//! - [`lda`] — a real collapsed-Gibbs LDA (PLDA substitute, §6.6);
-//! - [`qeprf`] — KG-description + pseudo-relevance-feedback query
+//! - [`Lda`] — a real collapsed-Gibbs LDA (PLDA substitute, §6.6);
+//! - [`Qeprf`] — KG-description + pseudo-relevance-feedback query
 //!   expansion (Xiong & Callan);
-//! - [`fasttext`] — the char-n-gram judge embedding used only for SIM@k
+//! - [`FastTextEmbedder`] — the char-n-gram judge embedding used only for SIM@k
 //!   evaluation (§6.8);
 //! - [`vector`] — shared dense-vector helpers.
 //!
@@ -16,11 +16,11 @@
 
 #![deny(unsafe_code)]
 
-pub mod doc2vec;
-pub mod fasttext;
-pub mod lda;
-pub mod qeprf;
-pub mod sbert;
+pub(crate) mod doc2vec;
+pub(crate) mod fasttext;
+pub(crate) mod lda;
+pub(crate) mod qeprf;
+pub(crate) mod sbert;
 pub mod vector;
 
 pub use doc2vec::{Doc2Vec, Doc2VecConfig};

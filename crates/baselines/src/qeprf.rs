@@ -17,13 +17,13 @@ use newslink_util::FxHashMap;
 #[derive(Debug, Clone)]
 pub struct QeprfConfig {
     /// Feedback depth: top documents of the first pass.
-    pub prf_docs: usize,
+    pub(crate) prf_docs: usize,
     /// Expansion terms taken from feedback documents.
-    pub prf_terms: usize,
+    pub(crate) prf_terms: usize,
     /// Expansion terms taken from each linked entity's description.
-    pub desc_terms: usize,
+    pub(crate) desc_terms: usize,
     /// Repetition factor of original query terms in the final query.
-    pub original_weight: usize,
+    pub(crate) original_weight: usize,
 }
 
 impl Default for QeprfConfig {
@@ -73,7 +73,7 @@ impl<'a> Qeprf<'a> {
         let mentions = recognizer.recognize(query_text, &tokens);
         let mut out = Vec::new();
         for m in mentions.iter().filter(|m| m.matched) {
-            for node in self.label_index.exact(&m.norm) {
+            for &node in self.label_index.exact(&m.norm) {
                 let terms = describe::description_terms(self.graph, node);
                 out.extend(
                     terms

@@ -36,11 +36,6 @@ impl SbertEmbedder {
         }
     }
 
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// A fixed background word-probability estimate: stopwords are very
     /// frequent; short words are more frequent than long ones. This is the
     /// "pretrained knowledge" stand-in — independent of any corpus.

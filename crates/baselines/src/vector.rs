@@ -26,7 +26,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// `acc += v`.
-pub fn add_assign(acc: &mut [f32], v: &[f32]) {
+pub(crate) fn add_assign(acc: &mut [f32], v: &[f32]) {
     debug_assert_eq!(acc.len(), v.len());
     for (a, &x) in acc.iter_mut().zip(v) {
         *a += x;
@@ -34,7 +34,7 @@ pub fn add_assign(acc: &mut [f32], v: &[f32]) {
 }
 
 /// `acc += s · v`.
-pub fn add_scaled(acc: &mut [f32], v: &[f32], s: f32) {
+pub(crate) fn add_scaled(acc: &mut [f32], v: &[f32], s: f32) {
     debug_assert_eq!(acc.len(), v.len());
     for (a, &x) in acc.iter_mut().zip(v) {
         *a += s * x;
@@ -42,7 +42,7 @@ pub fn add_scaled(acc: &mut [f32], v: &[f32], s: f32) {
 }
 
 /// Scale in place.
-pub fn scale(v: &mut [f32], s: f32) {
+pub(crate) fn scale(v: &mut [f32], s: f32) {
     for x in v.iter_mut() {
         *x *= s;
     }

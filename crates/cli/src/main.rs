@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! newslink generate-world  --scale small|medium|large --seed N --out kg.tsv
-//! newslink generate-corpus --world kg.tsv --docs N --flavor cnn|kaggle --seed N --out corpus.txt
+//! newslink generate-corpus --world-seed N --scale small --docs N --flavor cnn|kaggle --seed N --out corpus.txt
 //! newslink build-index     --world kg.tsv --corpus corpus.txt --out index.nlnk
 //! newslink search          --world kg.tsv --corpus corpus.txt --index index.nlnk \
 //!                          --query "..." --k 10 --explain true
@@ -29,7 +29,7 @@ use newslink_core::{
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
-use newslink_kg::{synth, triples, GraphStats, LabelIndex, ResolverBackend, SynthConfig};
+use newslink_kg::{synth, triples, GraphStats, LabelIndex, SynthConfig};
 use newslink_serve::{parse_shards, Cluster, ResilienceConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
@@ -74,16 +74,15 @@ newslink — intuitive news search with knowledge graphs
 
 commands:
   generate-world  --scale small|medium|large|<nodes> --seed N --out kg.tsv
-  generate-corpus --world kg.tsv --docs N --flavor cnn|kaggle --seed N --out corpus.txt
+  generate-corpus --world-seed N --scale small|medium|large|<nodes> --docs N --flavor cnn|kaggle
+                  --seed N --out corpus.txt   (--world-seed and --scale as given to generate-world)
   build-index     --world kg.tsv --corpus corpus.txt [--segment-docs N] [--storage heap|mmap]
-                  [--resolver hash|fst] --out index.nlnk
+                  --out index.nlnk
   search          --world kg.tsv --corpus corpus.txt --index index.nlnk --query Q --k N --explain true|false
-                  [--resolver hash|fst]
   serve           --world kg.tsv --corpus corpus.txt [--index index.nlnk] [--addr 127.0.0.1:8080]
                   [--workers N] [--queue-depth N] [--timeout-ms N] [--beta B] [--segment-docs N]
                   [--data-dir DIR]   durable mode: WAL + snapshots under DIR, POST /v1/admin/snapshot to checkpoint
                   [--storage heap|mmap]   snapshot backend: copy into RAM, or memory-map (default heap)
-                  [--resolver hash|fst]   label-resolution backend (default hash; fst = automaton)
                   [--shard-index I --shard-count N]   cluster shard: index every Nth corpus document
                         (stripe I) and mint fresh ids on that stripe so shards never collide
                   [--mode router --shards \"a:7001|a:7002,b:7003\"]   cluster router: no local index;
@@ -104,15 +103,6 @@ fn parse_storage(args: &Args) -> Result<StorageBackend, String> {
         None => Ok(StorageBackend::default()),
         Some(s) => StorageBackend::parse(s)
             .ok_or_else(|| format!("unknown --storage {s:?} (expected heap or mmap)")),
-    }
-}
-
-/// Parse `--resolver {hash,fst}` (default hash).
-fn parse_resolver(args: &Args) -> Result<ResolverBackend, String> {
-    match args.get("resolver") {
-        None => Ok(ResolverBackend::default()),
-        Some(s) => ResolverBackend::parse(s)
-            .ok_or_else(|| format!("unknown --resolver {s:?} (expected hash or fst)")),
     }
 }
 
@@ -192,7 +182,7 @@ fn generate_world(args: &Args) -> Result<(), String> {
 }
 
 fn generate_corpus_cmd(args: &Args) -> Result<(), String> {
-    check_flags(args, &["world", "scale", "world-seed", "seed", "docs", "flavor", "out"])?;
+    check_flags(args, &["scale", "world-seed", "seed", "docs", "flavor", "out"])?;
     let seed: u64 = args.get_parsed("seed", 7)?;
     let docs: usize = args.get_parsed("docs", 500)?;
     let flavor = match args.get("flavor").unwrap_or("cnn") {
@@ -201,9 +191,9 @@ fn generate_corpus_cmd(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown flavor {other:?}")),
     };
     let out = args.require("out")?;
-    // Re-generate the world registers (events, participants) from the same
-    // seed family the world file was produced with; the corpus generator
-    // needs them, and the seed is embedded in the caller's workflow.
+    // The corpus generator needs the world's event and participant
+    // registers, which the TSV does not store, so regenerate the world from
+    // the `--seed`/`--scale` that `generate-world` was given.
     let world_seed: u64 = args.get_parsed("world-seed", 42)?;
     let config = parse_scale(args.get("scale").unwrap_or("small"), world_seed)?;
     let world = synth::generate(&config);
@@ -220,10 +210,7 @@ fn generate_corpus_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn build_index(args: &Args) -> Result<(), String> {
-    check_flags(
-        args,
-        &["world", "corpus", "segment-docs", "storage", "resolver", "out"],
-    )?;
+    check_flags(args, &["world", "corpus", "segment-docs", "storage", "out"])?;
     let backend = parse_storage(args)?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
@@ -233,7 +220,7 @@ fn build_index(args: &Args) -> Result<(), String> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
+    let labels = LabelIndex::build(&graph);
     let engine = NewsLink::new(
         &graph,
         &labels,
@@ -270,7 +257,7 @@ fn build_index(args: &Args) -> Result<(), String> {
 fn search_cmd(args: &Args) -> Result<(), String> {
     check_flags(
         args,
-        &["world", "corpus", "index", "query", "k", "beta", "explain", "explain-score", "resolver"],
+        &["world", "corpus", "index", "query", "k", "beta", "explain", "explain-score"],
     )?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
@@ -279,7 +266,7 @@ fn search_cmd(args: &Args) -> Result<(), String> {
     let beta: f64 = args.get_parsed("beta", 0.2)?;
     let explain: bool = args.get_parsed("explain", false)?;
     let explain_score: bool = args.get_parsed("explain-score", false)?;
-    let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
+    let labels = LabelIndex::build(&graph);
     let config = NewsLinkConfig::default().with_beta(beta);
     let engine = NewsLink::new(&graph, &labels, config);
     let index = match args.get("index") {
@@ -338,7 +325,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         args,
         &[
             "world", "corpus", "index", "addr", "workers", "queue-depth", "timeout-ms", "beta",
-            "segment-docs", "data-dir", "storage", "resolver", "mode", "shards", "shard-index",
+            "segment-docs", "data-dir", "storage", "mode", "shards", "shard-index",
             "shard-count", "probe-interval-ms", "probe-failures", "hedge-after-ms",
             "breaker-window", "retry-budget",
         ],
@@ -396,7 +383,7 @@ fn serve_router(args: &Args) -> Result<(), String> {
     }
     let graph = load_world(args)?;
     let beta: f64 = args.get_parsed("beta", 0.2)?;
-    let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
+    let labels = LabelIndex::build(&graph);
     // The router runs the query-analysis half of the pipeline locally
     // (NLP + NE + embedding), so it needs the same world the shards use.
     let engine = NewsLink::new(
@@ -465,7 +452,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
     let texts = load_corpus_file(args.require("corpus")?)?;
     let beta: f64 = args.get_parsed("beta", 0.2)?;
     let segment_docs: usize = args.get_parsed("segment-docs", 0)?;
-    let labels = LabelIndex::build_backend(&graph, parse_resolver(args)?);
+    let labels = LabelIndex::build(&graph);
     // `threads = 0` = auto: batch endpoints and the segment builder size
     // their pools to the machine at call time. A single query's NS scan
     // is sequential.

@@ -41,7 +41,10 @@ fn generate_index_and_search() {
         ),
         (
             "generate-corpus",
-            &["generate-corpus", "--world", "kg.tsv", "--docs", "50", "--out", "corpus.txt"],
+            &[
+                "generate-corpus", "--world-seed", "42", "--scale", "small", "--docs", "50", "--out",
+                "corpus.txt",
+            ],
         ),
         (
             "build-index",
@@ -76,11 +79,13 @@ fn generate_index_and_search() {
 #[test]
 fn removed_commands_and_flags_are_refused() {
     let dir = scratch_dir("refusals");
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["ingest-tsv", "--input", "labels.tsv", "--out", "labels.bin"], "unknown command"),
         (&["resolve", "--index", "labels.bin", "--query", "earth"], "unknown command"),
         (&["generate-world", "--out", "kg.tsv", "--tsv-out", "x"], "unknown flag"),
         (&["build-index", "--world", "kg.tsv", "--beta", "0.5"], "unknown flag"),
+        (&["generate-corpus", "--world", "kg.tsv", "--out", "corpus.txt"], "unknown flag"),
+        (&["search", "--world", "kg.tsv", "--query", "earth", "--resolver", "fst"], "unknown flag"),
     ];
     for (args, want) in cases {
         let out = newslink(&dir, args);
@@ -90,5 +95,6 @@ fn removed_commands_and_flags_are_refused() {
     }
     // Flags are checked before any work: nothing was written.
     assert!(!dir.join("kg.tsv").exists());
+    assert!(!dir.join("corpus.txt").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -109,7 +109,8 @@ impl SearchRequest {
 
     /// Give this request a deadline budget (rounded down to whole
     /// milliseconds).
-    pub fn with_timeout(mut self, budget: std::time::Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_timeout(mut self, budget: std::time::Duration) -> Self {
         self.timeout_ms = Some(u64::try_from(budget.as_millis()).unwrap_or(u64::MAX));
         self
     }
@@ -186,7 +187,8 @@ pub struct BatchResponse {
 
 impl BatchResponse {
     /// Requests whose deadline expired mid-pipeline.
-    pub fn timed_out(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn timed_out(&self) -> usize {
         self.responses.iter().filter(|r| r.timed_out).count()
     }
 }

@@ -7,8 +7,8 @@
 //! Wikidata-derived datasets flatten triples into natural-language rows.
 //! Every sentence is grounded: its proper names are KG labels, so a
 //! gazetteer pass over a fact corpus should resolve essentially every
-//! mention — which makes these documents the calibration corpus for the
-//! FST label automaton on multi-million-node worlds.
+//! mention — which makes these documents the calibration corpus for
+//! label resolution (the benchmark draws its queries from them).
 
 use newslink_kg::synth::predicates;
 use newslink_kg::{NodeId, SynthWorld};
@@ -18,12 +18,12 @@ use newslink_util::DetRng;
 #[derive(Debug, Clone)]
 pub struct FactCorpusConfig {
     /// Seed for anchor sampling and fact selection.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of documents (one anchor entity each).
-    pub documents: usize,
+    pub(crate) documents: usize,
     /// Facts per document (inclusive range); clamped to the anchor's
     /// degree.
-    pub facts_per_doc: (usize, usize),
+    pub(crate) facts_per_doc: (usize, usize),
 }
 
 impl FactCorpusConfig {
@@ -40,14 +40,11 @@ impl FactCorpusConfig {
 /// One entity-profile document.
 #[derive(Debug, Clone)]
 pub struct FactDoc {
-    /// Dense id within the corpus.
-    pub id: usize,
-    /// Headline (`"Profile: <label>"`).
-    pub title: String,
-    /// Full text (headline + fact sentences).
+    /// Full text (headline `"Profile: <label>"` + fact sentences).
     pub text: String,
     /// The profiled entity (generation ground truth).
-    pub anchor: NodeId,
+    #[cfg(test)]
+    pub(crate) anchor: NodeId,
 }
 
 /// A generated fact corpus.
@@ -55,18 +52,6 @@ pub struct FactDoc {
 pub struct FactCorpus {
     /// The documents.
     pub docs: Vec<FactDoc>,
-}
-
-impl FactCorpus {
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
 }
 
 /// Render one forward edge as a declarative sentence. The subject and
@@ -112,7 +97,7 @@ pub fn generate_fact_corpus(world: &SynthWorld, cfg: &FactCorpusConfig) -> FactC
     let mut rng = root.fork(0xFAC7);
     let (lo, hi) = cfg.facts_per_doc;
     let mut docs = Vec::with_capacity(cfg.documents);
-    for id in 0..cfg.documents {
+    for _ in 0..cfg.documents {
         let anchor = anchors[rng.below(anchors.len())];
         let subj = g.label(anchor);
         let mut edges: Vec<usize> = g
@@ -132,9 +117,8 @@ pub fn generate_fact_corpus(world: &SynthWorld, cfg: &FactCorpusConfig) -> FactC
         }
         let text = format!("{title}. {}", body.join(" "));
         docs.push(FactDoc {
-            id,
-            title,
             text,
+            #[cfg(test)]
             anchor,
         });
     }
@@ -157,8 +141,7 @@ mod tests {
         let cfg = FactCorpusConfig::new(3, 25);
         let a = generate_fact_corpus(&w, &cfg);
         let b = generate_fact_corpus(&w, &cfg);
-        assert_eq!(a.len(), 25);
-        assert!(!a.is_empty());
+        assert_eq!(a.docs.len(), 25);
         for (x, y) in a.docs.iter().zip(&b.docs) {
             assert_eq!(x.text, y.text);
             assert_eq!(x.anchor, y.anchor);
@@ -172,7 +155,7 @@ mod tests {
         for d in &c.docs {
             let label = w.graph.label(d.anchor);
             assert!(d.text.contains(label), "{} missing from {}", label, d.text);
-            assert!(d.text.starts_with(&d.title));
+            assert!(d.text.starts_with(&format!("Profile: {label}.")));
         }
     }
 
@@ -180,25 +163,21 @@ mod tests {
     fn fact_sentences_are_entity_grounded() {
         // Every rendered label resolves through the index, a gazetteer pass
         // matches well over half the identified mentions (the rest are
-        // non-searchable types and capitalized prose runs), and the hash and
-        // FST backends agree mention-for-mention.
+        // non-searchable types and capitalized prose runs).
         let w = world();
         let c = generate_fact_corpus(&w, &FactCorpusConfig::new(9, 30));
-        let hash = LabelIndex::build(&w.graph);
-        let fst = LabelIndex::build_fst(&w.graph);
+        let idx = LabelIndex::build(&w.graph);
         for d in &c.docs {
             let norm = newslink_kg::normalize_label(w.graph.label(d.anchor));
-            assert!(hash.exact(&norm).len() > 0, "anchor label must resolve");
+            assert!(!idx.exact(&norm).is_empty(), "anchor label must resolve");
         }
         let mut identified = 0usize;
         let mut matched = 0usize;
         for d in &c.docs {
             let toks = tokenize(&d.text);
-            let h = Recognizer::new(&w.graph, &hash).recognize(&d.text, &toks);
-            let f = Recognizer::new(&w.graph, &fst).recognize(&d.text, &toks);
-            assert_eq!(h, f, "backends disagree on {:?}", d.text);
-            identified += h.len();
-            matched += h.iter().filter(|m| m.matched).count();
+            let m = Recognizer::new(&w.graph, &idx).recognize(&d.text, &toks);
+            identified += m.len();
+            matched += m.iter().filter(|m| m.matched).count();
         }
         assert!(identified > 0);
         let ratio = matched as f64 / identified as f64;

@@ -36,17 +36,17 @@ impl CorpusFlavor {
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Seed for all sampling (independent of the world seed).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of documents to generate.
-    pub documents: usize,
+    pub(crate) documents: usize,
     /// Dataset flavor.
-    pub flavor: CorpusFlavor,
+    pub(crate) flavor: CorpusFlavor,
     /// Probability of planting an out-of-KG proper name in a document
     /// (drives the sub-100% entity matching ratio of Table V).
-    pub oov_entity_prob: f64,
+    pub(crate) oov_entity_prob: f64,
     /// Zipf exponent for event popularity (>1 ⇒ some events get many
     /// documents, guaranteeing near-duplicates for retrieval).
-    pub event_skew: f64,
+    pub(crate) event_skew: f64,
 }
 
 impl CorpusConfig {
@@ -65,15 +65,14 @@ impl CorpusConfig {
 /// One generated news document.
 #[derive(Debug, Clone)]
 pub struct NewsDoc {
-    /// Dense id within the corpus.
-    pub id: usize,
     /// Headline.
     pub title: String,
     /// Full text (headline + body sentences).
     pub text: String,
     /// Index into the world's event register (generation ground truth;
     /// never exposed to search methods).
-    pub event_idx: usize,
+    #[cfg(test)]
+    pub(crate) event_idx: usize,
 }
 
 /// A generated corpus.
@@ -205,7 +204,7 @@ pub fn generate_corpus(world: &SynthWorld, cfg: &CorpusConfig) -> Corpus {
         .len()
         .min((cfg.documents / 4).max(10))
         .max(1);
-    for id in 0..cfg.documents {
+    for _ in 0..cfg.documents {
         let event_idx = if rng.chance(0.25) {
             rng.zipf(active, cfg.event_skew.max(1.05))
         } else {
@@ -277,9 +276,9 @@ pub fn generate_corpus(world: &SynthWorld, cfg: &CorpusConfig) -> Corpus {
         }
         let text = format!("{title}. {}", body.join(" "));
         docs.push(NewsDoc {
-            id,
             title,
             text,
+            #[cfg(test)]
             event_idx,
         });
     }
@@ -323,13 +322,13 @@ mod tests {
     fn documents_mention_kg_entities() {
         let w = world();
         let c = generate_corpus(&w, &CorpusConfig::new(3, 20, CorpusFlavor::CnnLike));
-        for doc in &c.docs {
+        for (i, doc) in c.docs.iter().enumerate() {
             let event = &w.events[doc.event_idx];
             let country = w.graph.label(event.places[0]);
             assert!(
                 doc.text.contains(country) || doc.text.contains(w.graph.label(event.node)),
                 "doc {} does not mention its event context: {}",
-                doc.id,
+                i,
                 doc.text
             );
         }

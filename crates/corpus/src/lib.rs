@@ -5,25 +5,24 @@
 //! substitutes from the synthetic knowledge-graph world (DESIGN.md §6,
 //! S15):
 //!
-//! - [`fact`] — entity-profile fact-sentence documents (Wikidata-style
+//! - [`generate_fact_corpus`] — entity-profile fact-sentence documents (Wikidata-style
 //!   triple flattening) for resolution-at-scale tests;
-//! - [`gen`] — document generation over world events;
-//! - [`templates`] — per-event-kind sentence templates with synonym pools
+//! - [`generate_corpus`] — document generation over world events;
+//! - `templates` — per-event-kind sentence templates with synonym pools
 //!   (the controlled vocabulary-mismatch knob);
-//! - [`split`] — the paper's 80/10/10 train/validation/test split;
-//! - [`query`] — query-sentence selection (largest-entity-density and
+//! - [`Split`] — the paper's 80/10/10 train/validation/test split;
+//! - [`select_query`] — query-sentence selection (largest-entity-density and
 //!   random, §VII-B).
 
 #![deny(unsafe_code)]
 
-pub mod fact;
-pub mod gen;
-pub mod query;
-pub mod split;
-pub mod templates;
+pub(crate) mod fact;
+pub(crate) mod gen;
+pub(crate) mod query;
+pub(crate) mod split;
+pub(crate) mod templates;
 
 pub use fact::{generate_fact_corpus, FactCorpus, FactCorpusConfig, FactDoc};
 pub use gen::{generate_corpus, Corpus, CorpusConfig, CorpusFlavor, NewsDoc};
 pub use query::{select_query, QueryStrategy};
 pub use split::Split;
-pub use templates::Cast;

@@ -11,23 +11,23 @@ use newslink_util::DetRng;
 
 /// The entity surface forms available to templates for one document.
 #[derive(Debug, Clone)]
-pub struct Cast {
+pub(crate) struct Cast {
     /// The event's label (e.g. `2015 Peshawar bombing`).
-    pub event: String,
+    pub(crate) event: String,
     /// Primary place (city or province).
-    pub place: String,
+    pub(crate) place: String,
     /// The country.
-    pub country: String,
+    pub(crate) country: String,
     /// A militant group / organization participant.
-    pub group: String,
+    pub(crate) group: String,
     /// A person participant (candidate, leader…).
-    pub person: String,
+    pub(crate) person: String,
     /// A second person participant.
-    pub person2: String,
+    pub(crate) person2: String,
     /// A related organization (agency, team, party).
-    pub org: String,
+    pub(crate) org: String,
     /// A secondary place (neighbouring province/city).
-    pub place2: String,
+    pub(crate) place2: String,
 }
 
 fn pick<'a>(rng: &mut DetRng, items: &'a [&'a str]) -> &'a str {
@@ -47,7 +47,7 @@ const CLASH: &[&str] = &["clashed with", "battled", "fought", "exchanged fire wi
 type Template = Box<dyn Fn(&mut DetRng, &Cast) -> String>;
 
 /// Produce `n` sentences about an event of `kind` using `cast`.
-pub fn sentences(rng: &mut DetRng, kind: EventKind, cast: &Cast, n: usize) -> Vec<String> {
+pub(crate) fn sentences(rng: &mut DetRng, kind: EventKind, cast: &Cast, n: usize) -> Vec<String> {
     let pool: Vec<Template> = match kind {
         EventKind::Attack => vec![
             Box::new(|r, c| {
@@ -245,7 +245,7 @@ pub fn sentences(rng: &mut DetRng, kind: EventKind, cast: &Cast, n: usize) -> Ve
 /// entity slots differ. These are the "partial queries with missing
 /// context" of §VII-B — keyword search cannot tell the stories apart, but
 /// the entities can.
-pub fn generic_sentences(rng: &mut DetRng, cast: &Cast) -> Vec<String> {
+pub(crate) fn generic_sentences(rng: &mut DetRng, cast: &Cast) -> Vec<String> {
     let pool: Vec<String> = vec![
         format!("Officials in {} urged calm as the situation developed.", cast.place),
         format!("Residents across {} followed the developments closely.", cast.country),
@@ -273,7 +273,7 @@ fn capitalize(s: &str) -> String {
 
 /// A headline for the document. Several variants per kind so same-event
 /// documents stay distinguishable.
-pub fn headline(rng: &mut DetRng, kind: EventKind, cast: &Cast) -> String {
+pub(crate) fn headline(rng: &mut DetRng, kind: EventKind, cast: &Cast) -> String {
     match kind {
         EventKind::Attack => match rng.below(3) {
             0 => format!(

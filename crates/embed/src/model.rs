@@ -59,7 +59,8 @@ impl CommonAncestorGraph {
     }
 
     /// True when `node` lies in this embedding.
-    pub fn contains_node(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_node(&self, node: NodeId) -> bool {
         self.nodes.binary_search(&node).is_ok()
     }
 

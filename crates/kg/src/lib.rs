@@ -7,9 +7,7 @@
 //! - [`graph::KnowledgeGraph`] — the frozen CSR property graph, built with
 //!   [`builder::GraphBuilder`];
 //! - [`label_index::LabelIndex`] — entity label → node resolution, the
-//!   paper's `S(l)`, built from the loaded graph by one of two
-//!   interchangeable backends: a HashMap oracle or the byte-trie
-//!   automaton of [`fst_index`];
+//!   paper's `S(l)`, a hash index built from the loaded graph;
 //! - [`synth`] — a deterministic Wikidata-like world generator (the offline
 //!   stand-in for the paper's Wikidata dump; see DESIGN.md §6.1);
 //! - [`triples`] — plain-text persistence, the graph's one text format
@@ -22,7 +20,6 @@
 
 pub mod builder;
 pub mod describe;
-pub mod fst_index;
 pub mod graph;
 pub mod interner;
 pub mod label_index;
@@ -34,7 +31,7 @@ pub mod triples;
 pub use builder::GraphBuilder;
 pub use graph::{EntityType, KnowledgeGraph, NodeId};
 pub use interner::Symbol;
-pub use label_index::{normalize_label, LabelIndex, ResolverBackend};
+pub use label_index::{normalize_label, LabelIndex};
 pub use reweight::reweight_by_predicate_rarity;
 pub use stats::GraphStats;
 pub use synth::{EventInfo, EventKind, SynthConfig, SynthWorld};

@@ -4,20 +4,20 @@
 //! crate is the from-scratch offline substitute:
 //!
 //! - [`token`] — span-preserving tokenizer;
-//! - [`sentence`] — sentence splitter (each sentence is a *news segment*);
-//! - [`analyzer`] — BOW term analysis (lowercase, stopwords, light stems);
-//! - [`ner`] — gazetteer NER against the KG label index with a
+//! - [`split_sentences`] — sentence splitter (each sentence is a *news segment*);
+//! - [`analyze`] — BOW term analysis (lowercase, stopwords, light stems);
+//! - [`Recognizer`] — gazetteer NER against the KG label index with a
 //!   capitalization fallback for out-of-KG names;
-//! - [`cooccur`] — maximal entity co-occurrence sets (Definition 1);
-//! - [`segment`] — the end-to-end [`segment::NlpPipeline`].
+//! - [`maximal_cooccurrence`] — maximal entity co-occurrence sets (Definition 1);
+//! - [`NlpPipeline`] — the end-to-end pipeline.
 
 #![deny(unsafe_code)]
 
-pub mod analyzer;
-pub mod cooccur;
-pub mod ner;
-pub mod segment;
-pub mod sentence;
+pub(crate) mod analyzer;
+pub(crate) mod cooccur;
+pub(crate) mod ner;
+pub(crate) mod segment;
+pub(crate) mod sentence;
 pub mod stopwords;
 pub mod token;
 

@@ -18,14 +18,14 @@ use crate::token::Token;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityMention {
     /// Exact surface text.
-    pub surface: String,
+    pub(crate) surface: String,
     /// Normalized form (lowercased, whitespace-collapsed) — the entity
     /// label `l` used downstream.
     pub norm: String,
     /// Index of the first token of the mention.
-    pub token_start: usize,
+    pub(crate) token_start: usize,
     /// Number of tokens covered.
-    pub token_len: usize,
+    pub(crate) token_len: usize,
     /// True when the mention resolved to at least one KG node of a
     /// searchable entity type (the paper's "matched entity").
     pub matched: bool,
@@ -47,16 +47,6 @@ impl<'g> Recognizer<'g> {
         Self { graph, index }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g KnowledgeGraph {
-        self.graph
-    }
-
-    /// The underlying label index.
-    pub fn index(&self) -> &'g LabelIndex {
-        self.index
-    }
-
     /// Recognize entity mentions in one sentence.
     ///
     /// `tokens` must be the tokenization of `sentence` (spans index it).
@@ -72,11 +62,9 @@ impl<'g> Recognizer<'g> {
         let mut i = 0;
         while i < tokens.len() {
             // Longest gazetteer match first: one resolver probe covers
-            // every window width starting at `i` (the FST backend walks
-            // the automaton forward once; the hash backend joins and
-            // probes per width). Single-token matches must look like
-            // proper nouns in the text: a lowercase "as" must not link
-            // to a node or acronym alias labeled "AS".
+            // every window width starting at `i`. Single-token matches
+            // must look like proper nouns in the text: a lowercase "as"
+            // must not link to a node or acronym alias labeled "AS".
             let cap = max_window.min(tokens.len() - i);
             let allow_single =
                 tokens[i].is_capitalized(sentence) || tokens[i].is_numeric(sentence);
@@ -156,7 +144,7 @@ pub struct MatchStats {
 
 impl MatchStats {
     /// Accumulate mention counts.
-    pub fn add(&mut self, mentions: &[EntityMention]) {
+    pub(crate) fn add(&mut self, mentions: &[EntityMention]) {
         self.identified += mentions.len();
         self.matched += mentions.iter().filter(|m| m.matched).count();
     }
@@ -173,7 +161,7 @@ impl MatchStats {
 
 /// Collect the distinct normalized labels of matched mentions, in first-
 /// occurrence order.
-pub fn matched_labels(mentions: &[EntityMention]) -> Vec<String> {
+pub(crate) fn matched_labels(mentions: &[EntityMention]) -> Vec<String> {
     let mut seen = FxHashSet::default();
     let mut out = Vec::new();
     for m in mentions {
@@ -283,35 +271,6 @@ mod tests {
         let text2 = "AS expanded operations in Pakistan.";
         let m2 = r.recognize(text2, &tokenize(text2));
         assert!(m2.iter().any(|x| x.norm == "as" && x.matched));
-    }
-
-    #[test]
-    fn fst_backend_recognizes_identically() {
-        let mut b = GraphBuilder::new();
-        b.add_node("Pakistan", EntityType::Gpe);
-        b.add_node("Upper Dir", EntityType::Gpe);
-        b.add_node("Swat Valley", EntityType::Location);
-        b.add_node("Five", EntityType::Quantity);
-        let org = b.add_node("Adrainviam Systems", EntityType::Organization);
-        b.add_alias(org, "AS");
-        let g = b.freeze();
-        let hash = LabelIndex::build(&g);
-        let fst = LabelIndex::build_fst(&g);
-        for text in [
-            "Military conflicts between Pakistan and Taliban.",
-            "Clashes in Upper Dir continued.",
-            "Fighting reached Swat Valley and Pakistan yesterday.",
-            "Attack kills Five in Pakistan.",
-            "Officials described Pakistan as calm.",
-            "AS expanded operations in Pakistan.",
-            "Kunar Heights saw clashes.",
-            "Upper Dir Upper Dir Upper.",
-        ] {
-            let toks = tokenize(text);
-            let h = Recognizer::new(&g, &hash).recognize(text, &toks);
-            let f = Recognizer::new(&g, &fst).recognize(text, &toks);
-            assert_eq!(h, f, "backends disagree on {text:?}");
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct Segment {
     /// The segment text.
     pub text: String,
     /// Entity mentions recognized in the segment.
-    pub mentions: Vec<EntityMention>,
+    pub(crate) mentions: Vec<EntityMention>,
 }
 
 impl Segment {

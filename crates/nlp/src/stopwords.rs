@@ -2,7 +2,7 @@
 //! `EnglishAnalyzer` set plus a few news-domain function words.
 
 /// Sorted stopword list (binary-searchable).
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "about", "after", "again", "all", "also", "am", "an", "and", "any", "are", "as", "at",
     "be", "because", "been", "before", "being", "between", "both", "but", "by", "can", "could",
     "did", "do", "does", "doing", "down", "during", "each", "few", "for", "from", "further",

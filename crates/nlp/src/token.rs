@@ -21,7 +21,7 @@ impl Token {
     }
 
     /// True when the first character is uppercase.
-    pub fn is_capitalized(&self, source: &str) -> bool {
+    pub(crate) fn is_capitalized(&self, source: &str) -> bool {
         self.text(source)
             .chars()
             .next()
@@ -29,7 +29,7 @@ impl Token {
     }
 
     /// True when every character is a digit.
-    pub fn is_numeric(&self, source: &str) -> bool {
+    pub(crate) fn is_numeric(&self, source: &str) -> bool {
         let t = self.text(source);
         !t.is_empty() && t.chars().all(|c| c.is_ascii_digit())
     }

@@ -53,8 +53,6 @@ pub struct KgStats {
     pub edges: usize,
     /// Distinct normalized surfaces in the label resolver.
     pub surfaces: usize,
-    /// Resolver backend name ("hash" or "fst").
-    pub backend: &'static str,
     /// Approximate resident bytes of the resolver structures.
     pub resolver_bytes: usize,
 }
@@ -66,7 +64,6 @@ impl KgStats {
             nodes: graph.node_count(),
             edges: graph.edge_count(),
             surfaces: index.len(),
-            backend: index.backend(),
             resolver_bytes: index.resolver_bytes(),
         }
     }
@@ -76,7 +73,6 @@ impl KgStats {
             ("nodes".into(), num(self.nodes as u64)),
             ("edges".into(), num(self.edges as u64)),
             ("surfaces".into(), num(self.surfaces as u64)),
-            ("resolver_backend".into(), Value::String(self.backend.into())),
             ("resolver_bytes".into(), num(self.resolver_bytes as u64)),
         ])
     }
@@ -310,7 +306,6 @@ mod tests {
             nodes: 100,
             edges: 250,
             surfaces: 97,
-            backend: "fst",
             resolver_bytes: 4096,
         };
         let snap = m.snapshot(3, &EngineCacheStats::default(), index, kg, None, None);
@@ -329,7 +324,6 @@ mod tests {
         assert_eq!(snap["kg"]["nodes"], 100u64);
         assert_eq!(snap["kg"]["edges"], 250u64);
         assert_eq!(snap["kg"]["surfaces"], 97u64);
-        assert_eq!(snap["kg"]["resolver_backend"], "fst");
         assert_eq!(snap["kg"]["resolver_bytes"], 4096u64);
         assert_eq!(snap["pruning"]["candidates"], 0u64);
         assert_eq!(snap["pruning"]["docs_scored"], 0u64);

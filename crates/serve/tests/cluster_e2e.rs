@@ -190,8 +190,10 @@ fn router_survives_primary_kill_and_loses_no_acked_write() {
     run_tool(&["generate-world", "--scale", "small", "--out", world.to_str().expect("path")]);
     run_tool(&[
         "generate-corpus",
-        "--world",
-        world.to_str().expect("path"),
+        "--world-seed",
+        "42",
+        "--scale",
+        "small",
         "--docs",
         "12",
         "--out",

@@ -287,7 +287,6 @@ fn metrics_report_traffic_latency_and_cache_counters() {
         assert!(v["kg"]["nodes"].as_i64().unwrap() > 0, "{text}");
         assert!(v["kg"]["edges"].as_i64().unwrap() > 0, "{text}");
         assert!(v["kg"]["surfaces"].as_i64().unwrap() > 0, "{text}");
-        assert_eq!(v["kg"]["resolver_backend"], "hash", "{text}");
         assert!(v["kg"]["resolver_bytes"].as_i64().unwrap() > 0, "{text}");
     });
 }

@@ -127,8 +127,10 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     run_tool(&["generate-world", "--scale", "small", "--out", world.to_str().expect("path")]);
     run_tool(&[
         "generate-corpus",
-        "--world",
-        world.to_str().expect("path"),
+        "--world-seed",
+        "42",
+        "--scale",
+        "small",
         "--docs",
         "12",
         "--out",

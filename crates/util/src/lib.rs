@@ -44,7 +44,6 @@ pub mod cache;
 pub mod chaos;
 pub mod crc32;
 pub mod failpoint;
-pub mod fst;
 pub mod fxhash;
 pub mod histogram;
 #[allow(unsafe_code)]

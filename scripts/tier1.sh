@@ -45,11 +45,10 @@ fi
 # durability_e2e: restart recovery, degraded /healthz, /admin/snapshot.
 # snapshot_backends: heap and mmap load one snapshot bit-identically; an old-version data dir is refused typed and untouched.
 # prune_prop: the block-max pruned evaluator (the only one; bow_topk runs on it too) is bit-identical to the exhaustive oracle.
-# fst_prop: the FST label automaton matches the HashMap oracle, end to end.
 # cluster_prop: a router over real shard servers merges like one in-process search.
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
 # paper_tables: seeded Tiny paper tables are byte-identical to tests/golden/paper_tables.
-# cli: the newslink binary runs generate-world → generate-corpus → build-index → search, and refuses removed commands and flags.
+# cli: the newslink binary runs generate-world → generate-corpus → build-index → search, and refuses removed commands and flags and ignored flags.
 cargo test -q --workspace
 # The vendored shims are path dependencies, not workspace members, so the
 # workspace run above skips their own tests; run them explicitly.

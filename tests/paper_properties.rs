@@ -69,7 +69,7 @@ proptest! {
         // Brute force: per label BFS, min over roots of max distance.
         let dists: Vec<FxHashMap<NodeId, u32>> = labels
             .iter()
-            .map(|l| bfs(&g, idx.exact(l).next().expect("label resolves")))
+            .map(|l| bfs(&g, *idx.exact(l).first().expect("label resolves")))
             .collect();
         let best = g
             .nodes()
@@ -101,7 +101,7 @@ proptest! {
 
         let dists: Vec<FxHashMap<NodeId, u32>> = labels
             .iter()
-            .map(|l| bfs(&g, idx.exact(l).next().expect("label resolves")))
+            .map(|l| bfs(&g, *idx.exact(l).first().expect("label resolves")))
             .collect();
         for r in g.nodes() {
             let mut key: Vec<u32> = dists.iter().map(|d| d[&r]).collect();
