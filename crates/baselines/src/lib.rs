@@ -14,7 +14,7 @@
 //! The Lucene baseline is `newslink-text` itself (BM25 with default
 //! settings), used directly by the evaluation harness.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod doc2vec;
 pub(crate) mod fasttext;

@@ -15,7 +15,7 @@
 //! Corpora are stored one document per line (generated documents contain
 //! no newlines).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod args;
 
@@ -24,8 +24,8 @@ use std::process::ExitCode;
 
 use args::Args;
 use newslink_core::{
-    load_newslink_index, save_newslink_index, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
-    SearchRequest, StorageBackend,
+    load_newslink_index, save_newslink_index, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    SearchRequest,
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
@@ -76,13 +76,11 @@ commands:
   generate-world  --scale small|medium|large|<nodes> --seed N --out kg.tsv
   generate-corpus --world-seed N --scale small|medium|large|<nodes> --docs N --flavor cnn|kaggle
                   --seed N --out corpus.txt   (--world-seed and --scale as given to generate-world)
-  build-index     --world kg.tsv --corpus corpus.txt [--segment-docs N] [--storage heap|mmap]
-                  --out index.nlnk
+  build-index     --world kg.tsv --corpus corpus.txt [--segment-docs N] --out index.nlnk
   search          --world kg.tsv --corpus corpus.txt --index index.nlnk --query Q --k N --explain true|false
   serve           --world kg.tsv --corpus corpus.txt [--index index.nlnk] [--addr 127.0.0.1:8080]
                   [--workers N] [--queue-depth N] [--timeout-ms N] [--beta B] [--segment-docs N]
                   [--data-dir DIR]   durable mode: WAL + snapshots under DIR, POST /v1/admin/snapshot to checkpoint
-                  [--storage heap|mmap]   snapshot backend: copy into RAM, or memory-map (default heap)
                   [--shard-index I --shard-count N]   cluster shard: index every Nth corpus document
                         (stripe I) and mint fresh ids on that stripe so shards never collide
                   [--mode router --shards \"a:7001|a:7002,b:7003\"]   cluster router: no local index;
@@ -97,15 +95,6 @@ commands:
   stats           --world kg.tsv
 ";
 
-/// Parse `--storage {heap,mmap}` (default heap).
-fn parse_storage(args: &Args) -> Result<StorageBackend, String> {
-    match args.get("storage") {
-        None => Ok(StorageBackend::default()),
-        Some(s) => StorageBackend::parse(s)
-            .ok_or_else(|| format!("unknown --storage {s:?} (expected heap or mmap)")),
-    }
-}
-
 /// Parse `--scale`: a named preset or a numeric node target.
 fn parse_scale(scale: &str, seed: u64) -> Result<SynthConfig, String> {
     match scale {
@@ -119,28 +108,9 @@ fn parse_scale(scale: &str, seed: u64) -> Result<SynthConfig, String> {
     }
 }
 
-/// Load a snapshot file through the selected storage backend (strict
-/// mode — any damage is an error, same as [`load_newslink_index`]).
-fn open_snapshot_with(
-    graph: &newslink_kg::KnowledgeGraph,
-    path: &str,
-    backend: StorageBackend,
-) -> Result<NewsLinkIndex, String> {
-    let p = Path::new(path);
-    let parent = match p.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    let name = p
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| format!("bad index path {path:?}"))?;
-    let dir = FsDirectory::create(parent).map_err(|e| format!("opening {path}: {e}"))?;
-    let (index, _report) = backend
-        .reader()
-        .read_snapshot(&dir, name, graph, false)
-        .map_err(|e| format!("loading index {path} ({backend}): {e}"))?;
-    Ok(index)
+/// Load a snapshot file strictly: any damage is an error.
+fn open_snapshot(graph: &newslink_kg::KnowledgeGraph, path: &str) -> Result<NewsLinkIndex, String> {
+    load_newslink_index(graph, Path::new(path)).map_err(|e| format!("loading index {path}: {e}"))
 }
 
 /// Reject flags not in `allowed` (typo guard).
@@ -210,8 +180,7 @@ fn generate_corpus_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn build_index(args: &Args) -> Result<(), String> {
-    check_flags(args, &["world", "corpus", "segment-docs", "storage", "out"])?;
-    let backend = parse_storage(args)?;
+    check_flags(args, &["world", "corpus", "segment-docs", "out"])?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
     // 0 = one segment; any other value shards the build, which also
@@ -233,18 +202,18 @@ fn build_index(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     save_newslink_index(&index, &graph, Path::new(out))
         .map_err(|e| format!("writing {out}: {e}"))?;
-    // Verification reopen through the requested backend: prove the file
-    // loads the way it will be served before declaring success.
-    let reopened = open_snapshot_with(&graph, out, backend)?;
+    // Verification reopen: prove the file loads the way it will be
+    // served before declaring success.
+    let reopened = open_snapshot(&graph, out)?;
     if reopened.doc_count() != index.doc_count() {
         return Err(format!(
-            "verification reopen ({backend}) saw {} docs, expected {}",
+            "verification reopen saw {} docs, expected {}",
             reopened.doc_count(),
             index.doc_count()
         ));
     }
     println!(
-        "indexed {} docs into {} segment(s) in {:.2}s ({:.1}% embedded), wrote {} (verified via {backend})",
+        "indexed {} docs into {} segment(s) in {:.2}s ({:.1}% embedded), wrote {} (verified by reopening)",
         index.doc_count(),
         index.segment_count(),
         t.elapsed().as_secs_f64(),
@@ -270,8 +239,7 @@ fn search_cmd(args: &Args) -> Result<(), String> {
     let config = NewsLinkConfig::default().with_beta(beta);
     let engine = NewsLink::new(&graph, &labels, config);
     let index = match args.get("index") {
-        Some(path) => load_newslink_index(&graph, Path::new(path))
-            .map_err(|e| format!("loading index {path}: {e}"))?,
+        Some(path) => open_snapshot(&graph, path)?,
         None => engine.index_corpus(&texts),
     };
     if index.doc_count() != texts.len() {
@@ -325,7 +293,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         args,
         &[
             "world", "corpus", "index", "addr", "workers", "queue-depth", "timeout-ms", "beta",
-            "segment-docs", "data-dir", "storage", "mode", "shards", "shard-index",
+            "segment-docs", "data-dir", "mode", "shards", "shard-index",
             "shard-count", "probe-interval-ms", "probe-failures", "hedge-after-ms",
             "breaker-window", "retry-budget",
         ],
@@ -370,7 +338,6 @@ fn serve_router(args: &Args) -> Result<(), String> {
         "corpus",
         "index",
         "data-dir",
-        "storage",
         "segment-docs",
         "shard-index",
         "shard-count",
@@ -447,7 +414,6 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
         }
     }
     let stripe = parse_stripe(args)?;
-    let backend = parse_storage(args)?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
     let beta: f64 = args.get_parsed("beta", 0.2)?;
@@ -473,10 +439,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
             let dir_path = Path::new(dir);
             let snapshot_exists = dir_path.join("index.nlnk").exists();
             let preloaded = match args.get("index") {
-                Some(path) if !snapshot_exists => Some(
-                    load_newslink_index(&graph, Path::new(path))
-                        .map_err(|e| format!("loading index {path}: {e}"))?,
-                ),
+                Some(path) if !snapshot_exists => Some(open_snapshot(&graph, path)?),
                 _ => None,
             };
             // `move` takes `preloaded` by value; the engine and corpus
@@ -492,7 +455,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
                 })
             };
             let (store, index) =
-                newslink_core::DurableStore::open_with(&engine, dir_path, backend, seed)
+                newslink_core::DurableStore::open(&engine, dir_path, seed)
                     .map_err(|e| format!("opening data dir {dir}: {e}"))?;
             let report = store.report();
             if report.degraded() {
@@ -522,7 +485,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
         None => (
             None,
             match args.get("index") {
-                Some(path) => open_snapshot_with(&graph, path, backend)?,
+                Some(path) => open_snapshot(&graph, path)?,
                 None => {
                     println!("indexing {} documents …", texts.len());
                     match stripe {
@@ -554,12 +517,11 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080");
     let server = Server::bind(addr, serve_config).map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "serving {} docs on http://{} ({} workers, capacity {}, {} storage{}{}) — POST /v1/search, POST /v1/search/batch, POST /v1/docs, DELETE /v1/docs/<id>, POST /v1/admin/snapshot, GET /v1/healthz, GET /v1/metrics; Ctrl-C to stop",
+        "serving {} docs on http://{} ({} workers, capacity {}{}{}) — POST /v1/search, POST /v1/search/batch, POST /v1/docs, DELETE /v1/docs/<id>, POST /v1/admin/snapshot, GET /v1/healthz, GET /v1/metrics; Ctrl-C to stop",
         index.read().doc_count(),
         server.local_addr(),
         server.config().workers,
         server.config().capacity(),
-        backend,
         if durable.is_some() { ", durable" } else { "" },
         match stripe {
             Some((shard, of)) => format!(", shard {shard}/{of}"),

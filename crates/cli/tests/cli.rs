@@ -79,13 +79,15 @@ fn generate_index_and_search() {
 #[test]
 fn removed_commands_and_flags_are_refused() {
     let dir = scratch_dir("refusals");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["ingest-tsv", "--input", "labels.tsv", "--out", "labels.bin"], "unknown command"),
         (&["resolve", "--index", "labels.bin", "--query", "earth"], "unknown command"),
         (&["generate-world", "--out", "kg.tsv", "--tsv-out", "x"], "unknown flag"),
         (&["build-index", "--world", "kg.tsv", "--beta", "0.5"], "unknown flag"),
         (&["generate-corpus", "--world", "kg.tsv", "--out", "corpus.txt"], "unknown flag"),
         (&["search", "--world", "kg.tsv", "--query", "earth", "--resolver", "fst"], "unknown flag"),
+        (&["build-index", "--world", "kg.tsv", "--storage", "mmap"], "unknown flag"),
+        (&["serve", "--world", "kg.tsv", "--storage", "heap"], "unknown flag"),
     ];
     for (args, want) in cases {
         let out = newslink(&dir, args);

@@ -85,13 +85,14 @@ impl SearchRequest {
     }
 
     /// Override β for this request only (clamped to `[0, 1]`).
-    pub fn with_beta(mut self, beta: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_beta(mut self, beta: f64) -> Self {
         self.beta = Some(beta.clamp(0.0, 1.0));
         self
     }
 
     /// Attach explanations with the given options.
-    pub fn with_explanations(mut self, options: ExplainOptions) -> Self {
+    pub(crate) fn with_explanations(mut self, options: ExplainOptions) -> Self {
         self.explain = Some(options);
         self
     }
@@ -170,7 +171,7 @@ pub struct SearchResponse {
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct ParallelShell {
     /// Always 0.
-    pub workers: u64,
+    pub(crate) workers: u64,
 }
 
 /// The outcome of executing a batch of requests.

@@ -25,24 +25,24 @@ use crate::config::CacheConfig;
 #[derive(Debug)]
 pub(crate) struct QueryArtifacts {
     /// Analyzed BOW terms.
-    pub terms: Vec<String>,
+    pub(crate) terms: Vec<String>,
     /// The query's subgraph embedding.
-    pub embedding: DocEmbedding,
+    pub(crate) embedding: DocEmbedding,
 }
 
 /// All caches owned by one engine.
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
     /// Group memo for the NE component.
-    pub embed: EmbeddingCache,
+    pub(crate) embed: EmbeddingCache,
     /// Whole-query artifact memo for the engine's search entry points.
-    pub query: ShardedCache<String, Arc<QueryArtifacts>>,
+    pub(crate) query: ShardedCache<String, Arc<QueryArtifacts>>,
 }
 
 impl EngineCaches {
     /// Build caches sized by `config`; returns `None` when caching is
     /// disabled so call sites fall through to the uncached paths.
-    pub fn from_config(config: &CacheConfig) -> Option<Self> {
+    pub(crate) fn from_config(config: &CacheConfig) -> Option<Self> {
         if !config.enabled {
             return None;
         }
@@ -53,7 +53,7 @@ impl EngineCaches {
     }
 
     /// Snapshot every tier's counters.
-    pub fn stats(&self) -> EngineCacheStats {
+    pub(crate) fn stats(&self) -> EngineCacheStats {
         EngineCacheStats {
             groups: self.embed.group_stats(),
             distances: CacheStats::default(),

@@ -70,7 +70,7 @@ pub struct NewsLinkConfig {
     /// query's NS scan is always sequential.
     ///
     /// `1` = serial. `0` = auto: each call site resolves the pool size
-    /// through [`Self::effective_threads`], which asks
+    /// through the config's `effective_threads`, which asks
     /// `std::thread::available_parallelism()` *at that moment* (falling
     /// back to 1 if the machine won't say) and then clamps to
     /// `[1, work_items]` — auto mode therefore never spawns more workers
@@ -85,7 +85,7 @@ pub struct NewsLinkConfig {
     /// pre-segmentation behaviour. Smaller segments build in parallel
     /// across [`threads`](Self::threads); search results are bit-identical
     /// either way (global-stats overlay, see `crate::segment`).
-    pub segment_docs: usize,
+    pub(crate) segment_docs: usize,
     /// Rank the blended score with the block-max pruned evaluator
     /// (`newslink_text::blended_scan`): documents whose score upper bound
     /// cannot reach the current top-k threshold are skipped without being
@@ -98,7 +98,7 @@ pub struct NewsLinkConfig {
     /// through [`crate::NewsLink::insert_document`] compacts adjacent
     /// segments back under this bound. Build-time sharding is governed by
     /// [`segment_docs`](Self::segment_docs), not this.
-    pub max_segments: usize,
+    pub(crate) max_segments: usize,
 }
 
 impl Default for NewsLinkConfig {
@@ -135,8 +135,8 @@ impl NewsLinkConfig {
         self
     }
 
-    /// Size worker pools to the machine (resolved per call site by
-    /// [`effective_threads`](Self::effective_threads)).
+    /// Size worker pools to the machine (resolved per call site, see
+    /// [`threads`](Self::threads)).
     pub fn with_auto_threads(mut self) -> Self {
         self.threads = 0;
         self
@@ -159,7 +159,7 @@ impl NewsLinkConfig {
     /// work or drops below one. The machine is consulted on every call,
     /// so auto mode tracks runtime changes to the CPU budget (e.g.
     /// container cpuset updates between batches).
-    pub fn effective_threads(&self, work: usize) -> usize {
+    pub(crate) fn effective_threads(&self, work: usize) -> usize {
         let requested = if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -27,8 +27,8 @@ use crate::searcher::parallel_map;
 use crate::segment::IndexSegment;
 
 /// The frozen search-side state for one corpus: an ordered set of
-/// immutable segments plus a tombstone set ([`crate::segment`] holds the
-/// segment-management and per-segment scoring machinery).
+/// immutable [`IndexSegment`](crate::IndexSegment)s plus a tombstone
+/// set.
 #[derive(Debug)]
 pub struct NewsLinkIndex {
     /// Immutable shards sorted by disjoint ascending global-id ranges.
@@ -48,7 +48,7 @@ pub struct NewsLinkIndex {
     pub(crate) generation: u64,
     /// Aggregated entity matching statistics (Table V's numerator /
     /// denominator).
-    pub match_stats: MatchStats,
+    pub(crate) match_stats: MatchStats,
     /// Documents for which at least one entity group embedded.
     pub embedded_docs: usize,
     /// Accumulated per-component indexing time ("nlp", "ne", "ns").
@@ -136,10 +136,10 @@ pub(crate) fn fresh_generation() -> u64 {
 
 /// Per-document artifacts produced by the embedding stage.
 pub(crate) struct DocArtifacts {
-    pub analysis: DocumentAnalysis,
-    pub embedding: DocEmbedding,
-    pub nlp_nanos: u64,
-    pub ne_nanos: u64,
+    pub(crate) analysis: DocumentAnalysis,
+    pub(crate) embedding: DocEmbedding,
+    pub(crate) nlp_nanos: u64,
+    pub(crate) ne_nanos: u64,
 }
 
 /// Run NLP + NE for one document, consulting `cache` for every entity

@@ -4,41 +4,41 @@
 //! (`newslink-embed`) and the NS component (BOW/BON blending over
 //! `newslink-text`) into one engine:
 //!
-//! - [`config`] — β, embedding model, threading, segment sizing;
-//! - [`indexer`] — the [`NewsLinkIndex`] type, corpus embedding and
-//!   parallel segment building;
-//! - [`segment`] — immutable index segments, tombstones, compaction and
-//!   the global-stats scoring overlay;
-//! - [`searcher`] — Equation 3 blended scoring, per-segment scoring and
-//!   the top-k merge;
-//! - [`directory`] / [`reader`] — the storage seam: named-blob
-//!   directories (file-system or in-memory) and heap/mmap snapshot
-//!   readers;
-//! - [`persist`] / [`wal`] / [`store`] — snapshots, the write-ahead log
-//!   and the durable store that pairs them;
-//! - [`api`] — the declarative request/response types;
-//! - [`score_explain`] — Lucene-`explain()`-style score breakdowns;
-//! - [`pipeline`] — the [`NewsLink`] facade, the only public way to
+//! - [`NewsLinkConfig`] — β, embedding model, threading, segment sizing;
+//! - [`NewsLinkIndex`] — the segmented index: corpus embedding, parallel
+//!   segment building, immutable [`IndexSegment`]s, tombstones,
+//!   compaction and the global-stats scoring overlay ([`SideOverlay`]);
+//! - [`SearchResult`] — one Equation 3 blended hit, produced by
+//!   per-segment scoring and the top-k merge;
+//! - [`save_newslink_index`] / [`load_newslink_index`] — the v4 snapshot
+//!   format; a snapshot is read into the heap and decoded by one
+//!   validating decoder ([`read_newslink_index_tolerant`] quarantines
+//!   damaged segments instead of failing);
+//! - [`wal`] / [`DurableStore`] — the write-ahead log and the durable
+//!   store that pairs it with snapshots;
+//! - [`SearchRequest`] / [`SearchResponse`] — the declarative
+//!   request/response types;
+//! - [`ScoreExplanation`] — Lucene-`explain()`-style score breakdowns;
+//! - [`NewsLink`] — the facade, the only public way to
 //!   index ([`NewsLink::index_corpus`], [`NewsLink::index_corpus_sharded`]),
 //!   search ([`NewsLink::execute`], [`NewsLink::execute_batch`]) and
 //!   explain ([`NewsLink::explain`], [`NewsLink::explain_score`]). Its
 //!   `insert_document` / `delete_document` are the one way a document
 //!   enters or leaves a built index.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-pub mod api;
+pub(crate) mod api;
 mod cache;
-pub mod config;
-pub mod directory;
-pub mod indexer;
-pub mod persist;
-pub mod pipeline;
-pub mod reader;
-pub mod score_explain;
-pub mod searcher;
-pub mod segment;
-pub mod store;
+pub(crate) mod config;
+pub(crate) mod directory;
+pub(crate) mod indexer;
+pub(crate) mod persist;
+pub(crate) mod pipeline;
+pub(crate) mod score_explain;
+pub(crate) mod searcher;
+pub(crate) mod segment;
+pub(crate) mod store;
 pub mod wal;
 
 pub use api::{
@@ -52,15 +52,11 @@ pub use pipeline::{InstalledInsert, NewsLink, PreparedInsert, QueryAnalysis};
 pub use score_explain::{ScoreExplanation, SideExplanation, TermContribution};
 pub use searcher::SearchResult;
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};
-pub use directory::{Directory, FsDirectory, RamDirectory};
 pub use persist::{
-    atomic_write_file, load_newslink_index, read_newslink_index, read_newslink_index_bytes,
-    read_newslink_index_tolerant, save_newslink_index, segment_byte_spans, write_newslink_index,
-    LoadReport, PersistError,
+    load_newslink_index, read_newslink_index, read_newslink_index_tolerant, save_newslink_index,
+    segment_byte_spans, write_newslink_index, LoadReport, PersistError,
 };
-pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend};
 pub use store::DurableStore;
-pub use wal::{Wal, WalRecord};
 
 /// Document ids are minted by the index; re-exported so downstream
 /// crates (serve, cli) can name them without depending on the text crate.

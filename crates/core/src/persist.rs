@@ -18,12 +18,11 @@
 //! no pointer chasing, no length-prefixed deserialization walk. Inside a
 //! section every table is fixed-width little-endian (globals, embedding
 //! record ends, the columnar BOW/BON indexes of
-//! [`newslink_text::read_index_columnar`]), so a reader hands out `&[u8]`
-//! slices of the file instead of decoding: opening a snapshot from a
-//! memory mapping is "map, validate footers, go", and posting data plus
-//! the encoded doc store stay in the OS page cache rather than the
-//! process heap. The heap and mmap backends decode the same bytes; they
-//! differ only in where those bytes live.
+//! [`newslink_text::read_index_columnar`]). A snapshot loads in one way:
+//! the file is read into one heap buffer, every section's checksum is
+//! verified, and each section is decoded eagerly with full validation.
+//! Posting data and the encoded doc store stay slices of that buffer
+//! rather than copies.
 //!
 //! - **Detection**: a bit flip anywhere fails a checksum instead of
 //!   deserializing into silently wrong postings.
@@ -35,10 +34,9 @@
 //!
 //! [`save_newslink_index`] is crash-atomic: it writes `<path>.tmp`,
 //! fsyncs the file, renames it over `path` and fsyncs the parent
-//! directory, so a crash mid-save leaves the previous snapshot intact —
-//! and live memory mappings keep reading the replaced inode. Failures
-//! surface as typed [`PersistError`]s — a corrupt or truncated file, a
-//! checksum mismatch, a version mismatch and a foreign graph are
+//! directory, so a crash mid-save leaves the previous snapshot intact.
+//! Failures surface as typed [`PersistError`]s — a corrupt or truncated
+//! file, a checksum mismatch, a version mismatch and a foreign graph are
 //! distinguishable without string matching.
 
 use std::fmt;
@@ -48,7 +46,7 @@ use std::path::Path;
 use newslink_embed::codec as embed_codec;
 use newslink_kg::KnowledgeGraph;
 use newslink_nlp::MatchStats;
-use newslink_text::{read_index_columnar, read_index_columnar_lazy, write_index_columnar};
+use newslink_text::{read_index_columnar, write_index_columnar};
 use newslink_util::{crc32, varint, xxh64, Bytes, ComponentTimer, FxHashSet};
 
 use crate::indexer::NewsLinkIndex;
@@ -56,9 +54,8 @@ use crate::segment::{DocStore, IndexSegment};
 
 const MAGIC: &[u8; 4] = b"NLNK";
 /// The one format this build writes and reads: aligned,
-/// directory-addressed sections with fixed-width tables, so a
-/// memory-mapped reader never deserializes. Any other version byte is
-/// refused, not migrated.
+/// directory-addressed sections with fixed-width tables. Any other
+/// version byte is refused, not migrated.
 const VERSION: u8 = 4;
 
 /// No frame in a real index approaches this; a longer length prefix
@@ -408,8 +405,8 @@ fn parse_header(mut body: &[u8]) -> Result<Header, PersistError> {
 /// section's checksum has already passed; any failure here is
 /// [`Corrupt`].
 ///
-/// The returned segment's posting data and doc store are `Bytes` slices
-/// of `section` — zero-copy when the section came from a memory mapping.
+/// The returned segment's posting data and doc store are zero-copy
+/// `Bytes` slices of `section`.
 ///
 /// [`Corrupt`]: PersistError::Corrupt
 fn parse_segment(
@@ -451,8 +448,7 @@ fn parse_segment(
     let emb_at = bon_at + bon_len;
 
     // Tiling was just proved exact, so both tables slice cleanly; decode
-    // them with straight-line chunk walks (this is the hot O(docs) part
-    // of a mapped open).
+    // them with straight-line chunk walks.
     let mut globals = Vec::with_capacity(n);
     let mut prev = prev_global;
     for w in raw[globals_at..ends_at].chunks_exact(4) {
@@ -481,18 +477,9 @@ fn parse_segment(
         )));
     }
 
-    // Mapped sections decode lazily — the CRC just verified the bytes,
-    // so term lookups can binary-search the mapping and posting lists
-    // can materialize on first touch. Heap sections keep the eager,
-    // re-validating decode (the classic fail-fast path).
-    let read_columnar = if section.is_mapped() {
-        read_index_columnar_lazy
-    } else {
-        read_index_columnar
-    };
-    let bow = read_columnar(&section.slice(bow_at..bon_at))
+    let bow = read_index_columnar(&section.slice(bow_at..bon_at))
         .map_err(|e| oops(format!("BOW index: {e}")))?;
-    let bon = read_columnar(&section.slice(bon_at..emb_at))
+    let bon = read_index_columnar(&section.slice(bon_at..emb_at))
         .map_err(|e| oops(format!("BON index: {e}")))?;
     if bow.doc_count() != n || bon.doc_count() != n {
         return Err(oops(format!(
@@ -544,9 +531,8 @@ pub fn read_newslink_index_tolerant<R: Read>(
 }
 
 /// Deserialize an index from a whole-file byte region. This is the
-/// storage layer's entry point: hand it a memory-mapped [`Bytes`] and
-/// the snapshot loads zero-copy — posting data and the encoded doc
-/// store stay views of the mapping. `tolerant` selects
+/// storage layer's entry point: posting data and the encoded doc store
+/// of the loaded index stay views of `bytes`. `tolerant` selects
 /// quarantine-and-continue over fail-on-first-damage.
 ///
 /// The envelope is validated first, then each directory-addressed
@@ -560,13 +546,12 @@ pub fn read_newslink_index_bytes(
     let envelope = parse_envelope(bytes)?;
     check_graph(&envelope.header, graph)?;
 
-    let sums = section_sums(bytes, &envelope.sections);
     let mut report = LoadReport::default();
     let mut segments = Vec::with_capacity(envelope.header.n_segments.min(1024));
     let mut prev_global: Option<u32> = None;
     for (si, &(start, end, stored)) in envelope.sections.iter().enumerate() {
         let section = bytes.slice(start..end);
-        let computed = sums[si];
+        let computed = xxh64(&section);
         let parsed = if computed != stored {
             Err(PersistError::ChecksumMismatch {
                 what: format!("segment {si}"),
@@ -731,47 +716,6 @@ fn parse_envelope(raw: &[u8]) -> Result<Envelope, PersistError> {
     Ok(Envelope { header, sections })
 }
 
-/// Per-section XXH64 sums of the data region. On the mapped fast
-/// path the open-time work is *only* verification (decode is deferred),
-/// and the sections are independent — so large mapped files checksum on
-/// multiple threads. Heap loads keep the classic sequential
-/// verify-then-decode walk.
-fn section_sums(bytes: &Bytes, sections: &[(usize, usize, u64)]) -> Vec<u64> {
-    let total: usize = sections.iter().map(|&(s, e, _)| e - s).sum();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1);
-    if !bytes.is_mapped() || sections.len() < 2 || total < (1 << 20) || threads < 2 {
-        return sections
-            .iter()
-            .map(|&(start, end, _)| xxh64(&bytes[start..end]))
-            .collect();
-    }
-    let mut out = vec![0u64; sections.len()];
-    // Deal sections round-robin: contiguous chunks would serialize on
-    // one straggler when sizes are skewed.
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                sections
-                    .iter()
-                    .enumerate()
-                    .skip(t)
-                    .step_by(threads)
-                    .map(|(si, &(start, end, _))| (si, xxh64(&bytes[start..end])))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            for (si, sum) in h.join().expect("checksum worker panicked") {
-                out[si] = sum;
-            }
-        }
-    });
-    out
-}
-
 /// `(start, end)` byte span of every segment section in a snapshot, in
 /// directory order. The fault-injection suites use this to flip bytes
 /// inside a chosen segment without hand-walking the layout. Fails
@@ -816,7 +760,8 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Save to a file, crash-atomically (see [`atomic_write_file`]).
+/// Save to a file, crash-atomically: write `<path>.tmp`, fsync it,
+/// rename over `path`, fsync the parent directory.
 pub fn save_newslink_index(
     index: &NewsLinkIndex,
     graph: &KnowledgeGraph,
@@ -1119,24 +1064,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn assert_search_parity(
-        g: &KnowledgeGraph,
-        li: &newslink_kg::LabelIndex,
-        cfg: &NewsLinkConfig,
-        a: &NewsLinkIndex,
-        b: &NewsLinkIndex,
-    ) {
-        for q in ["Taliban near Kunar", "Pakistan talks", "story entities"] {
-            let x = search(g, li, cfg, a, q, 3);
-            let y = search(g, li, cfg, b, q, 3);
-            assert_eq!(x.results.len(), y.results.len(), "query {q}");
-            for (r, s) in x.results.iter().zip(&y.results) {
-                assert_eq!(r.doc, s.doc, "query {q}");
-                assert_eq!(r.score.to_bits(), s.score.to_bits(), "query {q}");
-            }
-        }
-    }
-
     #[test]
     fn v4_sections_are_aligned_and_addressable() {
         let (g, li) = world();
@@ -1213,47 +1140,5 @@ mod tests {
             read_newslink_index_tolerant(&g, &mut &nofoot[..]),
             Err(PersistError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn v4_load_from_mapping_is_zero_copy_and_bit_identical() {
-        let (g, li) = world();
-        let cfg = NewsLinkConfig::default().with_segment_docs(2);
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let dir = std::env::temp_dir().join(format!(
-            "newslink_persist_v4map_{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.nlnk");
-        save_newslink_index(&idx, &g, &path).unwrap();
-
-        let heap_bytes = Bytes::from_vec(std::fs::read(&path).unwrap());
-        let (heap_idx, _) = read_newslink_index_bytes(&g, &heap_bytes, false).unwrap();
-        let map = std::sync::Arc::new(
-            newslink_util::Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap(),
-        );
-        let mapped_bytes = Bytes::from_mmap(map);
-        let (mapped_idx, report) = read_newslink_index_bytes(&g, &mapped_bytes, true).unwrap();
-        assert!(!report.degraded());
-        // Posting data stays in the mapping: only block metadata is on
-        // the process heap.
-        let mapped_heap: usize = mapped_idx
-            .segments()
-            .iter()
-            .map(|s| s.bow().postings_heap_bytes() + s.bon().postings_heap_bytes())
-            .sum();
-        let owned_heap: usize = heap_idx
-            .segments()
-            .iter()
-            .map(|s| s.bow().postings_heap_bytes() + s.bon().postings_heap_bytes())
-            .sum();
-        assert!(
-            mapped_heap < owned_heap,
-            "mapped load must not copy posting data ({mapped_heap} vs {owned_heap})"
-        );
-        assert_search_parity(&g, &li, &cfg, &idx, &mapped_idx);
-        assert_search_parity(&g, &li, &cfg, &heap_idx, &mapped_idx);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

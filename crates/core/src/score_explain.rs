@@ -20,29 +20,29 @@ use crate::segment::Side;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TermContribution {
     /// The index term (word, or `n<id>` node term).
-    pub term: String,
+    pub(crate) term: String,
     /// Human-readable rendering (the node's KG label for BON terms).
-    pub display: String,
+    pub(crate) display: String,
     /// Term frequency in the document / embedding.
-    pub tf: u32,
+    pub(crate) tf: u32,
     /// Document frequency in the index.
-    pub df: u32,
+    pub(crate) df: u32,
     /// Query-side term frequency.
-    pub qtf: u32,
+    pub(crate) qtf: u32,
     /// BM25 contribution.
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// One side (BOW or BON) of the blended score.
 #[derive(Debug, Clone, Default)]
 pub struct SideExplanation {
     /// Per-term contributions, largest first.
-    pub contributions: Vec<TermContribution>,
+    pub(crate) contributions: Vec<TermContribution>,
     /// Raw accumulated score.
-    pub raw: f64,
+    pub(crate) raw: f64,
     /// The normalization divisor (the side's maximum over all candidates),
     /// 0 when the side is inactive or empty.
-    pub max_raw: f64,
+    pub(crate) max_raw: f64,
     /// The normalized value entering the blend.
     pub normalized: f64,
 }
@@ -51,9 +51,9 @@ pub struct SideExplanation {
 #[derive(Debug, Clone)]
 pub struct ScoreExplanation {
     /// The explained document.
-    pub doc: DocId,
+    pub(crate) doc: DocId,
     /// β used in the blend.
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// `(1-β)·bow.normalized + β·bon.normalized`.
     pub total: f64,
     /// The text side.

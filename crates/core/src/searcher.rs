@@ -42,20 +42,20 @@ pub struct SearchResult {
 #[derive(Debug)]
 pub(crate) struct QueryOutcome {
     /// Ranked results, best first.
-    pub results: Vec<SearchResult>,
+    pub(crate) results: Vec<SearchResult>,
     /// The query's own subgraph embedding.
-    pub embedding: DocEmbedding,
+    pub(crate) embedding: DocEmbedding,
     /// Per-component latency ("nlp", "ne", "ns").
-    pub timer: ComponentTimer,
+    pub(crate) timer: ComponentTimer,
     /// How the engine's caches served this query (all-false when it
     /// bypassed them).
-    pub cache: QueryCacheInfo,
+    pub(crate) cache: QueryCacheInfo,
     /// The deadline expired between pipeline stages; `results` is empty
     /// and `timer` reports only the stages that ran.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
     /// Pruned-evaluator work counters (all zero on the exhaustive
     /// oracle path).
-    pub prune: PruneStats,
+    pub(crate) prune: PruneStats,
 }
 
 /// Max-normalize per-segment score maps in place against their *global*

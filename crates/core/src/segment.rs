@@ -44,8 +44,8 @@ use crate::indexer::{DocArtifacts, NewsLinkIndex};
 ///
 /// Live builds hold decoded embeddings (`Eager`). Segments opened from a
 /// version-4 snapshot keep the *encoded* blob — a zero-copy [`Bytes`]
-/// view, memory-mapped under the mmap backend — and decode one document
-/// on first touch (`Lazy`). Scoring never reads the doc store (the
+/// view of the loaded snapshot — and decode one document on first touch
+/// (`Lazy`). Scoring never reads the doc store (the
 /// blended score is computed from the BOW/BON posting lists alone), so a
 /// cold start pays no decode cost; only `explain`, merges and snapshot
 /// rewrites fault embeddings in, and each is decoded at most once.
@@ -264,7 +264,7 @@ impl IndexSegment {
     /// Stored per-document embeddings in local doc-id order. Under a
     /// lazy (snapshot-backed) doc store this decodes every document it
     /// visits, so it belongs on rewrite paths, not serving paths.
-    pub fn embeddings(&self) -> impl Iterator<Item = &DocEmbedding> + '_ {
+    pub(crate) fn embeddings(&self) -> impl Iterator<Item = &DocEmbedding> + '_ {
         self.docs.iter()
     }
 
@@ -274,17 +274,17 @@ impl IndexSegment {
     }
 
     /// Global ids of this shard's documents (strictly ascending).
-    pub fn globals(&self) -> &[u32] {
+    pub(crate) fn globals(&self) -> &[u32] {
         &self.globals
     }
 
     /// Documents in this shard (live or tombstoned).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.globals.len()
     }
 
     /// True when the shard holds no documents.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.globals.is_empty()
     }
 
@@ -394,12 +394,12 @@ impl NewsLinkIndex {
     }
 
     /// Segment merges performed so far.
-    pub fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions
     }
 
     /// Documents physically stored (live + tombstoned).
-    pub fn total_docs(&self) -> usize {
+    pub(crate) fn total_docs(&self) -> usize {
         self.segments.iter().map(IndexSegment::len).sum()
     }
 
@@ -516,7 +516,7 @@ impl NewsLinkIndex {
     /// Tombstoned documents inside merged pairs are physically dropped
     /// and their ids leave the tombstone set. Returns the number of
     /// merges performed.
-    pub fn compact_to(&mut self, max_segments: usize) -> usize {
+    pub(crate) fn compact_to(&mut self, max_segments: usize) -> usize {
         let plan = self.plan_compaction(None, max_segments);
         let merges = plan.merges;
         self.apply_compaction(plan);
@@ -1221,7 +1221,7 @@ mod tests {
 
     /// Merging by posting concatenation builds exactly the dictionaries,
     /// postings and lengths the string replay builds — over tombstoned
-    /// segments built live, loaded onto the heap and memory-mapped.
+    /// segments built live and loaded from a snapshot.
     #[test]
     fn posting_merge_matches_string_replay() {
         let (g, li) = world();
@@ -1235,22 +1235,11 @@ mod tests {
         for victim in [1, 3, 4, 8] {
             assert!(live.delete(DocId(victim)));
         }
-        let dir = std::env::temp_dir().join(format!(
-            "newslink_segment_merge_oracle_{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.nlnk");
-        crate::persist::save_newslink_index(&live, &g, &path).unwrap();
-        let heap_bytes = Bytes::from_vec(std::fs::read(&path).unwrap());
-        let (heap, _) = crate::persist::read_newslink_index_bytes(&g, &heap_bytes, false).unwrap();
-        let map = std::sync::Arc::new(
-            newslink_util::Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap(),
-        );
-        let (mapped, _) =
-            crate::persist::read_newslink_index_bytes(&g, &Bytes::from_mmap(map), false).unwrap();
+        let mut buf = Vec::new();
+        crate::persist::write_newslink_index(&live, &g, &mut buf).unwrap();
+        let loaded = crate::persist::read_newslink_index(&g, &mut &buf[..]).unwrap();
         let empty = IndexSegment::build(Vec::new());
-        for (name, index) in [("live", &live), ("heap", &heap), ("mmap", &mapped)] {
+        for (name, index) in [("live", &live), ("loaded", &loaded)] {
             assert_eq!(index.tombstone_count(), 4, "{name}");
             let segs = &index.segments;
             assert!(segs.len() >= 3, "{name}");
@@ -1274,7 +1263,6 @@ mod tests {
                 assert_eq!(merged.len(), bow.doc_count());
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,13 +21,11 @@
 //! that crashed before its rename is deleted on open — it was never
 //! made visible, so it is garbage by construction.
 //!
-//! Snapshot I/O goes through the [`Directory`]/[`SegmentReader`] seam:
-//! [`open_with`](DurableStore::open_with) selects the storage backend
-//! ([`StorageBackend::Heap`] copies the snapshot into the process heap;
-//! [`StorageBackend::Mmap`] memory-maps it and serves postings and the
-//! doc store zero-copy from the mapping). Checkpoints publish by atomic
-//! rename, so a live mapping keeps reading the replaced inode. The WAL
-//! is always file-backed — durability is its whole point.
+//! Snapshot I/O goes through the [`Directory`] seam: the snapshot is
+//! read into the heap and decoded by
+//! [`read_newslink_index_bytes`](crate::persist::read_newslink_index_bytes),
+//! and checkpoints publish by atomic rename. The WAL is always
+//! file-backed — durability is its whole point.
 //!
 //! [`log_insert`]: DurableStore::log_insert
 //! [`log_delete`]: DurableStore::log_delete
@@ -41,23 +39,20 @@ use newslink_text::DocId;
 
 use crate::directory::{Directory, FsDirectory};
 use crate::indexer::NewsLinkIndex;
-use crate::persist::{write_newslink_index, LoadReport, PersistError};
+use crate::persist::{read_newslink_index_bytes, write_newslink_index, LoadReport, PersistError};
 use crate::pipeline::NewsLink;
-use crate::reader::{SegmentReader, StorageBackend};
 use crate::wal::{Wal, WalRecord};
 
 /// Snapshot file name inside the data directory.
-pub const SNAPSHOT_FILE: &str = "index.nlnk";
+pub(crate) const SNAPSHOT_FILE: &str = "index.nlnk";
 /// Write-ahead-log file name inside the data directory.
-pub const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// A data directory holding one index: snapshot + WAL. See the module
 /// docs for the recovery protocol.
 #[derive(Debug)]
 pub struct DurableStore {
-    dir: PathBuf,
     fs: FsDirectory,
-    reader: Box<dyn SegmentReader>,
     wal: Wal,
     report: LoadReport,
 }
@@ -69,44 +64,29 @@ impl DurableStore {
     /// the corpus file) and it is checkpointed immediately so the next
     /// open skips the build.
     ///
-    /// Uses the default [`StorageBackend`] (heap); see
-    /// [`open_with`](Self::open_with).
-    ///
     /// Recovery also checkpoints when the WAL held records and the
     /// snapshot loaded clean, folding them in so the log stays short. A
     /// *degraded* load (quarantined segments) is deliberately never
     /// auto-checkpointed: overwriting the damaged snapshot would destroy
     /// the evidence an operator may want for repair. An explicit
     /// [`checkpoint`](Self::checkpoint) accepts the loss.
-    pub fn open(
-        engine: &NewsLink<'_>,
-        dir: &Path,
-        seed: impl FnOnce() -> NewsLinkIndex,
-    ) -> Result<(Self, NewsLinkIndex), PersistError> {
-        Self::open_with(engine, dir, StorageBackend::default(), seed)
-    }
-
-    /// [`open`](Self::open) through an explicit storage backend: the
-    /// snapshot loads through that backend's [`SegmentReader`].
     ///
     /// A snapshot this build cannot read — a foreign magic, or any
     /// version but the current one — fails the open with a typed
     /// [`PersistError`] before anything is written, so the file is left
     /// exactly as it was found.
-    pub fn open_with(
+    pub fn open(
         engine: &NewsLink<'_>,
         dir: &Path,
-        backend: StorageBackend,
         seed: impl FnOnce() -> NewsLinkIndex,
     ) -> Result<(Self, NewsLinkIndex), PersistError> {
         let fsdir = FsDirectory::create(dir)?;
-        let reader = backend.reader();
         fsdir.remove(&format!("{SNAPSHOT_FILE}.tmp"))?;
         let fresh = !fsdir.exists(SNAPSHOT_FILE);
         let (mut index, mut report) = if fresh {
             (seed(), LoadReport::default())
         } else {
-            reader.read_snapshot(&fsdir, SNAPSHOT_FILE, engine.graph(), true)?
+            read_newslink_index_bytes(engine.graph(), &fsdir.read(SNAPSHOT_FILE)?, true)?
         };
         let (wal, records, torn) = Wal::open(&dir.join(WAL_FILE))?;
         report.wal_truncated_bytes = torn;
@@ -118,9 +98,7 @@ impl DurableStore {
             }
         }
         let mut store = Self {
-            dir: dir.to_path_buf(),
             fs: fsdir,
-            reader,
             wal,
             report,
         };
@@ -135,19 +113,14 @@ impl DurableStore {
         &self.report
     }
 
-    /// Which storage backend snapshots load through.
-    pub fn backend(&self) -> StorageBackend {
-        self.reader.backend()
-    }
-
     /// Current WAL length in bytes (its 5-byte header included).
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
     }
 
     /// The snapshot's path (for tooling/tests).
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join(SNAPSHOT_FILE)
+    pub(crate) fn snapshot_path(&self) -> PathBuf {
+        self.fs.path_of(SNAPSHOT_FILE)
     }
 
     /// Size of the current snapshot file in bytes (0 when absent).
@@ -310,36 +283,6 @@ mod tests {
         let (_, index) = DurableStore::open(&engine, &dir, || unreachable!()).unwrap();
         assert_eq!(index.doc_count(), 2);
         assert!(!tmp.exists(), "garbage temp file removed on open");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mmap_backend_round_trips_and_survives_checkpoint() {
-        let (g, li) = world();
-        let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
-        let dir = temp_dir("mmap");
-        let mmap = StorageBackend::Mmap;
-        let (store, index) =
-            DurableStore::open_with(&engine, &dir, mmap, || engine.index_corpus(DOCS)).unwrap();
-        assert_eq!(store.backend(), StorageBackend::Mmap);
-        assert_eq!(index.doc_count(), 2);
-        assert!(store.snapshot_len() > 0);
-        drop(store);
-        // Reopen: the snapshot loads through the mapping and the live
-        // index keeps it alive while a checkpoint replaces the file.
-        let (mut store, mut index) =
-            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
-        assert_eq!(index.doc_count(), 2);
-        let id = engine.insert_document(&mut index, "Kunar aid convoy arrived.");
-        store.log_insert(id, "Kunar aid convoy arrived.").unwrap();
-        store.checkpoint(&index, &g).unwrap();
-        // The pre-checkpoint mapping (inside `index`) is still readable.
-        assert!(index.locate(DocId(0)).is_some());
-        drop(store);
-        let (store, reloaded) =
-            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
-        assert_eq!(reloaded.doc_count(), 3);
-        assert_eq!(store.report().wal_records_replayed, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

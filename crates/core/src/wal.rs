@@ -45,7 +45,7 @@ const TAG_DELETE: u8 = 2;
 /// Documents are measured in kilobytes; a longer payload length means a
 /// corrupt prefix. [`Wal::append`] enforces the same bound on the way
 /// in, so a record it acknowledges is always one [`scan`] will accept.
-pub const MAX_RECORD_BYTES: u64 = 1 << 28;
+pub(crate) const MAX_RECORD_BYTES: u64 = 1 << 28;
 /// Upper bound handed to [`varint::read_str`] when decoding a payload.
 const MAX_TEXT_BYTES: usize = MAX_RECORD_BYTES as usize;
 
@@ -120,7 +120,7 @@ pub struct WalScan {
     pub header_ok: bool,
     /// Byte length of the valid prefix (header + intact records); the
     /// file should be truncated to this on open.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Bytes beyond the valid prefix: a torn final append (or, with
     /// `header_ok == false`, a file that never finished its header).
     pub torn_bytes: u64,
@@ -249,7 +249,7 @@ impl Wal<File> {
     /// and truncate any torn tail. Returns the log positioned for
     /// appends, the recovered records, and how many torn bytes were
     /// discarded.
-    pub fn open(path: &Path) -> io::Result<(Self, Vec<WalRecord>, u64)> {
+    pub(crate) fn open(path: &Path) -> io::Result<(Self, Vec<WalRecord>, u64)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -297,7 +297,7 @@ impl Wal<File> {
 impl<S: WalStorage> Wal<S> {
     /// Start an empty log on `storage` (writing and syncing the header).
     /// This is the fault-injection entry point: production opens go
-    /// through [`Wal::open`], which also recovers existing records.
+    /// through `Wal::open`, which also recovers existing records.
     pub fn over(mut storage: S) -> io::Result<Self> {
         storage.set_len(0)?;
         storage.seek_to(0)?;
@@ -331,7 +331,7 @@ impl<S: WalStorage> Wal<S> {
     /// that repair also failed — the log is poisoned and every further
     /// append fails until the file is reopened.
     ///
-    /// A record whose payload exceeds [`MAX_RECORD_BYTES`] is rejected
+    /// A record whose payload exceeds `MAX_RECORD_BYTES` (256 MiB) is rejected
     /// up front (`InvalidInput`) without touching the file: [`scan`]
     /// would refuse the frame on reopen, silently dropping it and every
     /// record after it.
@@ -391,7 +391,7 @@ impl<S: WalStorage> Wal<S> {
     /// be trusted; reopen to recover. (The records themselves stay safe
     /// either way: they are idempotent against the snapshot that
     /// prompted the reset.)
-    pub fn reset(&mut self) -> io::Result<()> {
+    pub(crate) fn reset(&mut self) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::other(
                 "wal poisoned by an unrepaired append failure; reopen the log to recover",
@@ -415,12 +415,13 @@ impl<S: WalStorage> Wal<S> {
     }
 
     /// Current file length in bytes (header included).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
     /// True when the log holds no records.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == WAL_HEADER_LEN
     }
 

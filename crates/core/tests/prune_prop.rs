@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    write_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
-    RamDirectory, SearchRequest, SearchResponse, StorageBackend,
+    read_newslink_index, write_newslink_index, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    SearchRequest, SearchResponse,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -122,34 +122,12 @@ fn tied_docs_across_segments_match_oracle() {
     }
 }
 
-/// Save `index` as a v4 snapshot and load it back through both storage
-/// backends (heap over a [`RamDirectory`], mmap over a real file).
-fn round_trip_both_backends(
-    g: &KnowledgeGraph,
-    index: &NewsLinkIndex,
-    tag: &str,
-) -> (NewsLinkIndex, NewsLinkIndex) {
+/// Save `index` as a v4 snapshot and load it back (strict: any damage
+/// would fail the load).
+fn round_trip(g: &KnowledgeGraph, index: &NewsLinkIndex) -> NewsLinkIndex {
     let mut buf = Vec::new();
     write_newslink_index(index, g, &mut buf).expect("encode v4");
-    let ram = RamDirectory::new();
-    ram.atomic_write("index.nlnk", &buf).expect("ram write");
-    let (heap, _) = StorageBackend::Heap
-        .reader()
-        .read_snapshot(&ram, "index.nlnk", g, false)
-        .expect("heap load");
-    let dir = std::env::temp_dir().join(format!(
-        "newslink_prune_prop_{}_{tag}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let fs = FsDirectory::create(&dir).expect("fs dir");
-    fs.atomic_write("index.nlnk", &buf).expect("fs write");
-    let (mmap, _) = StorageBackend::Mmap
-        .reader()
-        .read_snapshot(&fs, "index.nlnk", g, false)
-        .expect("mmap load");
-    std::fs::remove_dir_all(&dir).ok();
-    (heap, mmap)
+    read_newslink_index(g, &mut &buf[..]).expect("load v4")
 }
 
 proptest! {
@@ -218,20 +196,17 @@ proptest! {
             prop_assert_eq!(x.bon.to_bits(), y.bon.to_bits(), "bon bits for doc {}", x.doc.0);
         }
 
-        // Block-max pruning over reloaded snapshots: the pruned path
-        // must stay bit-identical whether the postings live on the heap
-        // or straight in a file mapping.
-        let (heap_idx, mmap_idx) = round_trip_both_backends(&g, &idx, "pruned");
-        for (reloaded, label) in [(&heap_idx, "heap"), (&mmap_idx, "mmap")] {
-            let again = search(&pruned_engine, reloaded, &query, k);
-            prop_assert_eq!(again.results.len(), pruned.results.len(), "{} reload", label);
-            for (x, y) in again.results.iter().zip(&pruned.results) {
-                prop_assert_eq!(x.doc, y.doc, "{} reload doc order", label);
-                prop_assert_eq!(
-                    x.score.to_bits(), y.score.to_bits(),
-                    "{} reload score bits for doc {}", label, x.doc.0
-                );
-            }
+        // Block-max pruning over a reloaded snapshot, whose postings are
+        // slices of the loaded file's buffer, stays bit-identical.
+        let reloaded = round_trip(&g, &idx);
+        let again = search(&pruned_engine, &reloaded, &query, k);
+        prop_assert_eq!(again.results.len(), pruned.results.len(), "reload");
+        for (x, y) in again.results.iter().zip(&pruned.results) {
+            prop_assert_eq!(x.doc, y.doc, "reload doc order");
+            prop_assert_eq!(
+                x.score.to_bits(), y.score.to_bits(),
+                "reload score bits for doc {}", x.doc.0
+            );
         }
     }
 

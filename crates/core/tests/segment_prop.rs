@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    write_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
-    RamDirectory, SearchRequest, StorageBackend,
+    read_newslink_index, write_newslink_index, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    SearchRequest,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -82,42 +82,13 @@ fn assert_same_ranking(
     }
 }
 
-/// Save `index` as a v4 snapshot and load it back through both storage
-/// backends: heap over an in-memory directory, mmap over a real file.
-/// The storage seam is an internal decision just like segmentation — it
-/// must never leak into scores.
-fn round_trip_both_backends(
-    g: &KnowledgeGraph,
-    index: &NewsLinkIndex,
-    tag: &str,
-) -> (NewsLinkIndex, NewsLinkIndex) {
+/// Save `index` as a v4 snapshot and load it back (strict: any damage
+/// would fail the load). Persistence is an internal decision just like
+/// segmentation — it must never leak into scores.
+fn round_trip(g: &KnowledgeGraph, index: &NewsLinkIndex) -> NewsLinkIndex {
     let mut buf = Vec::new();
     write_newslink_index(index, g, &mut buf).expect("encode v4");
-
-    let ram = RamDirectory::new();
-    ram.atomic_write("index.nlnk", &buf).expect("ram write");
-    let (heap, report) = StorageBackend::Heap
-        .reader()
-        .read_snapshot(&ram, "index.nlnk", g, false)
-        .expect("heap load");
-    assert!(!report.degraded(), "{tag}");
-
-    let dir = std::env::temp_dir().join(format!(
-        "newslink_segment_prop_{}_{tag}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let fs = FsDirectory::create(&dir).expect("fs dir");
-    fs.atomic_write("index.nlnk", &buf).expect("fs write");
-    let (mmap, report) = StorageBackend::Mmap
-        .reader()
-        .read_snapshot(&fs, "index.nlnk", g, false)
-        .expect("mmap load");
-    assert!(!report.degraded(), "{tag}");
-    // The mapping outlives the unlink: the inode stays alive until the
-    // index (and its mapped views) drop.
-    std::fs::remove_dir_all(&dir).ok();
-    (heap, mmap)
+    read_newslink_index(g, &mut &buf[..]).expect("load v4")
 }
 
 proptest! {
@@ -153,11 +124,10 @@ proptest! {
         prop_assert_eq!(compacted.segment_count(), 1);
         assert_same_ranking(&mono_engine, &mono, &compacted, &query, k, "compacted");
 
-        // A v4 snapshot round-trip through either storage backend
-        // reproduces the segmented ranking bit for bit.
-        let (heap, mmap) = round_trip_both_backends(&g, &seg, "build");
-        assert_same_ranking(&seg_engine, &seg, &heap, &query, k, "heap reload");
-        assert_same_ranking(&seg_engine, &seg, &mmap, &query, k, "mmap reload");
+        // A v4 snapshot round-trip reproduces the segmented ranking bit
+        // for bit.
+        let reloaded = round_trip(&g, &seg);
+        assert_same_ranking(&seg_engine, &seg, &reloaded, &query, k, "reload");
     }
 
     /// Deletions behave identically however the index is laid out — a
@@ -204,10 +174,9 @@ proptest! {
         assert_same_ranking(&mono_engine, &mono, &seg, &query, k, "tombstoned");
         assert_same_ranking(&mono_engine, &mono, &inc, &query, k, "inserted");
 
-        // Tombstones persist through the v4 round-trip on both backends.
-        let (heap, mmap) = round_trip_both_backends(&g, &seg, "tombstoned");
-        assert_same_ranking(&mono_engine, &mono, &heap, &query, k, "tombstoned heap");
-        assert_same_ranking(&mono_engine, &mono, &mmap, &query, k, "tombstoned mmap");
+        // Tombstones persist through the v4 round-trip.
+        let reloaded = round_trip(&g, &seg);
+        assert_same_ranking(&mono_engine, &mono, &reloaded, &query, k, "tombstoned reload");
 
         // Compacting the segmented index expunges its tombstones but
         // must not change what a search returns.

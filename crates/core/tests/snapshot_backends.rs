@@ -1,25 +1,24 @@
-//! Storage-backend parity, mapped-corruption and upgrade suite for the
-//! snapshot format.
+//! Load-path, corruption and upgrade suite for the snapshot format.
 //!
 //! Contracts under test:
 //!
-//! 1. both storage backends ([`StorageBackend::Heap`] and
-//!    [`StorageBackend::Mmap`]) produce **bit-identical** indexes from
-//!    the same snapshot file;
-//! 2. flipping bytes inside a **memory-mapped** block never panics and
-//!    never fabricates documents: a corrupt section is quarantined in
-//!    tolerant mode (degraded [`LoadReport`]) and is a typed error in
-//!    strict mode, at every byte offset of every section;
+//! 1. a snapshot loaded the way a server loads it
+//!    ([`DurableStore::open`]: read into the heap, decoded by the one
+//!    validating decoder) ranks **bit-identically** to the index it was
+//!    written from;
+//! 2. flipping bytes inside a segment section never panics and never
+//!    fabricates documents: a corrupt section is quarantined in tolerant
+//!    mode (degraded [`LoadReport`]) and is a typed error in strict mode,
+//!    at every probed byte offset of every section;
 //! 3. a data directory written by an older release (version byte 3) is
-//!    refused with a typed [`PersistError::UnsupportedVersion`] on
-//!    either backend, and the file is left untouched — no checkpoint
-//!    overwrites it.
+//!    refused with a typed [`PersistError::UnsupportedVersion`], and the
+//!    file is left untouched — no checkpoint overwrites it.
 //!
 //! [`LoadReport`]: newslink_core::LoadReport
 
 use newslink_core::{
-    segment_byte_spans, DurableStore, FsDirectory, MmapSegmentReader, NewsLink,
-    NewsLinkConfig, NewsLinkIndex, PersistError, SearchRequest, SegmentReader, StorageBackend,
+    read_newslink_index, read_newslink_index_tolerant, segment_byte_spans, DurableStore, NewsLink,
+    NewsLinkConfig, NewsLinkIndex, PersistError, SearchRequest,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -77,10 +76,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The same snapshot file read through the heap and mmap backends yields
-/// bit-identical indexes.
+/// A snapshot opened through the durable store loads clean and ranks
+/// bit-identically to the index it was written from.
 #[test]
-fn heap_and_mmap_backends_agree_bit_for_bit() {
+fn loaded_snapshot_ranks_bit_identically_to_reference() {
     let (g, li) = world();
     let engine = NewsLink::new(
         &g,
@@ -92,27 +91,18 @@ fn heap_and_mmap_backends_agree_bit_for_bit() {
     std::fs::create_dir_all(&dir).unwrap();
     newslink_core::save_newslink_index(&reference, &g, &dir.join("index.nlnk")).unwrap();
 
-    let fs = FsDirectory::create(&dir).unwrap();
-    let mut loaded = Vec::new();
-    for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
-        let (index, report) = backend
-            .reader()
-            .read_snapshot(&fs, "index.nlnk", &g, false)
-            .unwrap_or_else(|e| panic!("{backend}: {e}"));
-        assert!(!report.degraded(), "{backend}");
-        loaded.push(index);
-    }
-    let (heap, mmap) = (&loaded[0], &loaded[1]);
-    assert_bit_identical(&engine, heap, mmap, "heap vs mmap");
-    assert_bit_identical(&engine, &reference, mmap, "reference vs mmap");
+    let (store, loaded) = DurableStore::open(&engine, &dir, || unreachable!()).unwrap();
+    assert!(!store.report().degraded());
+    assert_eq!(store.report().segments_loaded, DOCS.len());
+    assert_bit_identical(&engine, &reference, &loaded, "reference vs loaded");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Corrupted-mapping sweep: flip every byte of every mapped segment
-/// section in turn; the tolerant mmap load must quarantine (never
-/// panic, never invent documents), and the strict load must error.
+/// Corruption sweep: flip bytes of every segment section in turn; the
+/// tolerant load must quarantine exactly that section (never panic,
+/// never invent documents), and the strict load must error.
 #[test]
-fn every_mapped_section_byte_flip_quarantines_without_panic() {
+fn every_section_byte_flip_quarantines_without_panic() {
     let (g, li) = world();
     let engine = NewsLink::new(
         &g,
@@ -120,32 +110,25 @@ fn every_mapped_section_byte_flip_quarantines_without_panic() {
         NewsLinkConfig::default().with_segment_docs(1).with_max_segments(64),
     );
     let reference = engine.index_corpus(DOCS);
-    let dir = temp_dir("flip");
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("index.nlnk");
-    newslink_core::save_newslink_index(&reference, &g, &snap).unwrap();
-    let pristine = std::fs::read(&snap).unwrap();
+    let mut pristine = Vec::new();
+    newslink_core::write_newslink_index(&reference, &g, &mut pristine).unwrap();
     let spans = segment_byte_spans(&pristine).unwrap();
     let all_ids = ids(&reference);
 
-    let fs = FsDirectory::create(&dir).unwrap();
-    let reader = MmapSegmentReader;
     for (si, &(start, end)) in spans.iter().enumerate() {
         // Striding keeps the sweep fast while still probing headers,
         // tables, posting data and the doc-store blob of each section.
         for at in (start..end).step_by(7).chain([end - 1]) {
             let mut bytes = pristine.clone();
             bytes[at] ^= 0xA5;
-            std::fs::write(&snap, &bytes).unwrap();
 
             // Strict: typed error, never a panic.
-            let strict = reader.read_snapshot(&fs, "index.nlnk", &g, false);
+            let strict = read_newslink_index(&g, &mut &bytes[..]);
             assert!(strict.is_err(), "section {si} byte {at}: strict must fail");
 
             // Tolerant: exactly that section quarantined; survivors and
             // their scores are untouched.
-            let (index, report) = reader
-                .read_snapshot(&fs, "index.nlnk", &g, true)
+            let (index, report) = read_newslink_index_tolerant(&g, &mut &bytes[..])
                 .unwrap_or_else(|e| panic!("section {si} byte {at}: tolerant load failed: {e}"));
             assert!(report.degraded(), "section {si} byte {at}");
             assert_eq!(report.quarantined_segments, 1, "section {si} byte {at}");
@@ -162,38 +145,35 @@ fn every_mapped_section_byte_flip_quarantines_without_panic() {
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An old data directory (its snapshot's version byte is 3) fails the
-/// open with a typed error on both backends, never panics, never runs
-/// the seed, and never checkpoints over the file it could not read.
+/// open with a typed error, never panics, never runs the seed, and never
+/// checkpoints over the file it could not read.
 #[test]
 fn v3_data_dir_is_refused_typed_and_untouched() {
     let (g, li) = world();
     let engine = NewsLink::new(&g, &li, NewsLinkConfig::default().with_segment_docs(1));
     let reference = engine.index_corpus(DOCS);
-    for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
-        let dir = temp_dir(&format!("v3dir_{backend}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("index.nlnk");
-        newslink_core::save_newslink_index(&reference, &g, &snap).unwrap();
-        let mut old = std::fs::read(&snap).unwrap();
-        old[4] = 3;
-        std::fs::write(&snap, &old).unwrap();
+    let dir = temp_dir("v3dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("index.nlnk");
+    newslink_core::save_newslink_index(&reference, &g, &snap).unwrap();
+    let mut old = std::fs::read(&snap).unwrap();
+    old[4] = 3;
+    std::fs::write(&snap, &old).unwrap();
 
-        match DurableStore::open_with(&engine, &dir, backend, || unreachable!()) {
-            Err(err @ PersistError::UnsupportedVersion(3)) => {
-                assert!(err.to_string().contains("this build reads 4"), "{backend}: {err}");
-            }
-            Err(other) => panic!("{backend}: expected UnsupportedVersion(3), got {other}"),
-            Ok(_) => panic!("{backend}: a version-3 snapshot must not open"),
+    match DurableStore::open(&engine, &dir, || unreachable!()) {
+        Err(err @ PersistError::UnsupportedVersion(3)) => {
+            assert!(err.to_string().contains("this build reads 4"), "{err}");
         }
-        assert_eq!(
-            std::fs::read(&snap).unwrap(),
-            old,
-            "{backend}: the refused snapshot must be left byte-identical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        Err(other) => panic!("expected UnsupportedVersion(3), got {other}"),
+        Ok(_) => panic!("a version-3 snapshot must not open"),
     }
+    assert_eq!(
+        std::fs::read(&snap).unwrap(),
+        old,
+        "the refused snapshot must be left byte-identical"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

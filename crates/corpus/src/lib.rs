@@ -14,7 +14,7 @@
 //! - [`select_query`] — query-sentence selection (largest-entity-density and
 //!   random, §VII-B).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod fact;
 pub(crate) mod gen;

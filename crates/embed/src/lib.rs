@@ -15,7 +15,7 @@
 //! - [`explain`] — relationship-path extraction from embedding overlap, the
 //!   intuitive-search feature of the paper's case study.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod algo;
 pub mod bon;

@@ -10,7 +10,7 @@
 //! - [`ablation`] — the G* coverage and edge-weighting ablations;
 //! - [`tables`] — paper-style text rendering.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod case_study;

@@ -186,6 +186,11 @@ impl LabelIndex {
     /// accepted by `searchable`. `allow_single` gates `w == 1` (the NER
     /// capitalization guard). This is the gazetteer hot path; windows are
     /// probed longest-first.
+    ///
+    /// Most probed positions start no label, so a first token that no
+    /// surface contains answers `None` with one hash probe. Otherwise the
+    /// widest window is joined once and every narrower window is probed
+    /// as a byte prefix of it.
     pub fn longest_match(
         &self,
         tokens: &[&str],
@@ -194,12 +199,26 @@ impl LabelIndex {
         searchable: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<usize> {
         let cap = max_w.min(tokens.len());
+        if cap == 0 {
+            return None;
+        }
+        // Only a first token that normalizes to one whole token can be
+        // ruled out this way (an empty one vanishes from the joined
+        // phrase, and one with inner whitespace splits in two).
+        let first = normalize_label(tokens[0]);
+        if !first.is_empty() && !first.contains(' ') && !self.token.contains_key(first.as_ref()) {
+            return None;
+        }
+        let phrase = tokens[..cap].join(" ");
+        let mut end = phrase.len();
         for w in (1..=cap).rev() {
+            if w < cap {
+                end -= tokens[w].len() + 1;
+            }
             if w == 1 && !allow_single {
                 continue;
             }
-            let phrase = tokens[..w].join(" ");
-            if self.exact(&phrase).iter().any(|&n| searchable(n)) {
+            if self.exact(&phrase[..end]).iter().any(|&n| searchable(n)) {
                 return Some(w);
             }
         }

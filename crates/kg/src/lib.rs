@@ -16,7 +16,7 @@
 //!   baseline);
 //! - [`stats`] — descriptive statistics for reports.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod describe;

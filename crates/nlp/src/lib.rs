@@ -11,7 +11,7 @@
 //! - [`maximal_cooccurrence`] — maximal entity co-occurrence sets (Definition 1);
 //! - [`NlpPipeline`] — the end-to-end pipeline.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod analyzer;
 pub(crate) mod cooccur;

@@ -71,11 +71,6 @@ impl DurableState {
         self.snapshots.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The storage backend serving the snapshot (`"heap"` or `"mmap"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.store().backend().as_str()
-    }
-
     /// WAL appends acknowledged since startup.
     pub fn wal_appends_total(&self) -> u64 {
         self.wal_appends.load(Ordering::Relaxed)
@@ -87,17 +82,15 @@ impl DurableState {
     }
 
     /// The `/metrics` durability section: the immutable recovery report
-    /// plus live append/checkpoint counters, the current WAL size, and
-    /// the storage backend serving the snapshot.
+    /// plus live append/checkpoint counters, the current WAL size and
+    /// the snapshot size.
     pub fn gauges(&self) -> Value {
         let num = |n: u64| Value::Number(Number::from_i128(n as i128));
         let store = self.store();
         let wal_bytes = store.wal_len();
-        let backend = store.backend().as_str();
         let snapshot_bytes = store.snapshot_len();
         drop(store);
         Value::Object(vec![
-            ("backend".into(), Value::String(backend.into())),
             ("snapshot_bytes".into(), num(snapshot_bytes)),
             ("degraded".into(), Value::Bool(self.report.degraded())),
             (

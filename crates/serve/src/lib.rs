@@ -15,7 +15,7 @@
 //! | `DELETE /v1/docs/<id>`  | —                           | tombstone a live document |
 //! | `POST /v1/admin/snapshot` | —                         | checkpoint the durable store (snapshot + WAL reset); `400` without `--data-dir` |
 //! | `GET /v1/healthz`       | —                           | `{"status":"ok"}`, or `{"status":"degraded",...}` after a lossy recovery |
-//! | `GET /v1/metrics`       | —                           | counters, latency histogram, cache stats, segment/tombstone/compaction gauges, durability + storage gauges |
+//! | `GET /v1/metrics`       | —                           | counters, latency histogram, cache stats, segment/tombstone/compaction gauges, durability gauges (WAL and snapshot bytes, recovery report) |
 //!
 //! The bare, unprefixed spellings (`/search`, …) remain as aliases for
 //! one release: they answer identically but carry a
@@ -65,7 +65,7 @@
 // Handlers answer errors over the wire; a panic (or a lazy unwrap that
 // becomes one) turns into a blanket 500 and loses the diagnosis.
 #![warn(clippy::unwrap_used)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod durable;

@@ -220,7 +220,8 @@ fn dispatch_path(req: &HttpRequest, path: &str, ctx: &RequestContext<'_, '_>) ->
 
 /// `GET /healthz`: a small operational summary — liveness (`status`),
 /// a `degraded` flag (recovery quarantined segments: up, but serving a
-/// subset), the storage backend, the live doc/segment gauges and the
+/// subset), the deployment mode (`backend`: `"memory"` or `"durable"`;
+/// a router answers `"router"`), the live doc/segment gauges and the
 /// crate version. Always `200` with `"status": "ok"` unless degraded:
 /// degraded is an operator signal, not an outage, and the bare-200
 /// contract is what load balancers probe.
@@ -236,12 +237,7 @@ fn handle_healthz(ctx: &RequestContext<'_, '_>) -> Routed {
         ("degraded".into(), Value::Bool(degraded)),
         (
             "backend".into(),
-            Value::String(
-                ctx.durable
-                    .map(DurableState::backend_name)
-                    .unwrap_or("memory")
-                    .into(),
-            ),
+            Value::String(if ctx.durable.is_some() { "durable" } else { "memory" }.into()),
         ),
         ("docs".into(), num(stats.docs as u64)),
         ("segments".into(), num(stats.segments as u64)),

@@ -5,9 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use newslink_core::{
-    segment_byte_spans, DurableStore, NewsLink, NewsLinkConfig, NewsLinkIndex, StorageBackend,
-};
+use newslink_core::{segment_byte_spans, DurableStore, NewsLink, NewsLinkConfig, NewsLinkIndex};
 use newslink_kg::{synth, KnowledgeGraph, LabelIndex, SynthConfig};
 use newslink_serve::{client, DurableState, ServeConfig, Server, ServerHandle};
 use serde::Value;
@@ -51,23 +49,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Open the store on `dir` with the given storage backend and run a
-/// durable server for the duration of `f`. Each call is one "process
+/// Open the store on `dir` and run a durable server for the duration of `f`. Each call is one "process
 /// lifetime": dropping the store at the end and calling again models a
 /// restart.
 fn with_durable_server<R>(
     fixture: &Fixture,
     engine_config: NewsLinkConfig,
     dir: &Path,
-    backend: StorageBackend,
     f: impl FnOnce(&ServerHandle, &DurableState) -> R,
 ) -> R {
     let labels = LabelIndex::build(&fixture.graph);
     let engine = NewsLink::new(&fixture.graph, &labels, engine_config);
     let docs = fixture.docs();
     let (store, index) =
-        DurableStore::open_with(&engine, dir, backend, || engine.index_corpus(&docs))
-            .expect("open store");
+        DurableStore::open(&engine, dir, || engine.index_corpus(&docs)).expect("open store");
     let durable = DurableState::new(store);
     let index: parking_lot::RwLock<NewsLinkIndex> = parking_lot::RwLock::new(index);
 
@@ -92,21 +87,12 @@ fn parse(body: &str) -> Value {
 }
 
 #[test]
-fn acknowledged_mutations_survive_a_restart_heap() {
-    restart_survives(StorageBackend::Heap);
-}
-
-#[test]
-fn acknowledged_mutations_survive_a_restart_mmap() {
-    restart_survives(StorageBackend::Mmap);
-}
-
-fn restart_survives(backend: StorageBackend) {
+fn acknowledged_mutations_survive_a_restart() {
     let fixture = Fixture::new(21);
-    let dir = temp_dir(&format!("restart_{backend}"));
+    let dir = temp_dir("restart");
 
     // First lifetime: insert one document, delete one, no checkpoint.
-    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, backend, |handle, _| {
+    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, |handle, _| {
         let body = format!(
             r#"{{"text": "Breaking report from {} about {}."}}"#,
             fixture.city, fixture.country
@@ -143,11 +129,13 @@ fn restart_survives(backend: StorageBackend) {
     });
 
     // Restart: the WAL replays over the snapshot.
-    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, backend, |handle, durable| {
+    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, |handle, durable| {
         assert_eq!(durable.report().wal_records_replayed, 2);
         let (status, text) = client::request(handle.addr(), "GET", "/healthz", "").unwrap();
         assert_eq!(status, 200);
-        assert_eq!(parse(&text)["status"], "ok");
+        let health = parse(&text);
+        assert_eq!(health["status"], "ok", "{text}");
+        assert_eq!(health["backend"], "durable", "{text}");
 
         let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
         let v = parse(&text);
@@ -155,8 +143,6 @@ fn restart_survives(backend: StorageBackend) {
         assert_eq!(v["durability"]["wal_records_replayed"], 2u64, "{text}");
         // Replay folded into a fresh snapshot: the WAL is back to its header.
         assert_eq!(v["durability"]["wal_bytes"], 5u64, "{text}");
-        // The storage gauges name the backend serving the snapshot.
-        assert_eq!(v["durability"]["backend"], backend.as_str(), "{text}");
         assert!(v["durability"]["snapshot_bytes"].as_i64().unwrap() > 0, "{text}");
 
         // The recovered document is searchable; the deleted one is gone.
@@ -179,9 +165,7 @@ fn restart_survives(backend: StorageBackend) {
 fn admin_snapshot_checkpoints_and_resets_the_wal() {
     let fixture = Fixture::new(22);
     let dir = temp_dir("checkpoint");
-    // Checkpoint while the snapshot is memory-mapped: atomic-rename
-    // replacement must not disturb the live mapping.
-    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, StorageBackend::Mmap, |handle, _| {
+    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, |handle, _| {
         let body = format!(r#"{{"text": "Update from {}."}}"#, fixture.city);
         let (status, _) = client::request(handle.addr(), "POST", "/docs", &body).unwrap();
         assert_eq!(status, 200);
@@ -204,7 +188,7 @@ fn admin_snapshot_checkpoints_and_resets_the_wal() {
 
     // The checkpoint made the mutation part of the snapshot: a restart
     // replays nothing and still has all four documents.
-    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, StorageBackend::Mmap, |handle, durable| {
+    with_durable_server(&fixture, NewsLinkConfig::default(), &dir, |handle, durable| {
         assert_eq!(durable.report().wal_records_replayed, 0);
         let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
         assert_eq!(parse(&text)["index"]["docs"], 4u64, "{text}");
@@ -235,26 +219,14 @@ fn snapshot_endpoint_without_data_dir_is_a_clear_400() {
 }
 
 #[test]
-fn degraded_start_still_serves_and_reports_itself_heap() {
-    degraded_start_still_serves(StorageBackend::Heap);
-}
-
-/// Corrupted-mapping path: the byte flips land in a block the mmap
-/// reader serves straight from the page cache; the CRC check must
-/// quarantine the section — no panic, no torn reads.
-#[test]
-fn degraded_start_still_serves_and_reports_itself_mmap() {
-    degraded_start_still_serves(StorageBackend::Mmap);
-}
-
-fn degraded_start_still_serves(backend: StorageBackend) {
+fn degraded_start_still_serves_and_reports_itself() {
     let fixture = Fixture::new(24);
-    let dir = temp_dir(&format!("degraded_{backend}"));
+    let dir = temp_dir("degraded");
     // One document per segment, no compaction: the snapshot carries one
     // frame per document, so corrupting one loses exactly one document.
     let engine_config = NewsLinkConfig::default().with_segment_docs(1).with_max_segments(64);
 
-    with_durable_server(&fixture, engine_config.clone(), &dir, backend, |handle, _| {
+    with_durable_server(&fixture, engine_config.clone(), &dir, |handle, _| {
         // One extra WAL-only mutation, to prove replay works over a
         // degraded snapshot too.
         let body = format!(r#"{{"text": "Late extra from {}."}}"#, fixture.city);
@@ -273,7 +245,7 @@ fn degraded_start_still_serves(backend: StorageBackend) {
     bytes[start + (end - start) / 2] ^= 0x40;
     std::fs::write(&snapshot, &bytes).expect("rewrite snapshot");
 
-    with_durable_server(&fixture, engine_config, &dir, backend, |handle, durable| {
+    with_durable_server(&fixture, engine_config, &dir, |handle, durable| {
         assert!(durable.degraded());
         assert_eq!(durable.report().quarantined_segments, 1);
 
@@ -324,10 +296,8 @@ fn concurrent_searches_and_writes_recover_bit_identically() {
         NewsLinkConfig::default().with_max_segments(3),
     );
     let docs = fixture.docs();
-    let (store, index) = DurableStore::open_with(&engine, &dir, StorageBackend::Heap, || {
-        engine.index_corpus(&docs)
-    })
-    .expect("open store");
+    let (store, index) =
+        DurableStore::open(&engine, &dir, || engine.index_corpus(&docs)).expect("open store");
     let durable = DurableState::new(store);
     let index = parking_lot::RwLock::new(index);
     let queries = [
@@ -402,7 +372,7 @@ fn concurrent_searches_and_writes_recover_bit_identically() {
     let live = index.into_inner();
     drop(durable);
 
-    let (_store, recovered) = DurableStore::open_with(&engine, &dir, StorageBackend::Heap, || {
+    let (_store, recovered) = DurableStore::open(&engine, &dir, || {
         panic!("the data directory already holds a snapshot")
     })
     .expect("reopen store");

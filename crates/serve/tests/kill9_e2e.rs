@@ -52,7 +52,6 @@ fn spawn_server(
     world: &Path,
     corpus: &Path,
     data_dir: &Path,
-    storage: &str,
 ) -> (Child, SocketAddr) {
     let mut child = Command::new(release_binary())
         .args([
@@ -67,8 +66,6 @@ fn spawn_server(
             data_dir.to_str().expect("utf-8 path"),
             "--workers",
             "2",
-            "--storage",
-            storage,
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -109,18 +106,8 @@ fn metrics(addr: SocketAddr) -> Value {
 
 #[test]
 #[ignore = "needs target/release/newslink; run via scripts/tier1.sh"]
-fn sigkill_loses_no_acknowledged_mutation_heap() {
-    sigkill_loses_no_acknowledged_mutation("heap");
-}
-
-#[test]
-#[ignore = "needs target/release/newslink; run via scripts/tier1.sh"]
-fn sigkill_loses_no_acknowledged_mutation_mmap() {
-    sigkill_loses_no_acknowledged_mutation("mmap");
-}
-
-fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
-    let dir = temp_dir(storage);
+fn sigkill_loses_no_acknowledged_mutation() {
+    let dir = temp_dir("sigkill");
     let world = dir.join("kg.tsv");
     let corpus = dir.join("corpus.txt");
     let data_dir = dir.join("data");
@@ -138,7 +125,7 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     ]);
 
     // First lifetime: mutate, then die without warning.
-    let (mut child, addr) = spawn_server(&world, &corpus, &data_dir, storage);
+    let (mut child, addr) = spawn_server(&world, &corpus, &data_dir);
     let base_docs = metrics(addr)["index"]["docs"].as_i64().expect("docs gauge");
     assert_eq!(base_docs, 12);
 
@@ -158,7 +145,7 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     child.wait().expect("reap");
 
     // Second lifetime on the same directory: the WAL replays.
-    let (mut child, addr) = spawn_server(&world, &corpus, &data_dir, storage);
+    let (mut child, addr) = spawn_server(&world, &corpus, &data_dir);
     let v = metrics(addr);
     assert_eq!(
         v["index"]["docs"], 14u64,
@@ -166,11 +153,12 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     );
     assert_eq!(v["durability"]["wal_records_replayed"], 4u64, "{v:?}");
     assert_eq!(v["durability"]["degraded"], false, "{v:?}");
-    assert_eq!(v["durability"]["backend"], storage, "{v:?}");
 
     let (status, text) = client::request(addr, "GET", "/healthz", "").expect("GET /healthz");
     assert_eq!(status, 200);
-    assert_eq!(parse(&text)["status"], "ok");
+    let health = parse(&text);
+    assert_eq!(health["status"], "ok");
+    assert_eq!(health["backend"], "durable", "{text}");
 
     // The replayed inserts are live and searchable; the delete held.
     let (status, text) = client::request(

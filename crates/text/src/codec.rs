@@ -1,10 +1,10 @@
-//! The on-disk inverted-index section: a columnar, mmap-native layout.
+//! The on-disk inverted-index section: a columnar, fixed-width layout.
 //!
 //! This is the BOW/BON index section of a snapshot segment
 //! (`newslink_core::persist`). Every table is fixed-width little-endian
-//! and addressed by offset, so a reader over a memory mapping parses
-//! three small tables and then *slices* the posting data blob in place —
-//! no per-posting decode walk at load time. Layout:
+//! and addressed by offset, so the reader walks three small tables and
+//! then *slices* the posting data blob — no per-posting decode walk at
+//! load time. Layout:
 //!
 //! ```text
 //! header    n_terms u32, n_docs u32, total_len u64,
@@ -22,21 +22,14 @@
 //! `i-1`'s end. Posting blocks are stored exactly as
 //! [`crate::inverted::PostingList`] holds them in memory (varint
 //! `(doc_delta, tf)` pairs), so loading is a slice, not a re-encode. The
-//! `sorted` permutation lets a reader resolve a term by binary search
-//! over the blob *in place* — no dictionary hashmap needs to exist for a
-//! lookup to work, which is what makes the lazy mapped representation
-//! ([`read_index_columnar_lazy`]) O(1) to open.
+//! `sorted` permutation is part of the format and is validated on read.
 //!
-//! Integrity is the caller's job: the section travels inside a
-//! checksummed segment section of the snapshot. [`read_index_columnar`]
-//! (eager) re-validates everything later slicing relies on (monotone
-//! offsets, in-bounds ends); the lazy reader checks only the
-//! header-derived table extents and trusts the checksum for per-entry
-//! values, clamping offsets on access so even a checksum collision
-//! cannot read out of bounds.
+//! The section travels inside a checksummed segment section of the
+//! snapshot, and [`read_index_columnar`] still re-validates everything
+//! later slicing relies on (monotone offsets, in-bounds ends, ascending
+//! blocks), so damage the checksum missed is a typed error, not a panic.
 
 use std::io;
-use std::sync::OnceLock;
 
 use newslink_util::Bytes;
 
@@ -87,8 +80,7 @@ pub fn write_index_columnar(index: &InvertedIndex, out: &mut Vec<u8>) -> io::Res
         push_u32(out, index.doc_len(DocId(d as u32)));
     }
 
-    // Sorted permutation: term ids in ascending term-byte order, so a
-    // mapped reader can binary-search the blob without a dictionary.
+    // Sorted permutation: term ids in ascending term-byte order.
     let mut sorted: Vec<u32> = (0..n_terms as u32).collect();
     sorted.sort_by(|&a, &b| dict.term(TermId(a)).as_bytes().cmp(dict.term(TermId(b)).as_bytes()));
     for id in &sorted {
@@ -133,10 +125,10 @@ fn le_u32(bytes: &[u8], offset: usize) -> io::Result<u32> {
 }
 
 /// Deserialize a columnar section. Posting data is *sliced* from
-/// `bytes`, so an index read from a mapped snapshot keeps its postings
-/// in the mapping; only the dictionary, the doc-length table and the
-/// block metadata move onto the heap. The whole of `bytes` must be the
-/// section (no trailing garbage).
+/// `bytes`, so the loaded index shares the snapshot's buffer for its
+/// postings; only the dictionary, the doc-length table and the block
+/// metadata are copied out. The whole of `bytes` must be the section
+/// (no trailing garbage).
 pub fn read_index_columnar(bytes: &Bytes) -> io::Result<InvertedIndex> {
     let raw: &[u8] = bytes;
     let n_terms = le_u32(raw, 0)? as usize;
@@ -262,255 +254,12 @@ pub fn read_index_columnar(bytes: &Bytes) -> io::Result<InvertedIndex> {
         prev = Some(term);
     }
 
-    Ok(InvertedIndex::from_owned_parts(
+    Ok(InvertedIndex::from_parts(
         TermDictionary::from_parts(terms, doc_freq),
         postings,
         doc_len,
         total_len,
     ))
-}
-
-/// Deserialize a columnar section **lazily**: validate the header and
-/// table extents (O(1) in the corpus size), then hand back an
-/// [`InvertedIndex`] that resolves terms by binary search over the
-/// on-disk sorted table and materializes posting-list block metadata on
-/// first access. Document lengths, doc freqs and term bytes are read in
-/// place; posting delta bytes stay views of `bytes` forever.
-///
-/// This is the mapped-snapshot fast path: `bytes` should be a
-/// memory-mapped, CRC-verified v4 section. Unlike
-/// [`read_index_columnar`] no per-entry validation runs here — the
-/// section CRC vouches for the writer's invariants, and every lazy
-/// access clamps offsets so even a checksum collision reads garbage
-/// in-bounds rather than out of bounds.
-pub fn read_index_columnar_lazy(bytes: &Bytes) -> io::Result<InvertedIndex> {
-    let raw: &[u8] = bytes;
-    let n_terms = le_u32(raw, 0)? as usize;
-    let n_docs = le_u32(raw, 4)? as usize;
-    let total_len = raw
-        .get(8..16)
-        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        .ok_or_else(|| corrupt("columnar section truncated"))?;
-    let term_blob_len = le_u32(raw, 16)? as usize;
-    let n_blocks = le_u32(raw, 20)? as usize;
-    let data_len = le_u32(raw, 24)? as usize;
-
-    let overflow = || corrupt("columnar table overflow");
-    let doc_len_at = COLUMNAR_HEADER_BYTES;
-    let sorted_at = n_docs
-        .checked_mul(4)
-        .and_then(|l| doc_len_at.checked_add(l))
-        .ok_or_else(overflow)?;
-    let terms_at = n_terms
-        .checked_mul(4)
-        .and_then(|l| sorted_at.checked_add(l))
-        .ok_or_else(overflow)?;
-    let blob_at = n_terms
-        .checked_mul(TERM_ENTRY_BYTES)
-        .and_then(|l| terms_at.checked_add(l))
-        .ok_or_else(overflow)?;
-    let blocks_at = blob_at.checked_add(term_blob_len).ok_or_else(overflow)?;
-    let data_at = n_blocks
-        .checked_mul(BLOCK_ENTRY_BYTES)
-        .and_then(|l| blocks_at.checked_add(l))
-        .ok_or_else(overflow)?;
-    let end = data_at.checked_add(data_len).ok_or_else(overflow)?;
-    if end != raw.len() {
-        return Err(corrupt("columnar section length mismatch"));
-    }
-
-    let mut lists = Vec::new();
-    lists.resize_with(n_terms, OnceLock::new);
-    Ok(InvertedIndex::from_mapped(MappedColumnar {
-        raw: bytes.clone(),
-        n_terms,
-        n_docs,
-        total_len,
-        doc_len_at,
-        sorted_at,
-        terms_at,
-        blob_at,
-        term_blob_len,
-        blocks_at,
-        n_blocks,
-        data_at,
-        data_len,
-        lists,
-        dict: OnceLock::new(),
-    }))
-}
-
-/// The lazy, zero-copy view behind a mapped [`InvertedIndex`] — see
-/// [`read_index_columnar_lazy`]. All offsets are absolute positions in
-/// `raw`, pre-validated against its length; per-entry cumulative ends
-/// are clamped on access.
-#[derive(Debug)]
-pub(crate) struct MappedColumnar {
-    raw: Bytes,
-    n_terms: usize,
-    n_docs: usize,
-    total_len: u64,
-    doc_len_at: usize,
-    sorted_at: usize,
-    terms_at: usize,
-    blob_at: usize,
-    term_blob_len: usize,
-    blocks_at: usize,
-    n_blocks: usize,
-    data_at: usize,
-    data_len: usize,
-    /// Per-term memoized posting lists (block metadata on the heap,
-    /// delta bytes still views of `raw`). Thread-safe and deterministic:
-    /// racing initializers compute identical values.
-    lists: Vec<OnceLock<PostingList>>,
-    /// Fully materialized dictionary, built only if someone asks.
-    dict: OnceLock<TermDictionary>,
-}
-
-impl Clone for MappedColumnar {
-    fn clone(&self) -> Self {
-        let clone_lock = |l: &OnceLock<PostingList>| {
-            let out = OnceLock::new();
-            if let Some(v) = l.get() {
-                let _ = out.set(v.clone());
-            }
-            out
-        };
-        Self {
-            raw: self.raw.clone(),
-            lists: self.lists.iter().map(clone_lock).collect(),
-            dict: {
-                let out = OnceLock::new();
-                if let Some(d) = self.dict.get() {
-                    let _ = out.set(d.clone());
-                }
-                out
-            },
-            ..*self
-        }
-    }
-}
-
-impl MappedColumnar {
-    /// In-bounds by construction for all table reads (offsets were
-    /// validated against `raw.len()` at open).
-    #[inline]
-    fn word(&self, at: usize) -> u32 {
-        let b = &self.raw[at..at + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    }
-
-    pub(crate) fn doc_count(&self) -> usize {
-        self.n_docs
-    }
-
-    pub(crate) fn total_len(&self) -> u64 {
-        self.total_len
-    }
-
-    pub(crate) fn term_count(&self) -> usize {
-        self.n_terms
-    }
-
-    #[inline]
-    pub(crate) fn doc_len(&self, doc: usize) -> u32 {
-        assert!(doc < self.n_docs, "doc {doc} out of range");
-        self.word(self.doc_len_at + doc * 4)
-    }
-
-    #[inline]
-    pub(crate) fn doc_freq(&self, term: usize) -> u32 {
-        assert!(term < self.n_terms, "term {term} out of range");
-        self.word(self.terms_at + term * TERM_ENTRY_BYTES)
-    }
-
-    /// Cumulative `(term_end, block_end, data_end)` of entry `term`,
-    /// clamped to the enclosing table extents.
-    fn entry_ends(&self, term: usize) -> (usize, usize, usize) {
-        let at = self.terms_at + term * TERM_ENTRY_BYTES;
-        (
-            (self.word(at + 8) as usize).min(self.term_blob_len),
-            (self.word(at + 12) as usize).min(self.n_blocks),
-            (self.word(at + 16) as usize).min(self.data_len),
-        )
-    }
-
-    /// Entry `term`'s start offsets: entry `term - 1`'s ends.
-    fn entry_starts(&self, term: usize) -> (usize, usize, usize) {
-        if term == 0 {
-            (0, 0, 0)
-        } else {
-            self.entry_ends(term - 1)
-        }
-    }
-
-    /// The UTF-8 bytes of term `term` in the blob.
-    fn term_bytes(&self, term: usize) -> &[u8] {
-        let (end, _, _) = self.entry_ends(term);
-        let (start, _, _) = self.entry_starts(term);
-        &self.raw[self.blob_at + start.min(end)..self.blob_at + end]
-    }
-
-    /// Binary search the sorted permutation for an exact term match.
-    pub(crate) fn term_id(&self, term: &str) -> Option<TermId> {
-        let needle = term.as_bytes();
-        let (mut lo, mut hi) = (0usize, self.n_terms);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let id = (self.word(self.sorted_at + mid * 4) as usize).min(self.n_terms - 1);
-            match self.term_bytes(id).cmp(needle) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(TermId(id as u32)),
-            }
-        }
-        None
-    }
-
-    /// The posting list of term `term`, materializing block metadata on
-    /// first access. Delta bytes are sliced from `raw` zero-copy.
-    pub(crate) fn postings(&self, term: usize) -> &PostingList {
-        self.lists[term].get_or_init(|| {
-            let count = self.word(self.terms_at + term * TERM_ENTRY_BYTES + 4) as usize;
-            let (_, block_end, data_end) = self.entry_ends(term);
-            let (_, block_start, data_start) = self.entry_starts(term);
-            let (block_start, data_start) = (block_start.min(block_end), data_start.min(data_end));
-            let mut blocks = Vec::with_capacity(block_end - block_start);
-            for b in block_start..block_end {
-                let at = self.blocks_at + b * BLOCK_ENTRY_BYTES;
-                blocks.push(BlockMeta {
-                    last_doc: self.word(at),
-                    max_tf: self.word(at + 4),
-                    offset: self.word(at + 8),
-                });
-            }
-            let data = self
-                .raw
-                .slice(self.data_at + data_start..self.data_at + data_end);
-            PostingList::from_raw_parts(data, blocks, count)
-        })
-    }
-
-    /// Materialize the full dictionary (every term string plus the
-    /// lookup hashmap). Merge/compaction convenience, not a query path.
-    pub(crate) fn dictionary(&self) -> &TermDictionary {
-        self.dict.get_or_init(|| {
-            let terms: Vec<String> = (0..self.n_terms)
-                .map(|t| String::from_utf8_lossy(self.term_bytes(t)).into_owned())
-                .collect();
-            let doc_freq: Vec<u32> = (0..self.n_terms).map(|t| self.doc_freq(t)).collect();
-            TermDictionary::from_parts(terms, doc_freq)
-        })
-    }
-
-    /// Heap bytes of the posting lists materialized so far.
-    pub(crate) fn postings_heap_bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(PostingList::heap_bytes)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -626,26 +375,6 @@ mod tests {
             bad[at] ^= 0x40;
             let _ = read_index_columnar(&Bytes::from_vec(bad)); // must not panic
         }
-    }
-
-    #[test]
-    fn columnar_read_from_mapped_bytes_is_zero_copy() {
-        let idx = sample();
-        let mut buf = Vec::new();
-        write_index_columnar(&idx, &mut buf).unwrap();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("newslink_codec_columnar_{}", std::process::id()));
-        std::fs::write(&path, &buf).unwrap();
-        let map = std::sync::Arc::new(
-            newslink_util::Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap(),
-        );
-        let back = read_index_columnar(&Bytes::from_mmap(map)).unwrap();
-        assert_index_eq(&idx, &back);
-        // Non-empty posting data must reference the mapping, not the heap.
-        let common = back.postings_for("pakistan");
-        assert!(!common.is_empty());
-        assert_eq!(common.heap_bytes(), std::mem::size_of_val(common.blocks()));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

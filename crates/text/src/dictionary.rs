@@ -10,7 +10,7 @@ pub struct TermId(pub u32);
 impl TermId {
     /// The term's index as `usize`.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -48,7 +48,7 @@ impl TermDictionary {
     }
 
     /// Intern a term.
-    pub fn get_or_insert(&mut self, term: &str) -> TermId {
+    pub(crate) fn get_or_insert(&mut self, term: &str) -> TermId {
         if let Some(&id) = self.lookup.get(term) {
             return id;
         }

@@ -55,9 +55,9 @@ pub const BLOCK_LEN: usize = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Highest document id in the block (skip pointer).
-    pub last_doc: u32,
+    pub(crate) last_doc: u32,
     /// Highest term frequency in the block (score-bound input).
-    pub max_tf: u32,
+    pub(crate) max_tf: u32,
     /// Byte offset of the block's first delta in the list's data.
     pub(crate) offset: u32,
 }
@@ -96,10 +96,8 @@ fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
 
 /// A block-compressed, immutable posting list sorted by document id.
 ///
-/// The delta bytes live in a [`Bytes`] region, so a list decoded from a
-/// memory-mapped segment references the mapping directly — the cursor's
-/// block-skipping seek and the block-max evaluators run straight off the
-/// mapped file with no heap copy of the postings.
+/// The delta bytes live in a [`Bytes`] region, so a list loaded from a
+/// snapshot is a slice of the snapshot's buffer rather than a copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     /// Concatenated `(doc_delta, tf)` varint pairs for all blocks.
@@ -119,7 +117,7 @@ static EMPTY_LIST: PostingList = PostingList {
 
 impl PostingList {
     /// Compress a doc-sorted posting slice into blocks.
-    pub fn from_postings(postings: &[Posting]) -> Self {
+    pub(crate) fn from_postings(postings: &[Posting]) -> Self {
         let mut data = Vec::new();
         let mut blocks = Vec::with_capacity(postings.len().div_ceil(BLOCK_LEN));
         let mut prev = 0u32;
@@ -147,7 +145,7 @@ impl PostingList {
     }
 
     /// Assemble from already-validated compressed parts (codec read
-    /// path). `data` may be a zero-copy view into a mapped segment.
+    /// path). `data` is typically a slice of the snapshot's buffer.
     pub(crate) fn from_raw_parts(data: Bytes, blocks: Vec<BlockMeta>, count: usize) -> Self {
         Self {
             data,
@@ -163,18 +161,18 @@ impl PostingList {
 
     /// Number of postings.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
     }
 
     /// True when no document contains the term.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Per-block metadata, ascending by `last_doc`.
-    pub fn blocks(&self) -> &[BlockMeta] {
+    pub(crate) fn blocks(&self) -> &[BlockMeta] {
         &self.blocks
     }
 
@@ -190,14 +188,15 @@ impl PostingList {
 
     /// Highest term frequency anywhere in the list (list-level score
     /// bound input).
-    pub fn max_tf(&self) -> u32 {
+    pub(crate) fn max_tf(&self) -> u32 {
         self.blocks.iter().map(|b| b.max_tf).max().unwrap_or(0)
     }
 
-    /// Heap bytes held by the compressed representation. Mapped delta
-    /// bytes cost no heap and are not counted.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.heap_bytes() + self.blocks.len() * std::mem::size_of::<BlockMeta>()
+    /// Bytes held by the compressed representation (delta stream plus
+    /// block metadata).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.data.len() + self.blocks.len() * std::mem::size_of::<BlockMeta>()
     }
 
     /// Entries in block `i` (every block is full except possibly the last).
@@ -211,7 +210,7 @@ impl PostingList {
     }
 
     /// Sequential decode of the whole list.
-    pub fn iter(&self) -> PostingIter<'_> {
+    pub(crate) fn iter(&self) -> PostingIter<'_> {
         PostingIter {
             data: &self.data,
             pos: 0,
@@ -221,14 +220,15 @@ impl PostingList {
     }
 
     /// Decode into a plain vector (tests, merges).
-    pub fn to_vec(&self) -> Vec<Posting> {
+    #[cfg(test)]
+    pub(crate) fn to_vec(&self) -> Vec<Posting> {
         self.iter().collect()
     }
 
     /// Random access: the posting for `doc` and its rank in the list,
     /// if present. Skips to the right block by metadata, then decodes
     /// only that block.
-    pub fn find(&self, doc: DocId) -> Option<(usize, Posting)> {
+    pub(crate) fn find(&self, doc: DocId) -> Option<(usize, Posting)> {
         let bi = self.blocks.partition_point(|b| b.last_doc < doc.0);
         if bi >= self.blocks.len() {
             return None;
@@ -250,7 +250,7 @@ impl PostingList {
     }
 
     /// A seekable cursor positioned at the first posting.
-    pub fn cursor(&self) -> PostingCursor<'_> {
+    pub(crate) fn cursor(&self) -> PostingCursor<'_> {
         PostingCursor::new(self)
     }
 }
@@ -410,13 +410,13 @@ impl<'a> PostingCursor<'a> {
 
     /// True once every posting has been passed.
     #[inline]
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.block >= self.list.blocks.len()
     }
 
     /// The posting under the cursor.
     #[inline]
-    pub fn current(&self) -> Option<Posting> {
+    pub(crate) fn current(&self) -> Option<Posting> {
         if self.is_exhausted() {
             None
         } else {
@@ -429,7 +429,7 @@ impl<'a> PostingCursor<'a> {
 
     /// The document under the cursor.
     #[inline]
-    pub fn current_doc(&self) -> Option<DocId> {
+    pub(crate) fn current_doc(&self) -> Option<DocId> {
         if self.is_exhausted() {
             None
         } else {
@@ -440,7 +440,7 @@ impl<'a> PostingCursor<'a> {
     /// Highest term frequency in the current block (0 when exhausted) —
     /// the block-max score-bound input.
     #[inline]
-    pub fn block_max_tf(&self) -> u32 {
+    pub(crate) fn block_max_tf(&self) -> u32 {
         if self.is_exhausted() {
             0
         } else {
@@ -449,12 +449,12 @@ impl<'a> PostingCursor<'a> {
     }
 
     /// Blocks skipped whole (never decoded) by `seek` so far.
-    pub fn blocks_skipped(&self) -> u64 {
+    pub(crate) fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped
     }
 
     /// Step to the next posting.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         if self.is_exhausted() {
             return;
         }
@@ -471,7 +471,7 @@ impl<'a> PostingCursor<'a> {
 
     /// Move to the first posting with `doc >= target`. Blocks wholly
     /// below the target are skipped by metadata without decoding.
-    pub fn seek(&mut self, target: DocId) {
+    pub(crate) fn seek(&mut self, target: DocId) {
         if self.is_exhausted() || self.docs[self.pos] >= target.0 {
             return;
         }
@@ -532,7 +532,7 @@ impl CollectionStats {
     /// Mean document length; 0 for an empty collection. Matches
     /// [`InvertedIndex::avg_doc_len`] operation-for-operation so overlay
     /// scoring stays bit-identical.
-    pub fn avg_doc_len(&self) -> f64 {
+    pub(crate) fn avg_doc_len(&self) -> f64 {
         if self.docs == 0 {
             0.0
         } else {
@@ -541,89 +541,50 @@ impl CollectionStats {
     }
 }
 
-/// A frozen inverted index.
-///
-/// Two physical representations hide behind one API:
-///
-/// - **Owned** — dictionary hashmap, posting lists and doc-length table
-///   materialized on the heap. What [`IndexBuilder::build`] and the
-///   eager codec readers produce.
-/// - **Mapped** — a zero-copy view over a columnar section (usually a
-///   memory-mapped v4 snapshot): term lookups binary-search the on-disk
-///   sorted term table, document lengths are read in place, and posting
-///   lists materialize lazily (block metadata only — delta bytes stay
-///   in the mapping) the first time a term is touched. Opening one is
-///   O(1) in the corpus size; see
-///   [`read_index_columnar_lazy`](crate::codec::read_index_columnar_lazy).
-///
-/// Both representations answer every query bit-identically: the mapped
-/// form decodes the same bytes the eager reader would, just later.
+/// A frozen inverted index: the term dictionary, one posting list per
+/// term, and the document-length table. [`IndexBuilder::build`],
+/// [`InvertedIndex::merge`] and the columnar reader
+/// ([`read_index_columnar`](crate::codec::read_index_columnar)) make one.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    pub(crate) repr: Repr,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) enum Repr {
-    Owned {
-        dict: TermDictionary,
-        postings: Vec<PostingList>,
-        doc_len: Vec<u32>,
-        total_len: u64,
-    },
-    Mapped(crate::codec::MappedColumnar),
+    dict: TermDictionary,
+    postings: Vec<PostingList>,
+    doc_len: Vec<u32>,
+    total_len: u64,
 }
 
 impl InvertedIndex {
-    /// Assemble an owned (fully materialized) index from its parts.
-    pub(crate) fn from_owned_parts(
+    /// Assemble an index from its parts.
+    pub(crate) fn from_parts(
         dict: TermDictionary,
         postings: Vec<PostingList>,
         doc_len: Vec<u32>,
         total_len: u64,
     ) -> Self {
         Self {
-            repr: Repr::Owned {
-                dict,
-                postings,
-                doc_len,
-                total_len,
-            },
-        }
-    }
-
-    /// Wrap a lazily-decoded columnar view (mapped representation).
-    pub(crate) fn from_mapped(mapped: crate::codec::MappedColumnar) -> Self {
-        Self {
-            repr: Repr::Mapped(mapped),
+            dict,
+            postings,
+            doc_len,
+            total_len,
         }
     }
 
     /// Number of indexed documents.
     #[inline]
     pub fn doc_count(&self) -> usize {
-        match &self.repr {
-            Repr::Owned { doc_len, .. } => doc_len.len(),
-            Repr::Mapped(m) => m.doc_count(),
-        }
+        self.doc_len.len()
     }
 
     /// Token length of `doc` (as counted at indexing time).
     #[inline]
     pub fn doc_len(&self, doc: DocId) -> u32 {
-        match &self.repr {
-            Repr::Owned { doc_len, .. } => doc_len[doc.index()],
-            Repr::Mapped(m) => m.doc_len(doc.index()),
-        }
+        self.doc_len[doc.index()]
     }
 
     /// Total token length across all documents.
     #[inline]
     pub(crate) fn total_len(&self) -> u64 {
-        match &self.repr {
-            Repr::Owned { total_len, .. } => *total_len,
-            Repr::Mapped(m) => m.total_len(),
-        }
+        self.total_len
     }
 
     /// Mean document length; 0 for an empty index.
@@ -636,56 +597,30 @@ impl InvertedIndex {
     }
 
     /// The term dictionary.
-    ///
-    /// On a mapped index this **materializes** the full dictionary
-    /// (every term string plus the lookup hashmap) on first call — fine
-    /// for merges and offline walks, wrong for the query path. Query
-    /// code should use [`term_id`](Self::term_id) and
-    /// [`doc_freq`](Self::doc_freq), which stay O(log n) reads of the
-    /// mapping.
     pub fn dictionary(&self) -> &TermDictionary {
-        match &self.repr {
-            Repr::Owned { dict, .. } => dict,
-            Repr::Mapped(m) => m.dictionary(),
-        }
+        &self.dict
     }
 
-    /// Resolve a term string to its id without materializing the
-    /// dictionary (hash lookup when owned, binary search over the
-    /// on-disk sorted term table when mapped).
+    /// Resolve a term string to its id.
     pub fn term_id(&self, term: &str) -> Option<TermId> {
-        match &self.repr {
-            Repr::Owned { dict, .. } => dict.get(term),
-            Repr::Mapped(m) => m.term_id(term),
-        }
+        self.dict.get(term)
     }
 
     /// Document frequency of a term id.
     #[inline]
     pub fn doc_freq(&self, term: TermId) -> u32 {
-        match &self.repr {
-            Repr::Owned { dict, .. } => dict.doc_freq(term),
-            Repr::Mapped(m) => m.doc_freq(term.index()),
-        }
+        self.dict.doc_freq(term)
     }
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        match &self.repr {
-            Repr::Owned { dict, .. } => dict.len(),
-            Repr::Mapped(m) => m.term_count(),
-        }
+        self.dict.len()
     }
 
-    /// Posting list for a term id (sorted by doc id). On a mapped index
-    /// the list's block metadata materializes on first access; the delta
-    /// bytes stay views of the mapping either way.
+    /// Posting list for a term id (sorted by doc id).
     #[inline]
     pub fn postings(&self, term: TermId) -> &PostingList {
-        match &self.repr {
-            Repr::Owned { postings, .. } => &postings[term.index()],
-            Repr::Mapped(m) => m.postings(term.index()),
-        }
+        &self.postings[term.index()]
     }
 
     /// Posting list for a term string, empty when unindexed.
@@ -773,22 +708,12 @@ impl InvertedIndex {
             .map(|s| PostingList::from_postings(&s.postings))
             .collect();
         let terms = slots.iter().map(|s| s.term.to_string()).collect();
-        InvertedIndex::from_owned_parts(
+        InvertedIndex::from_parts(
             TermDictionary::from_parts(terms, doc_freq),
             postings,
             doc_len,
             total_len,
         )
-    }
-
-    /// Heap bytes held by all compressed posting lists (blocks +
-    /// deltas). A mapped index counts only the lists materialized so
-    /// far — untouched terms cost nothing.
-    pub fn postings_heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Owned { postings, .. } => postings.iter().map(PostingList::heap_bytes).sum(),
-            Repr::Mapped(m) => m.postings_heap_bytes(),
-        }
     }
 }
 
@@ -873,13 +798,9 @@ impl IndexBuilder {
     }
 
     /// Number of documents added so far.
-    pub fn doc_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn doc_count(&self) -> usize {
         self.doc_len.len()
-    }
-
-    /// The dictionary built so far.
-    pub fn dictionary(&self) -> &TermDictionary {
-        &self.dict
     }
 
     /// Freeze into an immutable index: seal every per-term buffer into
@@ -888,7 +809,7 @@ impl IndexBuilder {
         // Terms interned but never posted (impossible through the public
         // API, defensive for future extension).
         self.postings.resize_with(self.dict.len(), Vec::new);
-        InvertedIndex::from_owned_parts(
+        InvertedIndex::from_parts(
             self.dict,
             self.postings
                 .iter()

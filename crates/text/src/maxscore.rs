@@ -39,7 +39,7 @@ use crate::score::Bm25;
 /// comparing `bound * SAFETY` guarantees a document whose exact score
 /// would beat the threshold is never skipped — pruning stays exact, it
 /// only becomes infinitesimally less eager.
-pub const SAFETY: f64 = 1.0 + 1e-9;
+pub(crate) const SAFETY: f64 = 1.0 + 1e-9;
 
 /// Work counters for the pruned evaluator: how much the index structure
 /// let us avoid.

@@ -28,7 +28,7 @@ impl Default for Bm25 {
 
 impl Bm25 {
     /// Lucene-style idf: `ln(1 + (N - df + 0.5) / (df + 0.5))`.
-    pub fn idf(&self, n_docs: usize, df: u32) -> f64 {
+    pub(crate) fn idf(&self, n_docs: usize, df: u32) -> f64 {
         let n = n_docs as f64;
         let df = df as f64;
         (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
@@ -54,7 +54,7 @@ impl Bm25 {
     /// `qtf · idf(N, df)`. Constant across every posting of a query term,
     /// so the pruned evaluators fold it once per term instead of once per
     /// posting.
-    pub fn term_partial(&self, stats: CollectionStats, df: u32, qtf: u32) -> f64 {
+    pub(crate) fn term_partial(&self, stats: CollectionStats, df: u32, qtf: u32) -> f64 {
         qtf as f64 * self.idf(stats.docs, df)
     }
 
@@ -66,7 +66,7 @@ impl Bm25 {
     /// these float operations are the single source of truth that
     /// [`Self::contribution_with`] and the hot scan loops both delegate
     /// to.
-    pub fn contribution_from_partial(
+    pub(crate) fn contribution_from_partial(
         &self,
         stats: CollectionStats,
         doc_len: u32,

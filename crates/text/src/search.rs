@@ -41,7 +41,7 @@ pub fn query_tf<T: AsRef<str>>(query_terms: &[T]) -> FxHashMap<&str, u32> {
 /// (live documents only), and `live` decides whether a segment-local doc
 /// still counts (tombstone filter). The returned map is keyed by
 /// segment-local [`DocId`]; the caller translates to global ids.
-/// [`Searcher::score_all`] is this function on a single segment with
+/// [`Searcher`]'s exhaustive scorer is this function on a single segment with
 /// `stats = CollectionStats::from_index`, dictionary doc-freqs and
 /// `live = |_| true`.
 pub fn score_segment(
@@ -81,16 +81,11 @@ impl<'i> Searcher<'i> {
         Self { index, scorer }
     }
 
-    /// The underlying index.
-    pub fn index(&self) -> &'i InvertedIndex {
-        self.index
-    }
-
     /// Score every document matching at least one query term.
     ///
     /// Returns the accumulator map — the building block for blended
     /// scoring (NewsLink's Equation 3 combines two of these maps).
-    pub fn score_all<T: AsRef<str>>(&self, query_terms: &[T]) -> FxHashMap<DocId, f64> {
+    pub(crate) fn score_all<T: AsRef<str>>(&self, query_terms: &[T]) -> FxHashMap<DocId, f64> {
         let qtf = query_tf(query_terms);
         let df: FxHashMap<&str, u32> = qtf
             .keys()

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use newslink_text::{
-    blended_scan, query_tf, read_index_columnar, read_index_columnar_lazy, write_index_columnar,
-    Bm25, CollectionStats, IndexBuilder, PruneStats, Searcher, SideSpec,
+    blended_scan, query_tf, read_index_columnar, write_index_columnar, Bm25, CollectionStats,
+    IndexBuilder, PruneStats, Searcher, SideSpec,
 };
 use newslink_util::{Bytes, TopK};
 
@@ -90,8 +90,7 @@ proptest! {
         }
     }
 
-    /// The columnar section round-trips scores bit for bit, through both
-    /// the eager and the lazy reader.
+    /// The columnar section round-trips scores bit for bit.
     #[test]
     fn codec_preserves_scores(docs in corpus_strategy(), query in query_strategy()) {
         let mut b = IndexBuilder::new();
@@ -101,18 +100,13 @@ proptest! {
         let index = b.build();
         let mut buf = Vec::new();
         write_index_columnar(&index, &mut buf).unwrap();
-        let bytes = Bytes::from_vec(buf);
+        let back = read_index_columnar(&Bytes::from_vec(buf)).unwrap();
         let a = Searcher::new(&index, Bm25::default()).search(&query, 10);
-        for back in [
-            read_index_columnar(&bytes).unwrap(),
-            read_index_columnar_lazy(&bytes).unwrap(),
-        ] {
-            let c = Searcher::new(&back, Bm25::default()).search(&query, 10);
-            prop_assert_eq!(a.len(), c.len());
-            for (x, y) in a.iter().zip(&c) {
-                prop_assert_eq!(x.doc, y.doc);
-                prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
+        let c = Searcher::new(&back, Bm25::default()).search(&query, 10);
+        prop_assert_eq!(a.len(), c.len());
+        for (x, y) in a.iter().zip(&c) {
+            prop_assert_eq!(x.doc, y.doc);
+            prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
     }
 }

@@ -1,48 +1,23 @@
-//! [`Bytes`]: a cheaply-sliceable, backend-agnostic byte region.
+//! [`Bytes`]: a cheaply-sliceable, shared heap byte region.
 //!
-//! The storage layer hands out byte ranges that may live on the heap
-//! (owned buffers, `RamDirectory` files) or inside a memory-mapped
-//! snapshot ([`crate::mmap::Mmap`]). `Bytes` erases the difference: it
-//! is a `(source, start, len)` view that dereferences to `&[u8]`, and
-//! [`Bytes::slice`] produces sub-views without copying — cloning the
-//! shared source handle, never its contents. Posting lists built from a
-//! mapped segment therefore reference the mapping directly; the OS page
-//! cache, not the process heap, holds the corpus.
+//! A snapshot is read into one heap buffer, and the index loaded from it
+//! keeps byte ranges of that buffer (posting data, the encoded doc
+//! store). `Bytes` is a `(buffer, start, len)` view that dereferences to
+//! `&[u8]`; [`Bytes::slice`] produces sub-views without copying —
+//! cloning the shared buffer handle, never its contents.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::mmap::Mmap;
-
-/// Where a [`Bytes`] view's storage lives.
-#[derive(Clone)]
-enum Source {
-    /// A borrowed static region (the empty constant).
-    Static(&'static [u8]),
-    /// Shared heap storage.
-    Heap(Arc<[u8]>),
-    /// A shared memory-mapped file.
-    Mapped(Arc<Mmap>),
-}
-
-impl Source {
-    #[inline]
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Source::Static(s) => s,
-            Source::Heap(v) => v,
-            Source::Mapped(m) => m.as_slice(),
-        }
-    }
-}
-
-/// An immutable byte region over heap or memory-mapped storage.
+/// An immutable, shared heap byte region.
 ///
 /// Clones and [slices](Bytes::slice) are O(1): they share the backing
-/// storage. Equality and hashing compare contents, matching `&[u8]`.
+/// buffer. Equality and hashing compare contents, matching `&[u8]`.
 #[derive(Clone)]
 pub struct Bytes {
-    source: Source,
+    /// The shared buffer; `None` for the empty region, so that
+    /// [`Bytes::empty`] can be `const`.
+    source: Option<Arc<[u8]>>,
     start: usize,
     len: usize,
 }
@@ -51,7 +26,7 @@ impl Bytes {
     /// The empty region (const, so it can live in a `static`).
     pub const fn empty() -> Self {
         Self {
-            source: Source::Static(&[]),
+            source: None,
             start: 0,
             len: 0,
         }
@@ -61,48 +36,19 @@ impl Bytes {
     pub fn from_vec(v: Vec<u8>) -> Self {
         let len = v.len();
         Self {
-            source: Source::Heap(Arc::from(v)),
+            source: Some(Arc::from(v)),
             start: 0,
             len,
         }
-    }
-
-    /// Share an already-counted heap buffer.
-    pub fn from_arc(v: Arc<[u8]>) -> Self {
-        let len = v.len();
-        Self {
-            source: Source::Heap(v),
-            start: 0,
-            len,
-        }
-    }
-
-    /// View a whole memory mapping.
-    pub fn from_mmap(map: Arc<Mmap>) -> Self {
-        let len = map.len();
-        Self {
-            source: Source::Mapped(map),
-            start: 0,
-            len,
-        }
-    }
-
-    /// Length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the region is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The bytes themselves.
     #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.source.as_slice()[self.start..self.start + self.len]
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match &self.source {
+            Some(buf) => &buf[self.start..self.start + self.len],
+            None => &[],
+        }
     }
 
     /// A zero-copy sub-view. Panics when `range` exceeds the region
@@ -117,22 +63,6 @@ impl Bytes {
             source: self.source.clone(),
             start: self.start + range.start,
             len: range.end - range.start,
-        }
-    }
-
-    /// True when the backing storage is a memory-mapped file (the view
-    /// costs no process heap).
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.source, Source::Mapped(_))
-    }
-
-    /// Heap bytes attributable to this view: its length for heap-backed
-    /// storage, zero for mapped or static storage. (Shared heap sources
-    /// are counted per view — accounting, not allocation truth.)
-    pub fn heap_bytes(&self) -> usize {
-        match self.source {
-            Source::Heap(_) => self.len,
-            Source::Static(_) | Source::Mapped(_) => 0,
         }
     }
 }
@@ -181,12 +111,7 @@ impl std::hash::Hash for Bytes {
 
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.source {
-            Source::Static(_) => "static",
-            Source::Heap(_) => "heap",
-            Source::Mapped(_) => "mapped",
-        };
-        write!(f, "Bytes({kind}, {} bytes)", self.len)
+        write!(f, "Bytes({} bytes)", self.len)
     }
 }
 
@@ -200,15 +125,13 @@ mod tests {
         assert!(EMPTY.is_empty());
         assert_eq!(&*EMPTY, &[] as &[u8]);
         assert_eq!(Bytes::default(), EMPTY);
-        assert_eq!(EMPTY.heap_bytes(), 0);
-        assert!(!EMPTY.is_mapped());
+        assert_eq!(Bytes::from_vec(Vec::new()), EMPTY);
     }
 
     #[test]
     fn heap_round_trip_and_slicing() {
         let b = Bytes::from_vec((0u8..32).collect());
         assert_eq!(b.len(), 32);
-        assert_eq!(b.heap_bytes(), 32);
         let s = b.slice(4..12);
         assert_eq!(&*s, &[4, 5, 6, 7, 8, 9, 10, 11]);
         let ss = s.slice(2..4);
@@ -222,23 +145,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oversized_slice_panics() {
         Bytes::from_vec(vec![1, 2, 3]).slice(1..5);
-    }
-
-    #[test]
-    fn mapped_views_report_no_heap() {
-        use std::io::Write;
-        let path =
-            std::env::temp_dir().join(format!("newslink_bytes_map_{}", std::process::id()));
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(b"abcdefgh"))
-            .unwrap();
-        let map = Arc::new(Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap());
-        let b = Bytes::from_mmap(map);
-        assert!(b.is_mapped());
-        assert_eq!(b.heap_bytes(), 0);
-        let s = b.slice(2..6);
-        assert!(s.is_mapped());
-        assert_eq!(&*s, b"cdef");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -20,7 +20,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
-use crate::{FxHashMap, FxHasher};
+use crate::fxhash::{FxHashMap, FxHasher};
 
 /// A snapshot of cache activity, cheap to copy and to difference.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +33,7 @@ pub struct CacheStats {
     /// Entries displaced by the eviction policy.
     pub evictions: u64,
     /// Live entries at snapshot time.
-    pub entries: usize,
+    pub(crate) entries: usize,
 }
 
 impl CacheStats {
@@ -75,24 +75,24 @@ pub struct CacheCounters {
 impl CacheCounters {
     /// Count one cache hit.
     #[inline]
-    pub fn hit(&self) {
+    pub(crate) fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one cache miss.
     #[inline]
-    pub fn miss(&self) {
+    pub(crate) fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one eviction.
     #[inline]
-    pub fn evict(&self) {
+    pub(crate) fn evict(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot the counters together with a live entry count.
-    pub fn snapshot(&self, entries: usize) -> CacheStats {
+    pub(crate) fn snapshot(&self, entries: usize) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -141,7 +141,8 @@ impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
     }
 
     /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -170,7 +171,8 @@ impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
     }
 
     /// True when `key` is cached (does not touch the reference bit).
-    pub fn contains<Q>(&self, key: &Q) -> bool
+    #[cfg(test)]
+    pub(crate) fn contains<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -267,7 +269,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// A cache with an explicit shard count (rounded up to a power of two).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    pub(crate) fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let per_shard = if capacity == 0 {
             0
@@ -332,7 +334,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Total live entries across shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
@@ -340,7 +342,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// True when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -26,7 +26,7 @@
 /// Streaming CRC-32 state. Feed bytes with [`Crc32::update`], read the
 /// digest with [`Crc32::finish`].
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -147,12 +147,12 @@ const BRAID_MIN: usize = 4 * 8 * 1024;
 
 impl Crc32 {
     /// Fresh state (all-ones preload per the IEEE spec).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { state: !0 }
     }
 
     /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         if bytes.len() >= BRAID_MIN {
             self.update_braided(bytes);
         } else {
@@ -201,14 +201,8 @@ impl Crc32 {
     }
 
     /// Final digest (state complemented per the IEEE spec).
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

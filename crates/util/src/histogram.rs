@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 /// Number of buckets: one for zero plus one per bit of `u64`.
-pub const BUCKET_COUNT: usize = 65;
+pub(crate) const BUCKET_COUNT: usize = 65;
 
 /// The bucket index observing `value` increments.
 #[inline]
@@ -86,17 +86,20 @@ impl Histogram {
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
     /// Sum of all recorded values.
-    pub fn sum(&self) -> u128 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> u128 {
         self.sum
     }
 
     /// Mean recorded value (zero when empty).
-    pub fn mean(&self) -> f64 {
+    #[cfg(any(test, feature = "serde"))]
+    pub(crate) fn mean(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -105,7 +108,7 @@ impl Histogram {
     }
 
     /// Fold another histogram into this one (element-wise addition).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -139,7 +142,8 @@ impl Histogram {
     }
 
     /// Upper bound of the highest nonzero bucket (zero when empty).
-    pub fn max_bound(&self) -> u64 {
+    #[cfg(any(test, feature = "serde"))]
+    pub(crate) fn max_bound(&self) -> u64 {
         self.counts
             .iter()
             .rposition(|&c| c > 0)
@@ -148,7 +152,8 @@ impl Histogram {
     }
 
     /// `(upper_bound, count)` for every nonzero bucket, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    #[cfg(any(test, feature = "serde"))]
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

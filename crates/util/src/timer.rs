@@ -6,7 +6,7 @@
 //! time under string keys and reports means over a counted number of work
 //! items, which is exactly the shape those tables need.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::FxHashMap;
 
@@ -24,8 +24,9 @@ impl ComponentTimer {
     }
 
     /// Time a closure under `component`, counting one work item.
-    pub fn time<R>(&mut self, component: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
+    #[cfg(test)]
+    pub(crate) fn time<R>(&mut self, component: &'static str, f: impl FnOnce() -> R) -> R {
+        let start = std::time::Instant::now();
         let out = f();
         self.record(component, start.elapsed());
         out
@@ -54,7 +55,8 @@ impl ComponentTimer {
     }
 
     /// Mean time per work item for a component, or zero when unrecorded.
-    pub fn mean(&self, component: &str) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn mean(&self, component: &str) -> Duration {
         let n = self.count(component);
         if n == 0 {
             Duration::ZERO
@@ -74,7 +76,8 @@ impl ComponentTimer {
     }
 
     /// Component names observed so far, sorted for stable reporting.
-    pub fn components(&self) -> Vec<&'static str> {
+    #[cfg(any(test, feature = "serde"))]
+    pub(crate) fn components(&self) -> Vec<&'static str> {
         let mut keys: Vec<_> = self.totals.keys().copied().collect();
         keys.sort_unstable();
         keys

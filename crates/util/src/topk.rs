@@ -69,13 +69,9 @@ impl<T> TopK<T> {
         }
     }
 
-    /// Number of items currently retained.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True when no items are retained.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 

@@ -3,8 +3,7 @@
 //! [`crate::crc32`](mod@crate::crc32) guards the small frames: WAL records, snapshot
 //! headers, the v4 section directory. Its table-driven fold tops out
 //! near 2 GB/s on one core, and a snapshot open must checksum *every*
-//! payload byte before serving — so on the memory-mapped fast path the
-//! section checksum **is** the cold-start cost. XXH64 runs the same
+//! payload byte before serving. XXH64 runs the same
 //! verification several times faster: four independent 64-bit
 //! multiply-rotate lanes consume 32 bytes per iteration with no table
 //! loads and no serial dependency between lanes, approaching memory
@@ -48,7 +47,7 @@ fn read_u32(b: &[u8]) -> u32 {
 }
 
 /// XXH64 of `bytes` with an explicit seed.
-pub fn xxh64_seeded(bytes: &[u8], seed: u64) -> u64 {
+pub(crate) fn xxh64_seeded(bytes: &[u8], seed: u64) -> u64 {
     let len = bytes.len();
     let mut hash;
     let mut rest = bytes;

@@ -1,4 +1,7 @@
 //! NewsLink facade crate: re-exports the whole workspace.
+
+#![forbid(unsafe_code)]
+
 pub use newslink_baselines as baselines;
 pub use newslink_core as core;
 pub use newslink_corpus as corpus;
