@@ -13,9 +13,10 @@
 //! is answered `429` inline from the accept loop without ever touching
 //! the pool, so overload sheds in O(µs) instead of queueing unboundedly.
 //!
-//! Graceful shutdown: triggering the [`ServerHandle`] makes the accept
-//! loop stop accepting and drop the channel sender. Workers keep
-//! draining whatever was already queued (every accepted request gets its
+//! Graceful shutdown: [`ServerHandle::shutdown`] sets the flag and wakes
+//! the blocked `accept` with one self-connect, which the loop drops
+//! unadmitted before it drops the channel sender. Workers keep draining
+//! whatever was already queued (every accepted request gets its
 //! response), then see the channel hang up and exit; the scope joins
 //! them before [`Server::run`] returns.
 
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use newslink_core::{NewsLink, NewsLinkIndex};
-use newslink_util::ShutdownFlag;
+use newslink_util::{wake_accept, ShutdownFlag};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cluster::{dispatch_cluster, Cluster, ClusterContext};
@@ -106,9 +107,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Begin graceful shutdown; returns `true` on the first call.
+    /// Begin graceful shutdown and wake the accept loop; `true` on the first call.
     pub fn shutdown(&self) -> bool {
-        self.shutdown.trigger()
+        let first = self.shutdown.trigger();
+        if first {
+            wake_accept(self.addr);
+        }
+        first
     }
 }
 
@@ -131,8 +136,6 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        // Nonblocking accept lets the loop poll the shutdown flag.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Self {
             listener,
@@ -267,9 +270,11 @@ impl Server {
                 });
             }
 
-            // Accept loop: poll for connections and the shutdown flag.
+            // Accept loop: block until a connection arrives; shutdown's
+            // wake connection is dropped before the admission gate.
             while !self.shutdown.is_triggered() {
                 match self.listener.accept() {
+                    Ok(_) if self.shutdown.is_triggered() => break,
                     Ok((stream, _peer)) => {
                         let admitted = in_flight.fetch_add(1, Ordering::Acquire) < capacity;
                         if admitted {
@@ -285,9 +290,6 @@ impl Server {
                             self.metrics.observe_shed();
                             shed(stream);
                         }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
@@ -318,7 +320,6 @@ impl Server {
         H: Fn(&HttpRequest, Instant, usize) -> Routed + Sync,
     {
         let mut stream = job.stream;
-        let _ = stream.set_nonblocking(false);
         // Responses go out in one write; disable Nagle anyway so no
         // future multi-write path can trip over delayed ACKs.
         let _ = stream.set_nodelay(true);
@@ -386,7 +387,6 @@ impl Server {
 /// `Retry-After` tells well-behaved clients how long to back off before
 /// reconnecting.
 fn shed(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = write_response_with(
         &mut stream,
         429,
@@ -435,5 +435,97 @@ mod tests {
         assert_eq!(handle.addr(), server.local_addr());
         assert!(handle.shutdown(), "first trigger wins");
         assert!(!handle.shutdown(), "second trigger is a no-op");
+    }
+
+    /// Bound on how long `serve_with` may take to return after shutdown:
+    /// a missing wake fails the test instead of hanging it.
+    const RETURN_WITHIN: Duration = Duration::from_secs(5);
+
+    /// Run `serve_with` on its own thread with a handler that counts its
+    /// calls; the receiver yields `serve_with`'s result once it returns.
+    fn serve_counting(
+        server: Server,
+    ) -> (Arc<ServerMetrics>, Arc<AtomicUsize>, mpsc::Receiver<io::Result<()>>) {
+        let metrics = server.metrics();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let (done, returned) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = server.serve_with(|_, _, _| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Routed {
+                    route: Route::Healthz,
+                    status: 200,
+                    body: "{}".to_string(),
+                    deprecated: false,
+                }
+            });
+            let _ = done.send(result);
+        });
+        (metrics, calls, returned)
+    }
+
+    fn shutdown_returns_idle_server(bind: &str) {
+        let server = Server::bind(bind, ServeConfig::default()).unwrap();
+        let handle = server.handle();
+        let (metrics, calls, returned) = serve_counting(server);
+        // Let the loop reach its blocking `accept`, so that only the wake
+        // (not an early flag check) can end it.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(handle.shutdown());
+        returned.recv_timeout(RETURN_WITHIN).expect("accept loop woken").unwrap();
+        // The wake connection was never handled or shed.
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.shed_total(), 0);
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_loopback_server() {
+        shutdown_returns_idle_server("127.0.0.1:0");
+    }
+
+    #[test]
+    fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+        shutdown_returns_idle_server("0.0.0.0:0");
+    }
+
+    #[test]
+    fn shutdown_before_serving_returns_at_once() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        assert!(server.handle().shutdown());
+        let (_, calls, returned) = serve_counting(server);
+        returned.recv_timeout(RETURN_WITHIN).expect("returned at once").unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn wake_connection_never_reaches_a_full_admission_gate() {
+        // One worker and no queue: a kept-alive client fills the gate, so
+        // a wake connection that reached admission would be shed.
+        let config = ServeConfig::default().with_workers(1).with_queue_depth(0);
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let handle = server.handle();
+        let (metrics, calls, returned) = serve_counting(server);
+        let mut client = TcpStream::connect(handle.addr()).unwrap();
+        client.set_read_timeout(Some(RETURN_WITHIN)).unwrap();
+        io::Write::write_all(
+            &mut client,
+            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+        )
+        .unwrap();
+        let mut response = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !response.ends_with(b"{}") {
+            let n = io::Read::read(&mut client, &mut buf).unwrap();
+            assert!(n > 0, "EOF before the response body");
+            response.extend_from_slice(&buf[..n]);
+        }
+        assert!(handle.shutdown());
+        // Give a wake connection that reached the gate time to be shed.
+        std::thread::sleep(Duration::from_millis(100));
+        drop(client); // frees the worker so the drain can finish
+        returned.recv_timeout(RETURN_WITHIN).expect("drained").unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "only the client's request");
+        assert_eq!(metrics.shed_total(), 0, "the wake connection was admitted");
     }
 }

@@ -32,7 +32,7 @@ use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_serve::cluster::client::ReplicaClient;
 use newslink_serve::{client, Cluster, ResilienceConfig, ServeConfig, Server};
 use newslink_util::chaos::{ChaosProxy, Fault, FaultPlan};
-use newslink_util::ShutdownFlag;
+use newslink_util::{wake_accept, ShutdownFlag};
 use parking_lot::RwLock;
 use serde::Value;
 
@@ -498,17 +498,30 @@ fn refusal_opens_breaker_and_probe_heals_it() {
 // Prober immunity (satellite regression): probes carry deadlines.
 // ---------------------------------------------------------------------
 
+/// A running [`fixed_upstream`]; dropping it stops its accept loop.
+struct FixedUpstream {
+    addr: SocketAddr,
+    stop: ShutdownFlag,
+}
+
+impl Drop for FixedUpstream {
+    fn drop(&mut self) {
+        self.stop.trigger();
+        wake_accept(self.addr);
+    }
+}
+
 /// A minimal standalone upstream answering every request with one
 /// framed response of `body_len` bytes — big enough to drip slowly.
-fn fixed_upstream(body_len: usize) -> (SocketAddr, ShutdownFlag) {
+fn fixed_upstream(body_len: usize) -> FixedUpstream {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
-    listener.set_nonblocking(true).expect("nonblocking");
     let addr = listener.local_addr().expect("addr");
     let stop = ShutdownFlag::new();
     let stop2 = stop.clone();
     std::thread::spawn(move || {
         while !stop2.is_triggered() {
             match listener.accept() {
+                Ok(_) if stop2.is_triggered() => break,
                 Ok((mut s, _)) => {
                     let stop3 = stop2.clone();
                     std::thread::spawn(move || {
@@ -544,14 +557,12 @@ fn fixed_upstream(body_len: usize) -> (SocketAddr, ShutdownFlag) {
                         }
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => break,
             }
         }
     });
-    (addr, stop)
+    FixedUpstream { addr, stop }
 }
 
 /// The slow-loris regression: a replica dripping bytes fast enough to
@@ -561,10 +572,10 @@ fn fixed_upstream(body_len: usize) -> (SocketAddr, ShutdownFlag) {
 /// as long as the replica cared to drip.
 #[test]
 fn deadline_beats_a_byte_dripping_replica() {
-    let (upstream, stop) = fixed_upstream(2_048);
+    let upstream = fixed_upstream(2_048);
     // 64-byte slices every ~50 ms: each read succeeds well inside a
     // 250 ms socket timeout, but the full response takes ~1.6 s.
-    let proxy = ChaosProxy::spawn(upstream, FaultPlan::always(Fault::Throttle { bytes_per_sec: 1_280 }))
+    let proxy = ChaosProxy::spawn(upstream.addr, FaultPlan::always(Fault::Throttle { bytes_per_sec: 1_280 }))
         .expect("spawn proxy");
     let client = ReplicaClient::new(proxy.addr());
     let t = Instant::now();
@@ -578,16 +589,15 @@ fn deadline_beats_a_byte_dripping_replica() {
         elapsed < Duration::from_millis(800),
         "returned at the deadline, not the drip's pace: {elapsed:?}"
     );
-    stop.trigger();
 }
 
 /// A black-holed (and a dripping) replica cannot stall the prober
 /// thread: `probe_once` completes on budget and marks them unhealthy.
 #[test]
 fn prober_is_immune_to_black_holes_and_drips() {
-    let (upstream, stop) = fixed_upstream(256);
-    let hole = ChaosProxy::spawn(upstream, FaultPlan::always(Fault::BlackHole)).expect("hole");
-    let drip = ChaosProxy::spawn(upstream, FaultPlan::always(Fault::Throttle { bytes_per_sec: 320 }))
+    let upstream = fixed_upstream(256);
+    let hole = ChaosProxy::spawn(upstream.addr, FaultPlan::always(Fault::BlackHole)).expect("hole");
+    let drip = ChaosProxy::spawn(upstream.addr, FaultPlan::always(Fault::Throttle { bytes_per_sec: 320 }))
         .expect("drip");
     let cluster = Cluster::new(vec![vec![hole.addr()], vec![drip.addr()]]);
     let t = Instant::now();
@@ -604,7 +614,6 @@ fn prober_is_immune_to_black_holes_and_drips() {
             "{name} replica marked unhealthy"
         );
     }
-    stop.trigger();
 }
 
 // ---------------------------------------------------------------------
@@ -663,10 +672,9 @@ fn same_seed_injects_the_same_fault_schedule() {
     assert_eq!(schedule(7), schedule(7), "same seed, same schedule");
     assert_ne!(schedule(7), schedule(8), "different seed, different schedule");
     // Wire level: two identical runs inject identical fault counts.
-    let (upstream, stop) = fixed_upstream(200);
-    let a = drive_and_count(&all_six(7), upstream, 16);
-    let b = drive_and_count(&all_six(7), upstream, 16);
+    let upstream = fixed_upstream(200);
+    let a = drive_and_count(&all_six(7), upstream.addr, 16);
+    let b = drive_and_count(&all_six(7), upstream.addr, 16);
     assert_eq!(a, b, "same seed, same injected faults on the wire");
     assert_eq!(a[0], 16, "all connections arrived");
-    stop.trigger();
 }

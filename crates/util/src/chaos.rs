@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::rng::DetRng;
-use crate::shutdown::ShutdownFlag;
+use crate::shutdown::{wake_accept, ShutdownFlag};
 
 /// How one proxied connection misbehaves (or doesn't).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,8 +191,9 @@ impl ChaosStats {
     }
 }
 
-/// A running fault-injection proxy. Dropping it stops the accept loop;
-/// in-flight connection pumps notice the stop flag within ~100 ms.
+/// A running fault-injection proxy. Dropping it stops the accept loop
+/// (waking it with [`wake_accept`]); in-flight connection pumps notice
+/// the stop flag within ~100 ms.
 #[derive(Debug)]
 pub struct ChaosProxy {
     addr: SocketAddr,
@@ -210,7 +211,6 @@ impl ChaosProxy {
     /// under `plan`.
     pub fn spawn(upstream: SocketAddr, plan: FaultPlan) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(ChaosStats::default());
         let plan = Arc::new(Mutex::new(plan));
@@ -248,6 +248,7 @@ impl ChaosProxy {
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.stop.trigger();
+        wake_accept(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -264,6 +265,8 @@ fn accept_loop(
     let mut conn: u64 = 0;
     while !stop.is_triggered() {
         match listener.accept() {
+            // The wake connection from `Drop`: never counted or served.
+            Ok(_) if stop.is_triggered() => break,
             Ok((client, _)) => {
                 let (fault, rng) = {
                     let plan = plan.lock().unwrap_or_else(|e| e.into_inner());
@@ -275,9 +278,6 @@ fn accept_loop(
                 // Detached: pumps poll `stop` and exit promptly when the
                 // proxy is dropped.
                 std::thread::spawn(move || handle_conn(client, upstream, fault, rng, stats, &stop));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
@@ -542,29 +542,40 @@ fn sleep_unless_stopped(total: Duration, stop: &ShutdownFlag) {
 mod tests {
     use super::*;
 
+    /// A running test upstream; dropping it stops its accept loop.
+    struct Upstream {
+        addr: SocketAddr,
+        stop: ShutdownFlag,
+    }
+
+    impl Drop for Upstream {
+        fn drop(&mut self) {
+            self.stop.trigger();
+            wake_accept(self.addr);
+        }
+    }
+
     /// A one-shot echo-ish HTTP upstream: answers every request with a
     /// fixed `Content-Length`-framed body, keep-alive.
-    fn upstream(body: &'static str) -> (SocketAddr, ShutdownFlag) {
+    fn upstream(body: &'static str) -> Upstream {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
-        listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
         let stop = ShutdownFlag::new();
         let stop2 = stop.clone();
         std::thread::spawn(move || {
             while !stop2.is_triggered() {
                 match listener.accept() {
+                    Ok(_) if stop2.is_triggered() => break,
                     Ok((stream, _)) => {
                         let stop3 = stop2.clone();
                         std::thread::spawn(move || serve_conn(stream, body, &stop3));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => break,
                 }
             }
         });
-        (addr, stop)
+        Upstream { addr, stop }
     }
 
     fn serve_conn(stream: TcpStream, body: &str, stop: &ShutdownFlag) {
@@ -645,53 +656,49 @@ mod tests {
 
     #[test]
     fn passthrough_forwards_both_ways() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::healthy()).expect("spawn");
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::healthy()).expect("spawn");
         let resp = get(proxy.addr(), Duration::from_secs(2)).expect("get");
         assert!(resp.contains("200 OK"), "{resp}");
         assert!(resp.contains("BODY"), "{resp}");
         assert_eq!(proxy.stats().connections(), 1);
         assert_eq!(proxy.stats().passthrough(), 1);
-        stop.trigger();
     }
 
     #[test]
     fn refuse_kills_the_exchange() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::always(Fault::Refuse)).expect("spawn");
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::always(Fault::Refuse)).expect("spawn");
         let resp = get(proxy.addr(), Duration::from_millis(500)).unwrap_or_default();
         assert!(!resp.contains("200 OK"), "refused connection answered: {resp}");
         assert_eq!(proxy.stats().refused(), 1);
-        stop.trigger();
     }
 
     #[test]
     fn black_hole_accepts_but_never_answers() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::always(Fault::BlackHole)).expect("spawn");
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::always(Fault::BlackHole)).expect("spawn");
         let t = Instant::now();
         let resp = get(proxy.addr(), Duration::from_millis(300)).unwrap_or_default();
         assert!(resp.is_empty(), "black hole leaked bytes: {resp}");
         assert!(t.elapsed() >= Duration::from_millis(250), "client gave up early");
         assert_eq!(proxy.stats().black_holed(), 1);
-        stop.trigger();
     }
 
     #[test]
     fn short_write_truncates_the_response() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::always(Fault::ShortWrite { keep_bytes: 12 }))
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::always(Fault::ShortWrite { keep_bytes: 12 }))
             .expect("spawn");
         let resp = get(proxy.addr(), Duration::from_secs(2)).unwrap_or_default();
         assert!(resp.len() <= 12, "kept {} bytes: {resp:?}", resp.len());
         assert_eq!(proxy.stats().short_writes(), 1);
-        stop.trigger();
     }
 
     #[test]
     fn delay_holds_every_response_on_a_kept_alive_connection() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::always(Fault::Delay { ms: 60, jitter_ms: 0 }))
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::always(Fault::Delay { ms: 60, jitter_ms: 0 }))
             .expect("spawn");
         let timeout = Duration::from_secs(2);
         let stream = TcpStream::connect_timeout(&proxy.addr(), timeout).expect("connect");
@@ -717,19 +724,17 @@ mod tests {
             );
         }
         assert_eq!(proxy.stats().delays(), 2);
-        stop.trigger();
     }
 
     #[test]
     fn set_plan_heals_future_connections() {
-        let (up, stop) = upstream("BODY");
-        let proxy = ChaosProxy::spawn(up, FaultPlan::always(Fault::Refuse)).expect("spawn");
+        let up = upstream("BODY");
+        let proxy = ChaosProxy::spawn(up.addr, FaultPlan::always(Fault::Refuse)).expect("spawn");
         let sick = get(proxy.addr(), Duration::from_millis(300)).unwrap_or_default();
         assert!(!sick.contains("200 OK"));
         proxy.set_plan(FaultPlan::healthy());
         let healed = get(proxy.addr(), Duration::from_secs(2)).expect("healed get");
         assert!(healed.contains("200 OK"), "{healed}");
-        stop.trigger();
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! - [`histogram`] — log2-bucketed value histograms for latency
 //!   reporting (merge-friendly, quantiles from bucket bounds).
 //! - [`ShutdownFlag`] — a cloneable one-way stop bit for cooperative
-//!   drain-and-exit across worker pools.
+//!   drain-and-exit, and [`wake_accept`] for a loop blocked in `accept`.
 //! - [`crc32`](mod@crc32) — table-driven CRC-32 (IEEE) for frame checksums in the
 //!   persistence and write-ahead-log formats.
 //! - [`failpoint`] — deterministic fail-at-byte-N / short-write / lost
@@ -62,7 +62,7 @@ pub use crc32::crc32;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use histogram::Histogram;
 pub use rng::DetRng;
-pub use shutdown::ShutdownFlag;
+pub use shutdown::{wake_accept, ShutdownFlag};
 pub use timer::ComponentTimer;
 pub use topk::TopK;
 pub use xxh64::xxh64;

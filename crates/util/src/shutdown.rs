@@ -1,14 +1,17 @@
 //! A cooperative shutdown signal.
 //!
 //! [`ShutdownFlag`] is a cloneable handle over one shared atomic bit.
-//! Long-running loops (the serving layer's accept loop, worker pools,
-//! pollers) check [`is_triggered`](ShutdownFlag::is_triggered) between
-//! work items; any clone may call [`trigger`](ShutdownFlag::trigger) to
-//! ask all of them to wind down. Triggering is idempotent, never blocks,
-//! and cannot be undone — drain-and-exit is the only protocol.
+//! Long-running loops (worker pools, pollers) check
+//! [`is_triggered`](ShutdownFlag::is_triggered) between work items; any
+//! clone may call [`trigger`](ShutdownFlag::trigger) to ask all of them
+//! to wind down. An accept loop blocked in `accept` is woken by
+//! [`wake_accept`]. Triggering is idempotent, never blocks, and cannot
+//! be undone — drain-and-exit is the only protocol.
 
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A shared, one-way "please stop" bit.
 #[derive(Debug, Clone, Default)]
@@ -30,6 +33,18 @@ impl ShutdownFlag {
     pub fn is_triggered(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
+}
+
+/// Wake an accept loop blocked on the listener at `addr` by connecting
+/// once (an unspecified address via loopback of its family). Errors are
+/// ignored: a listener that is already gone has no loop left to wake.
+pub fn wake_accept(mut addr: SocketAddr) {
+    match &mut addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+        _ => {}
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 #[cfg(test)]

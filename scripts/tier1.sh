@@ -31,6 +31,13 @@ for root in src/lib.rs crates/*/src/lib.rs crates/cli/src/main.rs; do
     exit 1
   fi
 done
+# No poll-and-sleep accept: every accept loop under crates/ blocks in
+# accept and is woken on shutdown by newslink_util::wake_accept, so
+# nothing may put a listener (or socket) into nonblocking mode.
+if grep -rnF 'set_nonblocking(true)' crates --include='*.rs'; then
+  echo "ERROR: set_nonblocking(true) under crates/ (use a blocking accept + wake_accept)" >&2
+  exit 1
+fi
 # The workspace run covers the gate suites; what each one pins:
 # http_e2e: HTTP smoke over real TCP (load-shed, deadlines, graceful drain).
 # segment_prop: sharded, tombstoned, inserted and compacted layouts rank like the monolith.
