@@ -2,16 +2,9 @@
 
 use newslink_embed::SearchConfig;
 
-/// Which subgraph-embedding model the NE component runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EmbeddingModel {
-    /// The paper's Lowest Common Ancestor Graph `G*` (all shortest paths,
-    /// compactness-order optimal root).
-    Lcag,
-    /// The TreeEmb baseline of §VII-F (Group-Steiner-Tree star
-    /// approximation, one path per label).
-    Tree,
-}
+/// Which subgraph-embedding model the NE component runs (`G*` or
+/// TreeEmb); the embed crate's one model enum.
+pub use newslink_embed::CachedModel as EmbeddingModel;
 
 /// Capacity knobs for the engine's shared caches (see
 /// [`crate::pipeline::NewsLink`] and `newslink_embed::EmbeddingCache`).

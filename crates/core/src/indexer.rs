@@ -15,14 +15,12 @@
 
 use std::time::Instant;
 
-use newslink_embed::{
-    find_lcag, find_tree_embedding, CachedModel, DocEmbedding, EmbeddingCache,
-};
+use newslink_embed::{DocEmbedding, EmbeddingCache};
 use newslink_kg::{KnowledgeGraph, LabelIndex};
 use newslink_nlp::{DocumentAnalysis, MatchStats, NlpPipeline};
 use newslink_util::{CacheStats, ComponentTimer, FxHashSet};
 
-use crate::config::{EmbeddingModel, NewsLinkConfig};
+use crate::config::NewsLinkConfig;
 use crate::searcher::parallel_map;
 use crate::segment::IndexSegment;
 
@@ -161,17 +159,9 @@ pub(crate) fn embed_one_with(
     let mut groups = Vec::new();
     for set in &analysis.entity_groups {
         let labels: Vec<String> = set.iter().cloned().collect();
-        let result = match (cache, config.model) {
-            (Some(c), EmbeddingModel::Lcag) => {
-                c.embed_group(graph, label_index, &labels, &config.search, CachedModel::Lcag)
-            }
-            (Some(c), EmbeddingModel::Tree) => {
-                c.embed_group(graph, label_index, &labels, &config.search, CachedModel::Tree)
-            }
-            (None, EmbeddingModel::Lcag) => find_lcag(graph, label_index, &labels, &config.search),
-            (None, EmbeddingModel::Tree) => {
-                find_tree_embedding(graph, label_index, &labels, &config.search)
-            }
+        let result = match cache {
+            Some(c) => c.embed_group(graph, label_index, &labels, &config.search, config.model),
+            None => config.model.search(graph, label_index, &labels, &config.search),
         };
         // Groups that fail to embed (no sources / disconnected / budget)
         // simply contribute nothing, as in the paper's corpus filtering.
@@ -284,6 +274,7 @@ pub(crate) fn build_stripe<S: AsRef<str> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EmbeddingModel;
     use crate::pipeline::test_support::index_corpus;
     use crate::pipeline::NewsLink;
     use newslink_kg::{EntityType, GraphBuilder};

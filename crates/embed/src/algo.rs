@@ -1,30 +1,36 @@
-//! The `G*` search algorithm (Algorithms 1–3 of the paper).
+//! The one NE search behind both embedding models (Algorithms 1–3 of the
+//! paper).
 //!
 //! For entity labels `L = {l_1, …, l_m}` the search runs one multi-source
 //! Dijkstra frontier per label (`F_i`, a distance min-priority queue). The
 //! *PathEnumeration* procedure always advances the globally smallest
 //! frontier (Equation 2), guaranteeing monotonically non-decreasing
-//! enumeration distances (Lemma 3). *CandidateCollection* records a node as
-//! a candidate root once every label's search has settled it. The loop
-//! terminates when `C_1` (a candidate exists) and `C_2` (the next frontier
-//! distance exceeds the collected minimum depth) both hold; the *compactness
-//! sorting* step then returns the candidate that is minimal under
-//! Definition 4.
+//! enumeration distances (Lemma 3). *CandidateCollection* offers a node as
+//! a candidate root once every label's search has settled it. A root rule
+//! keeps the best candidate and decides when no unseen root can beat it;
+//! the chosen root is then expanded by walking each frontier's
+//! predecessors back to the label's sources.
 //!
-//! While searching, each label search keeps *all* tight predecessors, so
-//! the chosen root can be expanded into the full shortest-path DAG
-//! `∪_i P(l_i → r, D)` — the multi-path "width" that distinguishes `G*`
-//! from tree models.
+//! The two models differ only in the root rule and in how many
+//! predecessors a frontier keeps:
+//! - `G*` ([`find_lcag`]) picks the root that is minimal under
+//!   Definition 4 and stops at `C_1 ∧ C_2`. Its frontiers keep *all*
+//!   tight predecessors, so the root expands into the full shortest-path
+//!   DAG `∪_i P(l_i → r, D)` — the multi-path "width" that distinguishes
+//!   `G*` from tree models. [`SearchConfig::single_path`] keeps one.
+//! - TreeEmb ([`crate::find_tree_embedding`]) picks the root with the
+//!   lowest distance sum and keeps one predecessor, so each label
+//!   contributes exactly one shortest path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use newslink_kg::{KnowledgeGraph, LabelIndex, NodeId, Symbol};
+use newslink_kg::{KnowledgeGraph, LabelIndex, NodeId};
 use newslink_util::{FxHashMap, FxHashSet};
 
 use crate::model::{compactness_cmp, CommonAncestorGraph, EmbedEdge};
 
-/// Tuning knobs for the `G*` search.
+/// Tuning knobs for the NE search.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Upper bound on total settled nodes across all frontiers (the paper's
@@ -32,9 +38,10 @@ pub struct SearchConfig {
     pub max_settled: usize,
     /// Cap on `|S(l)|` source nodes per label (highly ambiguous labels).
     pub max_sources_per_label: usize,
-    /// Ablation knob: keep only ONE tight predecessor per node, collapsing
-    /// `G*`'s multi-path width to single shortest paths (the root selection
-    /// stays compactness-optimal). Used by the coverage ablation bench.
+    /// Ablation knob: `G*`'s frontiers keep only ONE predecessor per node,
+    /// collapsing its multi-path width to single shortest paths (the root
+    /// selection stays compactness-optimal). Used by the coverage
+    /// ablation bench.
     pub single_path: bool,
 }
 
@@ -72,36 +79,27 @@ impl std::fmt::Display for EmbedError {
 
 impl std::error::Error for EmbedError {}
 
-/// A tight-predecessor record: the traversal reached the owning node from
-/// `from` over `predicate`.
-#[derive(Debug, Clone, Copy)]
-struct Pred {
-    from: NodeId,
-    predicate: Symbol,
-    inverse: bool,
-}
-
 /// One label's Dijkstra frontier (`F_i`).
-struct LabelSearch {
+struct Frontier {
     dist: FxHashMap<NodeId, u32>,
     settled: FxHashMap<NodeId, u32>,
     heap: BinaryHeap<Reverse<(u32, NodeId)>>,
-    preds: FxHashMap<NodeId, Vec<Pred>>,
+    /// The edge that set each reached node's current distance.
+    pred: FxHashMap<NodeId, EmbedEdge>,
+    /// Further tight predecessor edges, kept only in all-predecessors mode.
+    ties: FxHashMap<NodeId, Vec<EmbedEdge>>,
+    all_preds: bool,
 }
 
-impl LabelSearch {
-    fn new(sources: Vec<NodeId>) -> Self {
-        let mut dist = FxHashMap::default();
-        let mut heap = BinaryHeap::new();
-        for &s in &sources {
-            dist.insert(s, 0);
-            heap.push(Reverse((0, s)));
-        }
+impl Frontier {
+    fn new(sources: &[NodeId], all_preds: bool) -> Self {
         Self {
-            dist,
+            dist: sources.iter().map(|&s| (s, 0)).collect(),
             settled: FxHashMap::default(),
-            heap,
-            preds: FxHashMap::default(),
+            heap: sources.iter().map(|&s| Reverse((0, s))).collect(),
+            pred: FxHashMap::default(),
+            ties: FxHashMap::default(),
+            all_preds,
         }
     }
 
@@ -119,47 +117,135 @@ impl LabelSearch {
     }
 
     /// Settle the head node and relax its neighbours (Algorithm 2 body).
-    fn settle(&mut self, graph: &KnowledgeGraph) -> Option<(NodeId, u32)> {
+    fn settle(&mut self, graph: &KnowledgeGraph) -> Option<NodeId> {
         let Reverse((d, v)) = self.heap.pop()?;
-        debug_assert!(!self.settled.contains_key(&v));
         self.settled.insert(v, d);
         for e in graph.neighbors(v) {
             let nd = d + e.weight;
+            let pred = EmbedEdge { from: v, to: e.to, predicate: e.predicate, inverse: e.inverse };
             match self.dist.get(&e.to) {
                 Some(&old) if nd > old => {}
                 Some(&old) if nd == old => {
-                    // A second tight predecessor: preserves path width.
-                    self.preds.entry(e.to).or_default().push(Pred {
-                        from: v,
-                        predicate: e.predicate,
-                        inverse: e.inverse,
-                    });
-                }
-                _ => {
-                    if self.settled.contains_key(&e.to) {
-                        continue; // already final (can happen only if nd >= settled dist)
+                    // A further tight predecessor: preserves path width.
+                    if self.all_preds {
+                        self.ties.entry(e.to).or_default().push(pred);
                     }
-                    self.dist.insert(e.to, nd);
-                    let preds = self.preds.entry(e.to).or_default();
-                    preds.clear();
-                    preds.push(Pred {
-                        from: v,
-                        predicate: e.predicate,
-                        inverse: e.inverse,
-                    });
+                }
+                // Already final (only if nd >= its settled distance).
+                _ if self.settled.contains_key(&e.to) => {}
+                _ => {
+                    // A shorter distance makes the old ties stale.
+                    if self.dist.insert(e.to, nd).is_some() && self.all_preds {
+                        self.ties.remove(&e.to);
+                    }
+                    self.pred.insert(e.to, pred);
                     self.heap.push(Reverse((nd, e.to)));
                 }
             }
         }
-        Some((v, d))
+        Some(v)
     }
 }
 
-/// A collected candidate root with its compactness key.
-struct Candidate {
-    root: NodeId,
-    key: Vec<u32>,
-    distances: Vec<u32>,
+/// How a model chooses its root among the candidates, and when it may
+/// stop looking.
+pub(crate) trait RootRule {
+    /// True once no root settled at `next_dist` or later can beat the
+    /// best candidate.
+    fn stop(&self, next_dist: u32) -> bool;
+    /// Consider `root`, which every label has settled at `distances`.
+    fn offer(&mut self, root: NodeId, distances: Vec<u32>);
+    /// The chosen root and its per-label distances.
+    fn best(self) -> Option<(NodeId, Vec<u32>)>;
+}
+
+/// `G*`'s rule: the candidate minimal under Definition 4 (ties: lowest
+/// root id), kept as `(key, root, distances)`.
+#[derive(Default)]
+struct Compactness(Option<(Vec<u32>, NodeId, Vec<u32>)>);
+
+impl RootRule for Compactness {
+    /// `C_1 ∧ C_2` (lines 11–13 of Algorithm 1): a candidate exists and
+    /// the next frontier distance exceeds its depth `key[0]` — the
+    /// smallest collected depth, as the order compares depths first — so
+    /// by Lemma 3 no unseen root can be more compact.
+    fn stop(&self, next_dist: u32) -> bool {
+        self.0.as_ref().is_some_and(|(key, _, _)| key[0] < next_dist)
+    }
+
+    fn offer(&mut self, root: NodeId, distances: Vec<u32>) {
+        let mut key = distances.clone();
+        key.sort_unstable_by(|a, b| b.cmp(a));
+        let better = self
+            .0
+            .as_ref()
+            .is_none_or(|(k, r, _)| compactness_cmp(&key, k).then(root.cmp(r)).is_lt());
+        if better {
+            self.0 = Some((key, root, distances));
+        }
+    }
+
+    fn best(self) -> Option<(NodeId, Vec<u32>)> {
+        self.0.map(|(_, root, distances)| (root, distances))
+    }
+}
+
+/// The search both models share: resolve `S(l)` per label, advance the
+/// frontiers (one predecessor each unless `all_preds`), offer every
+/// completed root to `rule`, and materialise the root it chose.
+pub(crate) fn search(
+    graph: &KnowledgeGraph,
+    index: &LabelIndex,
+    labels: &[String],
+    config: &SearchConfig,
+    all_preds: bool,
+    mut rule: impl RootRule,
+) -> Result<CommonAncestorGraph, EmbedError> {
+    if labels.is_empty() {
+        return Err(EmbedError::EmptyLabelSet);
+    }
+    let mut frontiers = Vec::with_capacity(labels.len());
+    for l in labels {
+        let mut sources = index.candidates(graph, l);
+        if sources.is_empty() {
+            return Err(EmbedError::NoSources(l.clone()));
+        }
+        sources.truncate(config.max_sources_per_label);
+        frontiers.push(Frontier::new(&sources, all_preds));
+    }
+
+    let mut settled_total = 0usize;
+    loop {
+        // Equation 2: pick the label whose frontier head is globally
+        // smallest (ties: lowest label index, deterministically).
+        let head = frontiers.iter_mut().enumerate().filter_map(|(i, f)| Some((f.peek()?, i)));
+        let Some((next_dist, li)) = head.min() else {
+            break; // all frontiers exhausted
+        };
+        if rule.stop(next_dist) {
+            break;
+        }
+
+        // PathEnumeration: settle one node of the chosen frontier.
+        let Some(v) = frontiers[li].settle(graph) else {
+            continue;
+        };
+        settled_total += 1;
+
+        // CandidateCollection (Algorithm 3): has every label settled v?
+        // Each label settles a node once, so a root completes only once.
+        if frontiers.iter().all(|f| f.settled.contains_key(&v)) {
+            rule.offer(v, frontiers.iter().map(|f| f.settled[&v]).collect());
+        }
+
+        // Budget guard (the paper's `while Not Timeout`).
+        if settled_total >= config.max_settled {
+            break;
+        }
+    }
+
+    let (root, distances) = rule.best().ok_or(EmbedError::NoCommonAncestor)?;
+    Ok(materialize(labels, &frontiers, root, distances))
 }
 
 /// Find the Lowest Common Ancestor Graph for `labels` (Algorithm 1).
@@ -172,139 +258,44 @@ pub fn find_lcag(
     labels: &[String],
     config: &SearchConfig,
 ) -> Result<CommonAncestorGraph, EmbedError> {
-    if labels.is_empty() {
-        return Err(EmbedError::EmptyLabelSet);
-    }
-    let mut searches = Vec::with_capacity(labels.len());
-    for l in labels {
-        let mut sources = index.candidates(graph, l);
-        if sources.is_empty() {
-            return Err(EmbedError::NoSources(l.clone()));
-        }
-        sources.truncate(config.max_sources_per_label);
-        searches.push(LabelSearch::new(sources));
-    }
-
-    let mut settled_total = 0usize;
-    // The most compact candidate so far (Definition 4; ties: lowest root
-    // id). Its depth `key[0]` is the smallest collected depth, because
-    // the compactness order compares depths first.
-    let mut best: Option<Candidate> = None;
-
-    loop {
-        // Equation 2: pick the label whose frontier head is globally
-        // smallest (ties: lowest label index, deterministically).
-        let mut head: Option<(u32, usize)> = None;
-        for (i, s) in searches.iter_mut().enumerate() {
-            if let Some(d) = s.peek() {
-                if head.is_none_or(|(hd, _)| d < hd) {
-                    head = Some((d, i));
-                }
-            }
-        }
-        let Some((next_dist, li)) = head else {
-            break; // all frontiers exhausted
-        };
-
-        // Termination test C1 ∧ C2 (lines 11–13 of Algorithm 1): a
-        // candidate exists and the next frontier distance exceeds its
-        // depth, so by Lemma 3 no unseen root can be more compact.
-        if best.as_ref().is_some_and(|b| b.key[0] < next_dist) {
-            break;
-        }
-
-        // PathEnumeration: settle one node of the chosen frontier.
-        let Some((v_f, _)) = searches[li].settle(graph) else {
-            continue;
-        };
-        settled_total += 1;
-
-        // CandidateCollection (Algorithm 3): has every label settled v_f?
-        // Each label settles a node once, so a root completes only once.
-        let distances: Option<Vec<u32>> =
-            searches.iter().map(|s| s.settled.get(&v_f).copied()).collect();
-        if let Some(distances) = distances {
-            let mut key = distances.clone();
-            key.sort_unstable_by(|a, b| b.cmp(a));
-            let candidate = Candidate {
-                root: v_f,
-                key,
-                distances,
-            };
-            // Compactness sorting, one candidate at a time.
-            let better = best.as_ref().is_none_or(|b| {
-                compactness_cmp(&candidate.key, &b.key)
-                    .then(candidate.root.cmp(&b.root))
-                    .is_lt()
-            });
-            if better {
-                best = Some(candidate);
-            }
-        }
-
-        // Budget guard (the paper's `while Not Timeout`).
-        if settled_total >= config.max_settled {
-            break;
-        }
-    }
-
-    let best = best.ok_or(EmbedError::NoCommonAncestor)?;
-    Ok(materialize(labels, &searches, best, config.single_path))
+    search(graph, index, labels, config, !config.single_path, Compactness::default())
 }
 
-/// Expand the chosen root into `∪_i P(l_i → r, D)` by walking each label's
-/// tight-predecessor DAG backwards from the root.
+/// Expand `root` into `∪_i P(l_i → r, D)` by walking each label's
+/// predecessors backwards from the root; on a one-predecessor frontier
+/// that is one shortest path per label. The walk reaches only settled
+/// nodes, and a settled node's recorded predecessors are all settled and
+/// tight for its final distance (a shorter distance drops the old ties),
+/// so it needs no distance check.
 fn materialize(
     labels: &[String],
-    searches: &[LabelSearch],
-    best: Candidate,
-    single_path: bool,
+    frontiers: &[Frontier],
+    root: NodeId,
+    distances: Vec<u32>,
 ) -> CommonAncestorGraph {
     let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
     let mut edges: FxHashSet<EmbedEdge> = FxHashSet::default();
-    let mut sources: Vec<Vec<NodeId>> = Vec::with_capacity(searches.len());
-    nodes.insert(best.root);
+    let mut sources: Vec<Vec<NodeId>> = Vec::with_capacity(frontiers.len());
 
-    for s in searches {
+    for f in frontiers {
         let mut reached_sources = Vec::new();
         let mut visited: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack = vec![best.root];
-        visited.insert(best.root);
+        let mut stack = vec![root];
+        visited.insert(root);
         while let Some(v) = stack.pop() {
             nodes.insert(v);
-            if s.dist.get(&v) == Some(&0) {
+            if f.dist.get(&v) == Some(&0) {
                 reached_sources.push(v);
             }
-            if let Some(preds) = s.preds.get(&v) {
-                let dv = s.settled.get(&v).copied().unwrap_or(u32::MAX);
-                let mut taken = 0usize;
-                for p in preds {
-                    // Only tight predecessors on *final* shortest paths: the
-                    // predecessor's settled distance must step down exactly.
-                    let Some(&du) = s.settled.get(&p.from) else {
-                        continue;
-                    };
-                    if du >= dv {
-                        continue;
-                    }
-                    if single_path && taken == 1 {
-                        break;
-                    }
-                    taken += 1;
-                    edges.insert(EmbedEdge {
-                        from: p.from,
-                        to: v,
-                        predicate: p.predicate,
-                        inverse: p.inverse,
-                    });
-                    if visited.insert(p.from) {
-                        stack.push(p.from);
-                    }
+            let ties = f.ties.get(&v).into_iter().flatten();
+            for &p in f.pred.get(&v).into_iter().chain(ties) {
+                edges.insert(p);
+                if visited.insert(p.from) {
+                    stack.push(p.from);
                 }
             }
         }
         reached_sources.sort_unstable();
-        reached_sources.dedup();
         sources.push(reached_sources);
     }
 
@@ -314,9 +305,9 @@ fn materialize(
     edges.sort_unstable_by_key(|e| (e.from, e.to, e.predicate, e.inverse));
 
     CommonAncestorGraph {
-        root: best.root,
+        root,
         labels: labels.to_vec(),
-        distances: best.distances,
+        distances,
         nodes,
         edges,
         sources,

@@ -14,11 +14,11 @@ use crate::union::DocEmbedding;
 ///
 /// BON terms live in their own index, so plain decimal ids are
 /// collision-free; the `n` prefix only aids debugging.
-pub fn node_term(node: NodeId) -> String {
+pub(crate) fn node_term(node: NodeId) -> String {
     format!("n{}", node.0)
 }
 
-/// Parse a term produced by [`node_term`].
+/// Parse a BON index term (`n<node id>`) back to its node.
 pub fn parse_node_term(term: &str) -> Option<NodeId> {
     term.strip_prefix('n')?.parse().ok().map(NodeId)
 }

@@ -21,14 +21,33 @@ use crate::algo::{find_lcag, EmbedError, SearchConfig};
 use crate::model::CommonAncestorGraph;
 use crate::tree::find_tree_embedding;
 
-/// Which embedding algorithm a cached group belongs to (the cache key
-/// must separate them — same labels, different subgraphs).
+/// Which subgraph-embedding model the NE component runs. It is also part
+/// of the group memo's key: the same labels embed differently under each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachedModel {
-    /// The paper's `G*` (all shortest paths).
+    /// The paper's Lowest Common Ancestor Graph `G*` (all shortest paths,
+    /// compactness-order optimal root).
     Lcag,
-    /// The TreeEmb baseline (one path per label).
+    /// The TreeEmb baseline of §VII-F (Group-Steiner-Tree star
+    /// approximation, one path per label).
     Tree,
+}
+
+impl CachedModel {
+    /// Embed one entity group under this model, uncached: [`find_lcag`]
+    /// or [`find_tree_embedding`].
+    pub fn search(
+        self,
+        graph: &KnowledgeGraph,
+        index: &LabelIndex,
+        labels: &[String],
+        config: &SearchConfig,
+    ) -> Result<CommonAncestorGraph, EmbedError> {
+        match self {
+            CachedModel::Lcag => find_lcag(graph, index, labels, config),
+            CachedModel::Tree => find_tree_embedding(graph, index, labels, config),
+        }
+    }
 }
 
 /// Group-memo key: the exact label sequence plus the model.
@@ -77,10 +96,7 @@ impl EmbeddingCache {
         if let Some(cached) = self.groups.get(&key) {
             return (*cached).clone();
         }
-        let result = match model {
-            CachedModel::Lcag => find_lcag(graph, index, labels, config),
-            CachedModel::Tree => find_tree_embedding(graph, index, labels, config),
-        };
+        let result = model.search(graph, index, labels, config);
         self.groups.insert(key, Arc::new(result.clone()));
         result
     }

@@ -16,14 +16,14 @@ use crate::union::DocEmbedding;
 /// One step of a relationship path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct PathStep {
+pub(crate) struct PathStep {
     /// The node this step arrives at.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// The predicate traversed.
-    pub predicate: Symbol,
+    pub(crate) predicate: Symbol,
     /// True when the *original* KG edge points against the traversal
     /// direction (render as `←pred—`).
-    pub against: bool,
+    pub(crate) against: bool,
 }
 
 /// A relationship path between two entity nodes.
@@ -31,26 +31,26 @@ pub struct PathStep {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RelationshipPath {
     /// The starting entity node.
-    pub start: NodeId,
+    pub(crate) start: NodeId,
     /// The steps from `start` to the final entity node.
-    pub steps: Vec<PathStep>,
+    pub(crate) steps: Vec<PathStep>,
 }
 
 impl RelationshipPath {
     /// All nodes on the path, start first.
-    pub fn nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
         std::iter::once(self.start)
             .chain(self.steps.iter().map(|s| s.to))
             .collect()
     }
 
     /// Number of edges.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.steps.len()
     }
 
     /// True for a trivial single-node path.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
 
@@ -190,6 +190,7 @@ pub fn relationship_paths(
 mod tests {
     use super::*;
     use crate::algo::{find_lcag, SearchConfig};
+    use crate::model::EmbedEdge;
     use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 
     /// Election world resembling the paper's case study (Figure 6):
@@ -295,6 +296,77 @@ mod tests {
         let r = embed(&g, &idx, &["donald trump", "hillary clinton"]);
         for p in relationship_paths(&q, &r, 4, 10) {
             assert_eq!(p.nodes().len(), p.len() + 1);
+        }
+    }
+
+    /// A document of up to three entity groups over `pool`, embedded with
+    /// `find_lcag`; groups that fail to embed contribute nothing.
+    fn synth_doc(
+        g: &KnowledgeGraph,
+        idx: &LabelIndex,
+        pool: &[NodeId],
+        groups: &[Vec<usize>],
+    ) -> DocEmbedding {
+        let cags = groups
+            .iter()
+            .filter_map(|picks| {
+                let l: Vec<String> =
+                    picks.iter().map(|&p| g.label(pool[p % pool.len()]).to_string()).collect();
+                find_lcag(g, idx, &l, &SearchConfig::default()).ok()
+            })
+            .collect();
+        DocEmbedding::new(cags)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every explanation is a real KG walk inside `G*_a ∪ G*_b` that
+        /// joins an entity of `a` to a different entity of `b`.
+        #[test]
+        fn relationship_paths_are_kg_walks_between_the_two_documents(
+            seed in 0u64..1_000,
+            groups_a in proptest::collection::vec(proptest::collection::vec(0usize..10_000, 1..5), 1..4),
+            groups_b in proptest::collection::vec(proptest::collection::vec(0usize..10_000, 1..5), 1..4),
+            max_len in 1usize..7,
+            max_paths in 1usize..12,
+        ) {
+            let world = newslink_kg::synth::generate(&newslink_kg::SynthConfig::small(seed));
+            let g = &world.graph;
+            let idx = LabelIndex::build(g);
+            let pool: Vec<NodeId> =
+                world.countries.iter().chain(&world.cities).chain(&world.people).copied().collect();
+            let a = synth_doc(g, &idx, &pool, &groups_a);
+            let b = synth_doc(g, &idx, &pool, &groups_b);
+            let in_union = |from: NodeId, to: NodeId, predicate: Symbol, inverse: bool| {
+                let e = EmbedEdge { from, to, predicate, inverse };
+                let twin = EmbedEdge { from: to, to: from, predicate, inverse: !inverse };
+                [&a, &b].iter().any(|d| d.all_edges().iter().any(|&x| x == e || x == twin))
+            };
+
+            let paths = relationship_paths(&a, &b, max_len, max_paths);
+            assert!(paths.len() <= max_paths);
+            let order = |p: &RelationshipPath| (p.len(), p.start, p.steps.last().map(|s| s.to));
+            assert!(paths.windows(2).all(|w| order(&w[0]) <= order(&w[1])), "sorted");
+            for p in &paths {
+                let end = p.steps.last().expect("a path has at least one step").to;
+                assert!(a.entity_nodes().contains(&p.start), "starts at an entity of a");
+                assert!(b.entity_nodes().contains(&end), "ends at an entity of b");
+                assert_ne!(p.start, end);
+                assert!(p.len() <= max_len);
+                let mut u = p.start;
+                for s in &p.steps {
+                    assert!(
+                        g.neighbors(u)
+                            .iter()
+                            .any(|e| e.to == s.to && e.predicate == s.predicate && e.inverse == s.against),
+                        "step {u:?} -> {:?} is a KG edge with its predicate and direction",
+                        s.to
+                    );
+                    assert!(in_union(u, s.to, s.predicate, s.against), "step lies in G*_a ∪ G*_b");
+                    u = s.to;
+                }
+            }
         }
     }
 }

@@ -65,7 +65,8 @@ impl CommonAncestorGraph {
     }
 
     /// Number of nodes in the embedding.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }

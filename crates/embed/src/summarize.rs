@@ -20,7 +20,7 @@ use crate::explain::RelationshipPath;
 /// Informativeness of a path: shorter is better, and intermediate nodes
 /// are weighted by `1 / ln(2 + degree)` so generic hubs (country roots,
 /// continents) count less than specific entities.
-pub fn path_informativeness(graph: &KnowledgeGraph, path: &RelationshipPath) -> f64 {
+pub(crate) fn path_informativeness(graph: &KnowledgeGraph, path: &RelationshipPath) -> f64 {
     if path.is_empty() {
         return 0.0;
     }

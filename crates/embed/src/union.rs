@@ -30,7 +30,7 @@ impl DocEmbedding {
     }
 
     /// Node → number of groups containing it (the BON term frequency).
-    pub fn node_counts(&self) -> FxHashMap<NodeId, u32> {
+    pub(crate) fn node_counts(&self) -> FxHashMap<NodeId, u32> {
         let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
         for g in &self.groups {
             for &n in &g.nodes {
@@ -48,7 +48,7 @@ impl DocEmbedding {
     }
 
     /// All edges across groups, deduplicated.
-    pub fn all_edges(&self) -> Vec<EmbedEdge> {
+    pub(crate) fn all_edges(&self) -> Vec<EmbedEdge> {
         let mut v: Vec<EmbedEdge> = self.groups.iter().flat_map(|g| g.edges.iter().copied()).collect();
         v.sort_unstable_by_key(|e| (e.from, e.to, e.predicate, e.inverse));
         v.dedup();
@@ -57,7 +57,7 @@ impl DocEmbedding {
 
     /// All entity source nodes (path start points) across groups, sorted
     /// and deduplicated — the anchors for relationship-path explanations.
-    pub fn entity_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn entity_nodes(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self
             .groups
             .iter()

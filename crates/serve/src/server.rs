@@ -18,10 +18,12 @@
 //! unadmitted before it drops the channel sender. Workers keep draining
 //! whatever was already queued (every accepted request gets its
 //! response), then see the channel hang up and exit; the scope joins
-//! them before [`Server::run`] returns.
+//! them before [`Server::run`] returns. A worker waiting for the next
+//! request on a kept-alive connection does not wait out the read
+//! timeout: the loop shuts the read side of every such idle connection.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -251,12 +253,17 @@ impl Server {
         let in_flight = AtomicUsize::new(0);
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Mutex::new(receiver);
+        let workers = self.config.workers.max(1);
+        // Per worker: a clone of the kept-alive connection it is waiting
+        // on for the next request, if any.
+        let idle: Mutex<Vec<Option<TcpStream>>> = Mutex::new((0..workers).map(|_| None).collect());
 
         std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
+            for slot in 0..workers {
                 let receiver = &receiver;
                 let in_flight = &in_flight;
                 let handler = &handler;
+                let idle = &idle;
                 scope.spawn(move || loop {
                     // Hold the lock only while waiting; release before
                     // handling so peers can pick up the next job.
@@ -265,13 +272,14 @@ impl Server {
                         break; // sender dropped and queue drained
                     };
                     let gauge = in_flight.load(Ordering::Relaxed);
-                    self.handle_connection(job, handler, gauge);
+                    self.handle_connection(job, handler, gauge, idle, slot);
                     in_flight.fetch_sub(1, Ordering::Release);
                 });
             }
 
             // Accept loop: block until a connection arrives; shutdown's
             // wake connection is dropped before the admission gate.
+            let mut outcome = Ok(());
             while !self.shutdown.is_triggered() {
                 match self.listener.accept() {
                     Ok(_) if self.shutdown.is_triggered() => break,
@@ -296,14 +304,19 @@ impl Server {
                         // Listener failure: shut the pool down cleanly
                         // before surfacing the error.
                         self.shutdown.trigger();
-                        drop(sender);
-                        return Err(e);
+                        outcome = Err(e);
                     }
                 }
             }
+            // The flag is set: end the reads of workers waiting on idle
+            // kept-alive connections. A worker registers before it checks
+            // the flag, so one that registers after this sweep sees it.
+            for stream in idle.lock().iter().flatten() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
             // Graceful drain: stop accepting, let queued jobs finish.
             drop(sender);
-            Ok(())
+            outcome
         })
     }
 
@@ -314,9 +327,17 @@ impl Server {
     /// kept-alive connection occupies its worker (and its admission
     /// slot) until the client closes it or stalls past the read
     /// timeout — which is exactly the accounting admission control
-    /// wants, since the connection really is holding a worker.
-    fn handle_connection<H>(&self, job: Job, handler: &H, in_flight: usize)
-    where
+    /// wants, since the connection really is holding a worker. While it
+    /// waits for a later request it sits in the worker's `idle` slot, so
+    /// that shutdown can end the wait.
+    fn handle_connection<H>(
+        &self,
+        job: Job,
+        handler: &H,
+        in_flight: usize,
+        idle: &Mutex<Vec<Option<TcpStream>>>,
+        slot: usize,
+    ) where
         H: Fn(&HttpRequest, Instant, usize) -> Routed + Sync,
     {
         let mut stream = job.stream;
@@ -327,7 +348,21 @@ impl Server {
         let mut anchor = job.accepted;
         let mut first = true;
         loop {
-            let request = match read_request(&mut stream, self.config.max_body_bytes) {
+            // Register, then check the flag (see `serve_with`'s sweep).
+            // The first request never registers.
+            let waiting = !first;
+            if waiting {
+                idle.lock()[slot] = stream.try_clone().ok();
+                if self.shutdown.is_triggered() {
+                    idle.lock()[slot] = None;
+                    return;
+                }
+            }
+            let received = read_request(&mut stream, self.config.max_body_bytes);
+            if waiting {
+                idle.lock()[slot] = None;
+            }
+            let request = match received {
                 Ok(request) => {
                     // The first request's budget is anchored at accept
                     // (queue wait counts against it); later requests on a
@@ -376,7 +411,7 @@ impl Server {
                 return;
             }
             self.metrics.observe(route, status, anchor.elapsed());
-            if !keep || self.shutdown.is_triggered() {
+            if !keep {
                 return;
             }
         }
@@ -397,7 +432,7 @@ fn shed(mut stream: TcpStream) {
     // send RST, which can destroy the 429 before the client reads it.
     // Signal end-of-response, then briefly drain what the client sent —
     // bounded reads only, since this runs on the accept thread.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut sink = [0u8; 4096];
     for _ in 0..4 {
@@ -465,6 +500,26 @@ mod tests {
         (metrics, calls, returned)
     }
 
+    /// A client that sent one kept-alive request to `addr` and read the
+    /// whole response, leaving the connection open.
+    fn kept_alive_client(addr: SocketAddr) -> TcpStream {
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(RETURN_WITHIN)).unwrap();
+        io::Write::write_all(
+            &mut client,
+            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+        )
+        .unwrap();
+        let mut response = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !response.ends_with(b"{}") {
+            let n = io::Read::read(&mut client, &mut buf).unwrap();
+            assert!(n > 0, "EOF before the response body");
+            response.extend_from_slice(&buf[..n]);
+        }
+        client
+    }
+
     fn shutdown_returns_idle_server(bind: &str) {
         let server = Server::bind(bind, ServeConfig::default()).unwrap();
         let handle = server.handle();
@@ -506,20 +561,7 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", config).unwrap();
         let handle = server.handle();
         let (metrics, calls, returned) = serve_counting(server);
-        let mut client = TcpStream::connect(handle.addr()).unwrap();
-        client.set_read_timeout(Some(RETURN_WITHIN)).unwrap();
-        io::Write::write_all(
-            &mut client,
-            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
-        )
-        .unwrap();
-        let mut response = Vec::new();
-        let mut buf = [0u8; 1024];
-        while !response.ends_with(b"{}") {
-            let n = io::Read::read(&mut client, &mut buf).unwrap();
-            assert!(n > 0, "EOF before the response body");
-            response.extend_from_slice(&buf[..n]);
-        }
+        let client = kept_alive_client(handle.addr());
         assert!(handle.shutdown());
         // Give a wake connection that reached the gate time to be shed.
         std::thread::sleep(Duration::from_millis(100));
@@ -527,5 +569,26 @@ mod tests {
         returned.recv_timeout(RETURN_WITHIN).expect("drained").unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "only the client's request");
         assert_eq!(metrics.shed_total(), 0, "the wake connection was admitted");
+    }
+
+    #[test]
+    fn shutdown_ends_the_wait_on_an_idle_kept_alive_connection() {
+        // One worker, blocked reading the next request of a kept-alive
+        // client that went quiet: shutdown must not wait out the 5 s
+        // read timeout.
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default().with_workers(1)).unwrap();
+        let handle = server.handle();
+        let (_, calls, returned) = serve_counting(server);
+        let mut client = kept_alive_client(handle.addr());
+        // Let the worker go back to reading, so the sweep has to end it.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(handle.shutdown());
+        returned
+            .recv_timeout(Duration::from_secs(1))
+            .expect("serve_with returned without waiting out the read timeout")
+            .unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // The server closed the idle connection.
+        assert_eq!(io::Read::read(&mut client, &mut [0u8; 64]).unwrap(), 0);
     }
 }

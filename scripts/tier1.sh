@@ -48,6 +48,7 @@ fi
 # cluster_prop: a router over real shard servers merges like one in-process search.
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
 # paper_tables: seeded Tiny paper tables are byte-identical to tests/golden/paper_tables.
+# ne_oracle: both embedding models are field-identical to the pre-merge searches.
 # cli: the newslink binary runs generate-world → generate-corpus → build-index → search, and refuses removed commands and flags and ignored flags.
 cargo test -q --workspace
 # The vendored shims are path dependencies, not workspace members, so the
