@@ -5,20 +5,21 @@
 //! to them on synthetic worlds; a rewrite of the shared loop (a tighter
 //! stopping rule, dense search state) must keep it passing.
 
-mod lcag;
-mod tree;
+pub(crate) mod lcag;
+pub(crate) mod tree;
 
 use proptest::prelude::*;
 
 use newslink_kg::{reweight_by_predicate_rarity, synth, LabelIndex, NodeId, SynthConfig};
+use newslink_util::DetRng;
 
 use crate::algo::{find_lcag, EmbedError, SearchConfig};
 use crate::model::CommonAncestorGraph;
 use crate::tree::find_tree_embedding;
 
-type Found = Result<CommonAncestorGraph, EmbedError>;
+pub(crate) type Found = Result<CommonAncestorGraph, EmbedError>;
 
-fn assert_same(what: &str, got: &Found, want: &Found) {
+pub(crate) fn assert_same(what: &str, got: &Found, want: &Found) {
     match (got, want) {
         (Ok(g), Ok(w)) => {
             assert_eq!(g.root, w.root, "{what}: root");
@@ -34,7 +35,7 @@ fn assert_same(what: &str, got: &Found, want: &Found) {
 }
 
 /// Entity nodes worth naming in a query group.
-fn entity_pool(world: &synth::SynthWorld) -> Vec<NodeId> {
+pub(crate) fn entity_pool(world: &synth::SynthWorld) -> Vec<NodeId> {
     world
         .countries
         .iter()
@@ -98,6 +99,45 @@ proptest! {
                     &tree::find_tree_embedding(graph, &index, &labels, config),
                 );
             }
+        }
+    }
+}
+
+/// Both models against the oracle at perf's graph size
+/// (`SynthConfig::scaled(7, 10_000)`): 150 random groups of 1–4 pool
+/// entities under the default, `single_path`, budget-limited and
+/// one-source configs. Ignored by default (a few seconds in release);
+/// `scripts/tier1.sh` runs it.
+#[test]
+#[ignore]
+fn both_models_match_the_pre_merge_searches_at_scale() {
+    let world = synth::generate(&SynthConfig::scaled(7, 10_000));
+    let graph = &world.graph;
+    let index = LabelIndex::build(graph);
+    let pool = entity_pool(&world);
+    let mut rng = DetRng::new(10_000);
+    for _ in 0..150 {
+        let labels: Vec<String> = (0..rng.range(1, 5))
+            .map(|_| graph.label(*rng.pick(&pool)).to_string())
+            .collect();
+        let configs = [
+            SearchConfig::default(),
+            SearchConfig { single_path: true, ..SearchConfig::default() },
+            SearchConfig { max_settled: rng.range(1, 400), ..SearchConfig::default() },
+            SearchConfig { max_sources_per_label: 1, ..SearchConfig::default() },
+        ];
+        for config in &configs {
+            let what = format!("{labels:?} under {config:?}");
+            assert_same(
+                &format!("G* of {what}"),
+                &find_lcag(graph, &index, &labels, config),
+                &lcag::find_lcag(graph, &index, &labels, config),
+            );
+            assert_same(
+                &format!("TreeEmb of {what}"),
+                &find_tree_embedding(graph, &index, &labels, config),
+                &tree::find_tree_embedding(graph, &index, &labels, config),
+            );
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use newslink_kg::{KnowledgeGraph, LabelIndex, NodeId};
 
-use crate::algo::{search, EmbedError, RootRule, SearchConfig};
+use crate::algo::{loses, search, EmbedError, RootRule, SearchConfig};
 use crate::model::CommonAncestorGraph;
 
 /// TreeEmb's rule: the lowest distance sum (ties: lowest root id), kept
@@ -20,17 +20,23 @@ use crate::model::CommonAncestorGraph;
 #[derive(Default)]
 struct DistanceSum(Option<(u64, NodeId, Vec<u32>)>);
 
+fn sum(distances: &[u32]) -> u64 {
+    distances.iter().map(|&d| u64::from(d)).sum()
+}
+
 impl RootRule for DistanceSum {
-    /// A future root's sum is at least the next frontier distance; stop
-    /// once that cannot beat the best sum found.
-    fn stop(&self, next_dist: u32) -> bool {
-        self.0.as_ref().is_some_and(|&(sum, _, _)| u64::from(next_dist) > sum)
+    /// A root's sum is at least the sum of its bound: the Definition-4
+    /// stop of `G*` with `Σ b_i` in place of the sorted vector.
+    fn excludes(&mut self, bound: &[u32], root: Option<NodeId>) -> bool {
+        self.0
+            .as_ref()
+            .is_some_and(|&(s, best_root, _)| loses(sum(bound).cmp(&s), root, best_root))
     }
 
-    fn offer(&mut self, root: NodeId, distances: Vec<u32>) {
-        let sum = distances.iter().map(|&d| u64::from(d)).sum();
-        if self.0.as_ref().is_none_or(|&(s, r, _)| (sum, root) < (s, r)) {
-            self.0 = Some((sum, root, distances));
+    fn offer(&mut self, root: NodeId, distances: &[u32]) {
+        let total = sum(distances);
+        if self.0.as_ref().is_none_or(|&(s, r, _)| (total, root) < (s, r)) {
+            self.0 = Some((total, root, distances.to_vec()));
         }
     }
 
@@ -54,6 +60,8 @@ pub fn find_tree_embedding(
 mod tests {
     use super::*;
     use crate::algo::find_lcag;
+    use crate::algo::tests::{settled, two_hubs};
+    use crate::ne_oracle::{assert_same, tree};
     use newslink_kg::{EntityType, GraphBuilder};
 
     /// Diamond: taliban has TWO 2-hop routes to khyber; tree keeps one.
@@ -138,5 +146,59 @@ mod tests {
                 .unwrap_err(),
             EmbedError::NoSources("atlantis".into())
         );
+    }
+
+    /// The stop TreeEmb had before the exact rule: a future root's sum is
+    /// at least the smallest head. Partial nodes never hold it up.
+    /// (Faithful while no frontier is exhausted.)
+    #[derive(Default)]
+    struct HeadStop(DistanceSum);
+
+    impl RootRule for HeadStop {
+        fn excludes(&mut self, bound: &[u32], root: Option<NodeId>) -> bool {
+            let min_head = bound.iter().copied().min().map_or(u64::MAX, u64::from);
+            root.is_some() || self.0 .0.as_ref().is_some_and(|&(s, _, _)| min_head > s)
+        }
+
+        fn offer(&mut self, root: NodeId, distances: &[u32]) {
+            self.0.offer(root, distances);
+        }
+
+        fn best(self) -> Option<(NodeId, Vec<u32>)> {
+            self.0.best()
+        }
+    }
+
+    #[test]
+    fn exact_stop_settles_fewer_nodes_than_the_head_bound() {
+        let (g, idx, _, bravo) = two_hubs(false);
+        let l = labels(&["alpha", "bravo"]);
+        let config = SearchConfig::default();
+        let (exact, exact_settled) = settled(|| find_tree_embedding(&g, &idx, &l, &config));
+        let (head, head_settled) =
+            settled(|| search(&g, &idx, &l, &config, false, HeadStop::default()));
+        // Root Bravo (sum 1) after three settles; the heads sum to 2 and
+        // the partial Alpha ties at 1 with the higher id. The head bound
+        // waits for the smallest head to pass 1.
+        assert_eq!(exact_settled, 3);
+        assert_eq!(head_settled, 14);
+        assert_eq!(exact.as_ref().unwrap().root, bravo);
+        assert_same("exact vs head bound", &exact, &head);
+        assert_same("exact vs oracle", &exact, &tree::find_tree_embedding(&g, &idx, &l, &config));
+    }
+
+    #[test]
+    fn exact_stop_waits_for_a_lower_root_that_ties() {
+        let (g, idx, alpha, bravo) = two_hubs(true);
+        let l = labels(&["alpha", "bravo"]);
+        let config = SearchConfig::default();
+        // Bravo (sum 1) is the best after three settles, but the partial
+        // Alpha is bounded by sum 1 and has the lower id.
+        let cut = SearchConfig { max_settled: 3, ..config.clone() };
+        assert_eq!(find_tree_embedding(&g, &idx, &l, &cut).unwrap().root, bravo);
+        let (found, n) = settled(|| find_tree_embedding(&g, &idx, &l, &config));
+        assert_eq!(n, 9);
+        assert_eq!(found.as_ref().unwrap().root, alpha);
+        assert_same("tie", &found, &tree::find_tree_embedding(&g, &idx, &l, &config));
     }
 }

@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 
-use newslink_util::{FxHashMap, FxHashSet};
+use newslink_util::FxHashMap;
 
 use crate::graph::{KnowledgeGraph, NodeId};
 
@@ -76,7 +76,8 @@ fn is_normalized(s: &str) -> bool {
 pub struct LabelIndex {
     /// normalized full label -> nodes carrying exactly that label
     exact: FxHashMap<String, Vec<NodeId>>,
-    /// normalized token -> nodes whose label contains the token
+    /// normalized token -> nodes whose label contains the token, ascending
+    /// and deduplicated
     token: FxHashMap<String, Vec<NodeId>>,
     /// longest label length in tokens (gazetteer window bound)
     max_tokens: usize,
@@ -97,7 +98,7 @@ impl LabelIndex {
         for (node, alias) in graph.aliases() {
             idx.insert_surface(node, alias);
         }
-        for bucket in idx.exact.values_mut() {
+        for bucket in idx.exact.values_mut().chain(idx.token.values_mut()) {
             bucket.sort_unstable();
             bucket.dedup();
         }
@@ -134,41 +135,40 @@ impl LabelIndex {
 
     /// The paper's `S(l)`: exact matches unioned with labels *containing*
     /// the surface form's token run. Results are sorted and deduplicated.
+    ///
+    /// A surface equal to the run contains it, so the exact matches are
+    /// a subset of the containment matches and need no separate union.
+    /// One token is a one-token run exactly when a surface holds it, so
+    /// its posting is the answer. A longer run intersects the sorted
+    /// postings, smallest first, by binary search, and checks contiguity
+    /// only for nodes that are not exact matches.
     pub fn candidates(&self, graph: &KnowledgeGraph, surface: &str) -> Vec<NodeId> {
         let norm = normalize_label(surface);
         if norm.is_empty() {
             return Vec::new();
         }
-        let mut out: FxHashSet<NodeId> = FxHashSet::default();
-        out.extend(self.exact.get(norm.as_ref()).into_iter().flatten().copied());
-
-        // Containment: intersect the token postings, then verify the token
-        // run is contiguous in the candidate's label or one of its aliases.
-        let toks: Vec<&str> = norm.split(' ').collect();
-        let postings: Option<Vec<&Vec<NodeId>>> =
-            toks.iter().map(|t| self.token.get(*t)).collect();
-        if let Some(mut postings) = postings {
-            postings.sort_by_key(|p| p.len());
-            if let Some((first, rest)) = postings.split_first() {
-                'cand: for &node in first.iter() {
-                    if out.contains(&node) {
-                        continue;
-                    }
-                    for p in rest {
-                        if !p.contains(&node) {
-                            continue 'cand;
-                        }
-                    }
-                    if surface_run_hit(graph, node, &toks) {
-                        out.insert(node);
-                    }
-                }
-            }
+        if !norm.contains(' ') {
+            return self.token.get(norm.as_ref()).cloned().unwrap_or_default();
         }
-
-        let mut v: Vec<NodeId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
+        let toks: Vec<&str> = norm.split(' ').collect();
+        let Some(mut postings) = toks
+            .iter()
+            .map(|t| self.token.get(*t).map(Vec::as_slice))
+            .collect::<Option<Vec<&[NodeId]>>>()
+        else {
+            return Vec::new();
+        };
+        postings.sort_by_key(|p| p.len());
+        let exact = self.exact.get(norm.as_ref()).map_or(&[][..], Vec::as_slice);
+        let (first, rest) = postings.split_first().expect("a run has two tokens or more");
+        first
+            .iter()
+            .copied()
+            .filter(|node| rest.iter().all(|p| p.binary_search(node).is_ok()))
+            .filter(|&node| {
+                exact.binary_search(&node).is_ok() || surface_run_hit(graph, node, &toks)
+            })
+            .collect()
     }
 
     /// True when some node label matches `surface` exactly.
@@ -263,11 +263,17 @@ fn surface_run_hit(graph: &KnowledgeGraph, node: NodeId, toks: &[&str]) -> bool 
 /// Does `label` (normalized, space-separated) contain `toks` as a contiguous
 /// token run?
 fn contains_run(label: &str, toks: &[&str]) -> bool {
-    let ltoks: Vec<&str> = label.split(' ').collect();
-    if toks.len() > ltoks.len() {
-        return false;
+    let mut rest = label;
+    loop {
+        let mut words = rest.split(' ');
+        if toks.iter().all(|t| words.next() == Some(t)) {
+            return true;
+        }
+        match rest.find(' ') {
+            Some(space) => rest = &rest[space + 1..],
+            None => return false,
+        }
     }
-    ltoks.windows(toks.len()).any(|w| w == toks)
 }
 
 #[cfg(test)]

@@ -49,8 +49,12 @@ fi
 # chaos_e2e: seeded TCP faults leave routed answers bit-identical or honestly degraded.
 # paper_tables: seeded Tiny paper tables are byte-identical to tests/golden/paper_tables.
 # ne_oracle: both embedding models are field-identical to the pre-merge searches.
+# ne_oracle at scale: the same on perf's 10k-node world (random 1–4-label groups; default, single_path, budget-limited, one-source), ignored by default and run in release below.
 # cli: the newslink binary runs generate-world → generate-corpus → build-index → search, and refuses removed commands and flags and ignored flags.
 cargo test -q --workspace
+# The NE oracle at perf's graph size (ignored by default: a few seconds
+# in release, minutes in debug).
+cargo test -q --release -p newslink-embed --lib both_models_match_the_pre_merge_searches_at_scale -- --ignored
 # The vendored shims are path dependencies, not workspace members, so the
 # workspace run above skips their own tests; run them explicitly.
 cargo test -q --offline -p parking_lot -p crossbeam -p serde_json -p proptest
